@@ -19,8 +19,9 @@
 //!   so each frame walks its port bucket and falls through). Reps are
 //!   paired and `overhead_ratio` is the median per-rep ratio of
 //!   wall-clock per delivered frame; it must stay within 15%.
-//! * **churn** — install/remove latency under load, plus the recompile
-//!   cost the first post-mutation eval pays at 100k rules, plus
+//! * **churn** — install/remove latency under load, plus the index
+//!   update the first post-mutation eval pays at 100k rules (a patch:
+//!   each slice installs a batch small enough to patch in), plus
 //!   `purge_expired` at the end of the horizon.
 //! * **sharded** — an 8-island topology with engaged (and mid-run
 //!   window-activating) tables must merge bit-identically at 1/2/8
@@ -428,8 +429,8 @@ struct ChurnOut {
 
 /// Same hub and traffic, but the table is mutated between run slices:
 /// each boundary removes the previous batch, installs a fresh one live
-/// from that instant, and pays (and measures) the recompile on the first
-/// eval after the mutation.
+/// from that instant, and pays (and measures) the index update on the
+/// first eval after the mutation.
 fn run_churn(specs: &[RuleSpec]) -> ChurnOut {
     let (mut net, ctl) = build_hub(specs);
     warm_compile(&ctl, SimTime::ZERO);
@@ -670,7 +671,7 @@ fn main() {
          \"purged\": {}}},\n  \
          \"tolerance\": {TOLERANCE},\n  \"bit_identical\": {bit_identical},\n  \
          \"sharded\": [\n    {}\n  ],\n  \
-         \"note\": \"overhead_ratio is the median of paired per-rep ratios of wall-clock per delivered frame between the 100k-rule and 1k-rule hub tables (every rule src-net constrained away from the traffic, so each frame pays the full fall-through walk); it must stay within tolerance of 1.0. digest_small/digest_large are FNV-1a folds of the compiled matcher's (verdict, rule_id) stream over a seed-fixed query prefix — machine-independent, asserted equal to an independent naive linear walk here, and compared verbatim against the committed baseline by the perf gate. Raw eval_ns numbers are informational (machine-dependent). churn reports mutation latency under load and the recompile paid by the first post-mutation eval. bit_identical asserts the merged filtered outcome digest is equal at 1/2/8 shards.\"\n}}\n",
+         \"note\": \"overhead_ratio is the median of paired per-rep ratios of wall-clock per delivered frame between the 100k-rule and 1k-rule hub tables (every rule src-net constrained away from the traffic, so each frame pays the full fall-through walk); it must stay within tolerance of 1.0. digest_small/digest_large are FNV-1a folds of the compiled matcher's (verdict, rule_id) stream over a seed-fixed query prefix — machine-independent, asserted equal to an independent naive linear walk here, and compared verbatim against the committed baseline by the perf gate. Raw eval_ns numbers are informational (machine-dependent). churn reports mutation latency under load and the index update (recompile_ns: a patch for a batch this small) paid by the first post-mutation eval. bit_identical asserts the merged filtered outcome digest is equal at 1/2/8 shards.\"\n}}\n",
         eval_small_median,
         eval_large_median,
         eval_large_median / eval_small_median,

@@ -23,10 +23,15 @@
 //!    per packet. Wild port ranges (wider than [`WIDE_SPAN`]) go to a
 //!    separate short list merged in priority order.
 //!
-//! The compiled index is rebuilt lazily after a mutation; compilation is a
-//! pure function of the rule list, so any shard may trigger it with an
-//! identical result. Tables that never had a rule installed stay on a
-//! single relaxed-atomic fast path and cost one branch per frame.
+//! The compiled index is kept up to date lazily, on the first eval after a
+//! mutation. A removal only closes a rule's window, which lookups already
+//! check, so it leaves the index alone. An install appends the highest
+//! rule index so far, and the eval patches it in; a purge (which shifts
+//! indices), a first eval, or a pending batch too large to patch rebuilds
+//! from scratch. Patched or rebuilt, the index is a pure function of the
+//! rule list, so any shard may trigger it with an identical result.
+//! Tables that never had a rule installed stay on a single
+//! relaxed-atomic fast path and cost one branch per frame.
 
 use crate::addr::{Ip4, Ip4Net, SockAddr};
 use crate::nat::Proto;
@@ -213,6 +218,13 @@ pub const NO_RULE: u64 = u64::MAX;
 /// per-chain wide list (catch-alls; merged at match time in id order).
 const WIDE_SPAN: u32 = 1024;
 
+/// Largest batch of installs an eval patches into the compiled index; a
+/// larger one is rebuilt. A patch that splits a bucket moves every bucket
+/// after it, so both a patched install and a rebuild cost time in
+/// proportion to the bucket count, and the break-even is a batch size,
+/// not a share of the table.
+const PATCH_MAX: usize = 64;
+
 #[derive(Debug, Clone)]
 struct Installed {
     rule: FilterRule,
@@ -231,7 +243,7 @@ impl Installed {
 /// Compiled form of one chain: elementary destination-port intervals with
 /// per-interval candidate lists (indices into the installed-rule vec,
 /// ascending = priority order) plus the wide-range list.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct CompiledChain {
     /// Sorted distinct interval starts, excluding the implicit 0.
     bounds: Vec<u16>,
@@ -294,6 +306,39 @@ impl CompiledChain {
         }
     }
 
+    /// Adds rule `i`, which must be the highest index compiled so far:
+    /// the result equals a fresh [`build`](CompiledChain::build) over
+    /// the rules up to `i`. Appending keeps every list in priority order.
+    fn push(&mut self, i: u32, (lo, hi): (u16, u16)) {
+        if u32::from(hi) - u32::from(lo) > WIDE_SPAN {
+            self.wide.push(i);
+            return;
+        }
+        if lo > 0 {
+            self.split(lo);
+        }
+        if hi < u16::MAX {
+            self.split(hi + 1);
+        }
+        let first = self.bounds.partition_point(|&b| b <= lo);
+        let last = self.bounds.partition_point(|&b| b <= hi);
+        for bucket in &mut self.buckets[first..=last] {
+            bucket.push(i);
+        }
+    }
+
+    /// Makes `at` a bound. The bucket it falls in becomes two with the
+    /// same candidates: no compiled rule starts or ends at `at`, so each
+    /// covers both halves or neither.
+    fn split(&mut self, at: u16) {
+        let pos = self.bounds.partition_point(|&b| b < at);
+        if self.bounds.get(pos) != Some(&at) {
+            self.bounds.insert(pos, at);
+            let half = self.buckets[pos].clone();
+            self.buckets.insert(pos + 1, half);
+        }
+    }
+
     /// First matching rule (lowest install id), merging the port bucket
     /// with the wide list in id order.
     fn lookup(
@@ -339,23 +384,52 @@ impl CompiledChain {
 
 #[derive(Debug, Default)]
 struct FilterState {
+    /// Installed rules in ascending id order: installs push, purges keep
+    /// the order.
     rules: Vec<Installed>,
     next_id: u64,
-    /// Bumped on every mutation; the compiled index is tagged with the
-    /// epoch it was built at and rebuilt lazily on mismatch.
+    /// Bumped on every mutation, for the flow fast path's epoch sums.
     epoch: u64,
     /// Activation/deactivation instants of every mutation, for the flow
     /// fast path's overlap check (`u64::MAX` sentinels are not recorded).
     changes: BTreeSet<u64>,
-    compiled: Option<(u64, CompiledChain, CompiledChain)>,
+    /// The INPUT and FORWARD indexes over `rules[..n]`, tagged with `n`.
+    /// Installs since then are patched in by the next eval; `None` (no
+    /// eval yet, or a purge shifted the indices) rebuilds.
+    compiled: Option<(usize, CompiledChain, CompiledChain)>,
 }
 
 impl FilterState {
     fn note_change(&mut self, at: SimTime) {
         self.epoch += 1;
-        self.compiled = None;
         if at.0 != u64::MAX {
             self.changes.insert(at.0);
+        }
+    }
+
+    /// Brings the compiled index up to date with `rules`: patches in a
+    /// small batch of installs, rebuilds otherwise.
+    fn compile(&mut self) {
+        let n = self.rules.len();
+        match &mut self.compiled {
+            Some((done, ..)) if *done == n => {}
+            Some((done, input, forward)) if n - *done <= PATCH_MAX => {
+                for (i, r) in self.rules.iter().enumerate().skip(*done) {
+                    let chain = match r.rule.chain {
+                        Chain::Input => &mut *input,
+                        Chain::Forward => &mut *forward,
+                    };
+                    chain.push(i as u32, r.rule.dst_ports);
+                }
+                *done = n;
+            }
+            _ => {
+                self.compiled = Some((
+                    n,
+                    CompiledChain::build(&self.rules, Chain::Input),
+                    CompiledChain::build(&self.rules, Chain::Forward),
+                ));
+            }
         }
     }
 }
@@ -395,13 +469,14 @@ impl FilterControl {
 
     /// Schedules rule `id` to deactivate at `until` (`iptables -D`
     /// analogue; pass the current sim time for an immediate removal).
-    /// Returns false when no such rule exists.
+    /// Returns false when no such rule exists. Lookups check every
+    /// candidate's window, so the compiled index stays valid.
     pub fn remove_at(&self, id: u64, until: SimTime) -> bool {
         let mut s = self.state.lock();
-        let Some(r) = s.rules.iter_mut().find(|r| r.id == id) else {
+        let Ok(pos) = s.rules.binary_search_by_key(&id, |r| r.id) else {
             return false;
         };
-        r.until = until;
+        s.rules[pos].until = until;
         s.note_change(until);
         true
     }
@@ -471,7 +546,8 @@ impl FilterControl {
 
     /// Evaluates `chain` for a frame. Never-configured tables return
     /// ACCEPT after one atomic load; configured tables take the lock,
-    /// (re)compile if stale, and walk the interval index.
+    /// patch or rebuild the interval index if installs or a purge left it
+    /// behind, and walk it.
     pub fn eval(
         &self,
         chain: Chain,
@@ -485,16 +561,8 @@ impl FilterControl {
             return (Verdict::Accept, NO_RULE);
         }
         let mut s = self.state.lock();
-        let s = &mut *s;
-        // Split borrow: compile against the rules, then look up.
-        if s.compiled.as_ref().is_none_or(|c| c.0 != s.epoch) {
-            s.compiled = Some((
-                s.epoch,
-                CompiledChain::build(&s.rules, Chain::Input),
-                CompiledChain::build(&s.rules, Chain::Forward),
-            ));
-        }
-        let (_, input, forward) = s.compiled.as_ref().unwrap();
+        s.compile();
+        let (_, input, forward) = s.compiled.as_ref().expect("compiled above");
         let c = match chain {
             Chain::Input => input,
             Chain::Forward => forward,
@@ -811,55 +879,60 @@ mod tests {
         assert_eq!(miss_net.0, Verdict::Accept);
     }
 
-    #[test]
-    fn interval_index_agrees_with_linear_walk() {
-        // Deterministic pseudo-random rule soup, including wide ranges
-        // and windows, cross-checked against the reference matcher.
-        let ctl = FilterControl::default();
-        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut step = || {
+    /// A xorshift stream for the rule soups.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             x
-        };
-        for _ in 0..500 {
-            let lo = (step() % 60_000) as u16;
-            let span = if step() % 5 == 0 {
-                (step() % 5_000) as u16 // some wide ranges
-            } else {
-                (step() % 40) as u16
-            };
-            let hi = lo.saturating_add(span);
-            let verdict = match step() % 3 {
-                0 => Verdict::Accept,
-                1 => Verdict::Drop,
-                _ => Verdict::Reject,
-            };
-            let chain = if step() % 2 == 0 {
-                Chain::Forward
-            } else {
-                Chain::Input
-            };
-            let mut rule = FilterRule::any(chain, verdict).ports(lo, hi);
-            if step() % 2 == 0 {
-                rule = rule.proto(if step() % 2 == 0 {
-                    Proto::Udp
-                } else {
-                    Proto::Tcp
-                });
-            }
-            if step() % 3 == 0 {
-                rule = rule.to_net(Ip4Net::new(Ip4((step() as u32) & 0xFFFF_FF00), 24));
-            }
-            let from = SimTime(step() % 1_000);
-            let id = ctl.install_at(rule, from);
-            if step() % 4 == 0 {
-                ctl.remove_at(id, SimTime(1_000 + step() % 1_000));
-            }
         }
-        for _ in 0..2_000 {
-            let proto = if step() % 2 == 0 {
+    }
+
+    /// A pseudo-random rule: mostly narrow port ranges, some wide ones,
+    /// either chain, optional proto and destination net.
+    fn soup_rule(step: &mut impl FnMut() -> u64) -> FilterRule {
+        let lo = (step() % 60_000) as u16;
+        let span = if step().is_multiple_of(5) {
+            (step() % 5_000) as u16 // some wide ranges
+        } else {
+            (step() % 40) as u16
+        };
+        let hi = lo.saturating_add(span);
+        let verdict = match step() % 3 {
+            0 => Verdict::Accept,
+            1 => Verdict::Drop,
+            _ => Verdict::Reject,
+        };
+        let chain = if step().is_multiple_of(2) {
+            Chain::Forward
+        } else {
+            Chain::Input
+        };
+        let mut rule = FilterRule::any(chain, verdict).ports(lo, hi);
+        if step().is_multiple_of(2) {
+            rule = rule.proto(if step().is_multiple_of(2) {
+                Proto::Udp
+            } else {
+                Proto::Tcp
+            });
+        }
+        if step().is_multiple_of(3) {
+            rule = rule.to_net(Ip4Net::new(Ip4((step() as u32) & 0xFFFF_FF00), 24));
+        }
+        rule
+    }
+
+    /// Asserts the compiled matcher equals the linear walk on both chains
+    /// for `queries` pseudo-random frames at times below `horizon`.
+    fn agrees_with_linear(
+        ctl: &FilterControl,
+        step: &mut impl FnMut() -> u64,
+        queries: usize,
+        horizon: u64,
+    ) {
+        for _ in 0..queries {
+            let proto = if step().is_multiple_of(2) {
                 Proto::Udp
             } else {
                 Proto::Tcp
@@ -871,15 +944,109 @@ mod tests {
                 1 => ConnState::Established,
                 _ => ConnState::Related,
             };
-            let now = SimTime(step() % 2_500);
+            let now = SimTime(step() % horizon);
             for chain in [Chain::Input, Chain::Forward] {
                 assert_eq!(
                     ctl.eval(chain, proto, src, dst, state, now),
-                    linear_eval(&ctl, chain, proto, src, dst, state, now),
+                    linear_eval(ctl, chain, proto, src, dst, state, now),
                     "compiled matcher diverged from the linear reference"
                 );
             }
         }
+    }
+
+    #[test]
+    fn interval_index_agrees_with_linear_walk() {
+        // Deterministic pseudo-random rule soup, including wide ranges
+        // and windows, cross-checked against the reference matcher.
+        let ctl = FilterControl::default();
+        let mut step = xorshift(0x9E37_79B9_7F4A_7C15);
+        for _ in 0..500 {
+            let rule = soup_rule(&mut step);
+            let from = SimTime(step() % 1_000);
+            let id = ctl.install_at(rule, from);
+            if step().is_multiple_of(4) {
+                ctl.remove_at(id, SimTime(1_000 + step() % 1_000));
+            }
+        }
+        agrees_with_linear(&ctl, &mut step, 2_000, 2_500);
+    }
+
+    #[test]
+    fn interval_index_stays_exact_under_mutation() {
+        // Installs, removals and purges interleaved with evals, so the
+        // index is patched, left alone and rebuilt in turn. After every
+        // mutation the matcher must equal the linear walk, and the
+        // compiled chains a fresh build over the current rules.
+        fn install(ctl: &FilterControl, step: &mut impl FnMut() -> u64, ids: &mut Vec<u64>) {
+            let rule = soup_rule(step);
+            ids.push(ctl.install_at(rule, SimTime(step() % 2_000)));
+        }
+        let ctl = FilterControl::default();
+        let mut step = xorshift(0xD1B5_4A32_D192_ED03);
+        let mut ids = Vec::new();
+        for _ in 0..200 {
+            install(&ctl, &mut step, &mut ids);
+        }
+        for round in 0..300 {
+            match step() % 10 {
+                0..=4 => {
+                    for _ in 0..1 + step() % 3 {
+                        install(&ctl, &mut step, &mut ids);
+                    }
+                }
+                5..=7 => {
+                    let id = ids[(step() % ids.len() as u64) as usize];
+                    ctl.remove_at(id, SimTime(step() % 3_000));
+                }
+                8 => {
+                    ctl.purge_expired(SimTime(step() % 3_000));
+                }
+                _ => {}
+            }
+            if round == 150 {
+                // One batch too large to patch: the next eval rebuilds.
+                for _ in 0..PATCH_MAX + 50 {
+                    install(&ctl, &mut step, &mut ids);
+                }
+            }
+            agrees_with_linear(&ctl, &mut step, 20, 3_000);
+            let s = ctl.state.lock();
+            let (n, input, forward) = s.compiled.as_ref().expect("evaluated above");
+            assert_eq!(*n, s.rules.len());
+            assert_eq!(*input, CompiledChain::build(&s.rules, Chain::Input));
+            assert_eq!(*forward, CompiledChain::build(&s.rules, Chain::Forward));
+        }
+    }
+
+    #[test]
+    fn remove_after_purge_hits_the_right_rule() {
+        let ctl = FilterControl::default();
+        let ids: Vec<u64> = (0..10)
+            .map(|p| ctl.install(FilterRule::any(Chain::Forward, Verdict::Drop).port(p)))
+            .collect();
+        for &id in ids.iter().step_by(2) {
+            assert!(ctl.remove_at(id, SimTime(10)));
+        }
+        assert_eq!(ctl.purge_expired(SimTime(10)), 5);
+        // Survivors sit at shifted positions; the lookup is by id.
+        assert!(ctl.remove_at(ids[7], SimTime(20)));
+        let at = |port: u16| {
+            ctl.eval(
+                Chain::Forward,
+                Proto::Udp,
+                sock(1, 1),
+                sock(2, port),
+                ANY_STATE,
+                SimTime(30),
+            )
+        };
+        assert_eq!(at(7), (Verdict::Accept, NO_RULE));
+        assert_eq!(at(5), (Verdict::Drop, ids[5]));
+        assert_eq!(at(9), (Verdict::Drop, ids[9]));
+        // A purged id and one never issued are both unknown.
+        assert!(!ctl.remove_at(ids[4], SimTime(40)));
+        assert!(!ctl.remove_at(1_000, SimTime(40)));
     }
 
     #[test]

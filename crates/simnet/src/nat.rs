@@ -122,6 +122,65 @@ struct ConnEntry {
     last_used: crate::time::SimTime,
 }
 
+/// Reverse index from a masquerade-side address to the conntrack keys
+/// whose entry holds it: as the key's `dst` (a reply key) or as the
+/// entry's `new_src` (a forward entry). Only addresses the port allocator
+/// can ask about are indexed — the router's own interface IPs at ports
+/// from [`NatRouter::NAT_PORT_BASE`] up. A published service address
+/// would collect a holder per client flow, growing the heap and making
+/// each removal a long list walk, for a question nobody asks.
+#[derive(Debug)]
+struct PortIndex {
+    local: Vec<Ip4>,
+    holders: HashMap<(Proto, SockAddr), Vec<ConnKey>>,
+}
+
+impl PortIndex {
+    fn new(local: Vec<Ip4>) -> PortIndex {
+        PortIndex {
+            local,
+            holders: HashMap::new(),
+        }
+    }
+
+    /// The indexed addresses `(k, e)` holds, each once.
+    fn held(&self, k: &ConnKey, e: &ConnEntry) -> [Option<SockAddr>; 2] {
+        let indexed = |a: SockAddr| {
+            (a.port >= NatRouter::NAT_PORT_BASE && self.local.contains(&a.ip)).then_some(a)
+        };
+        let second = if e.new_src == k.dst {
+            None
+        } else {
+            indexed(e.new_src)
+        };
+        [indexed(k.dst), second]
+    }
+
+    fn link(&mut self, k: ConnKey, e: &ConnEntry) {
+        for a in self.held(&k, e).into_iter().flatten() {
+            // A masquerade port usually has two holders: the forward
+            // entry and the reply key.
+            self.holders
+                .entry((k.proto, a))
+                .or_insert_with(|| Vec::with_capacity(2))
+                .push(k);
+        }
+    }
+
+    fn unlink(&mut self, k: &ConnKey, e: &ConnEntry) {
+        for a in self.held(k, e).into_iter().flatten() {
+            let slot = (k.proto, a);
+            let Some(keys) = self.holders.get_mut(&slot) else {
+                continue;
+            };
+            keys.retain(|x| x != k);
+            if keys.is_empty() {
+                self.holders.remove(&slot);
+            }
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct NatConfig {
     ifaces: Vec<Interface>,
@@ -261,7 +320,10 @@ impl NatControl {
 /// The NAT router device.
 pub struct NatRouter {
     cfg: NatControl,
+    /// Written only through `ct_insert` and `ct_retain`, which keep
+    /// `ports` in step.
     conntrack: HashMap<ConnKey, ConnEntry>,
+    ports: PortIndex,
     /// Unordered address-pair index over live conntrack entries, for the
     /// filter table's RELATED state match (canonical low/high ip order).
     pair_last: HashMap<(Proto, Ip4, Ip4), SimTime>,
@@ -323,11 +385,15 @@ impl NatRouter {
     /// Creates a router with the given interfaces (one per port).
     pub fn new(ifaces: Vec<Interface>, cost: StageCost, station: SharedStation) -> NatRouter {
         assert!(!ifaces.is_empty(), "router needs at least one interface");
+        // Interfaces are fixed for the router's life, so the port index
+        // keeps its own copy of their addresses.
+        let ports = PortIndex::new(ifaces.iter().map(|i| i.ip).collect());
         let cfg = NatControl::default();
         cfg.0.lock().ifaces = ifaces;
         NatRouter {
             cfg,
             conntrack: HashMap::new(),
+            ports,
             pair_last: HashMap::new(),
             conntrack_timeout: Self::DEFAULT_CONNTRACK_TIMEOUT,
             frames_since_gc: 0,
@@ -463,8 +529,30 @@ impl NatRouter {
             return;
         }
         for rule in std::mem::take(&mut cfg.flush) {
-            self.conntrack.retain(|k, e| !Self::flush_hits(&rule, k, e));
+            self.ct_retain(|k, e| !Self::flush_hits(&rule, k, e));
         }
+    }
+
+    /// Installs (or replaces) a conntrack entry, keeping the port index
+    /// in step.
+    fn ct_insert(&mut self, k: ConnKey, e: ConnEntry) {
+        if let Some(old) = self.conntrack.insert(k, e) {
+            self.ports.unlink(&k, &old);
+        }
+        self.ports.link(k, &e);
+    }
+
+    /// Removes every conntrack entry `keep` rejects, keeping the port
+    /// index in step.
+    fn ct_retain(&mut self, mut keep: impl FnMut(&ConnKey, &ConnEntry) -> bool) {
+        let ports = &mut self.ports;
+        self.conntrack.retain(|k, e| {
+            let kept = keep(k, e);
+            if !kept {
+                ports.unlink(k, e);
+            }
+            kept
+        });
     }
 
     /// Allocates a masquerade source port on interface address `ip`,
@@ -472,11 +560,42 @@ impl NatRouter {
     /// free-running counter handed out in-use ports after wrapping at
     /// `u16::MAX`, letting two flows share a source port). Returns `None`
     /// when every port of the range is genuinely in use.
+    ///
+    /// A port is held when a live entry carries `(ip, port)` in either
+    /// direction: reply keys address the masquerade side as `dst`,
+    /// forward entries carry it as `new_src`. The port index lists those
+    /// entries per address, so each candidate costs a lookup and a
+    /// liveness check of its own holders, not a pass over conntrack.
     fn alloc_nat_port(&mut self, ip: Ip4, proto: Proto, now: crate::time::SimTime) -> Option<u16> {
         let timeout = self.conntrack_timeout;
-        // One pass over conntrack: every port a live entry holds on `ip`,
-        // in either direction (reply keys address the masquerade side as
-        // `dst`; forward entries carry it as `new_src`).
+        let range = u32::from(u16::MAX) - u32::from(Self::NAT_PORT_BASE) + 1;
+        for _ in 0..range {
+            let p = self.next_nat_port;
+            self.next_nat_port = self
+                .next_nat_port
+                .checked_add(1)
+                .unwrap_or(Self::NAT_PORT_BASE);
+            let held = self
+                .ports
+                .holders
+                .get(&(proto, SockAddr::new(ip, p)))
+                .is_some_and(|keys| {
+                    keys.iter()
+                        .any(|k| now.since(self.conntrack[k].last_used) <= timeout)
+                });
+            if !held {
+                return Some(p);
+            }
+        }
+        None
+    }
+
+    /// The allocator before the port index: one pass over conntrack
+    /// collecting every port a live entry holds on `ip`. Kept as the
+    /// reference the indexed allocator is tested against.
+    #[cfg(test)]
+    fn alloc_nat_port_scan(&mut self, ip: Ip4, proto: Proto, now: SimTime) -> Option<u16> {
+        let timeout = self.conntrack_timeout;
         let in_use: HashSet<u16> = self
             .conntrack
             .iter()
@@ -568,8 +687,7 @@ impl Device for NatRouter {
             self.frames_since_gc = 0;
             let now = ctx.now();
             let timeout = self.conntrack_timeout;
-            self.conntrack
-                .retain(|_, e| now.since(e.last_used) <= timeout);
+            self.ct_retain(|_, e| now.since(e.last_used) <= timeout);
             self.pair_last.retain(|_, t| now.since(*t) <= timeout);
         }
         // Pending rule-removal flushes land before any lookup, so a flow
@@ -696,7 +814,7 @@ impl Device for NatRouter {
         if let Some((ns, nd)) = pending_insert {
             // Install both directions.
             let now = ctx.now();
-            self.conntrack.insert(
+            self.ct_insert(
                 key,
                 ConnEntry {
                     new_src: ns,
@@ -704,7 +822,7 @@ impl Device for NatRouter {
                     last_used: now,
                 },
             );
-            self.conntrack.insert(
+            self.ct_insert(
                 ConnKey {
                     proto,
                     src: nd,
@@ -946,7 +1064,7 @@ mod tests {
     fn hold_port(r: &mut NatRouter, ip: Ip4, p: u16, remote: SockAddr, now: crate::time::SimTime) {
         let held = SockAddr::new(ip, p);
         let pod = SockAddr::new(Ip4::new(172, 17, 0, 2), p); // arbitrary inside addr
-        r.conntrack.insert(
+        r.ct_insert(
             ConnKey {
                 proto: Proto::Udp,
                 src: pod,
@@ -958,7 +1076,7 @@ mod tests {
                 last_used: now,
             },
         );
-        r.conntrack.insert(
+        r.ct_insert(
             ConnKey {
                 proto: Proto::Udp,
                 src: remote,
@@ -1011,11 +1129,218 @@ mod tests {
         assert_eq!(r.alloc_nat_port(ip, Proto::Udp, now), None);
         // Releasing one port makes exactly that port allocatable again.
         let freed = NatRouter::NAT_PORT_BASE + 7;
-        r.conntrack.retain(|k, e| {
+        r.ct_retain(|k, e| {
             k.dst != SockAddr::new(ip, freed) && e.new_src != SockAddr::new(ip, freed)
         });
         r.next_nat_port = NatRouter::NAT_PORT_BASE;
         assert_eq!(r.alloc_nat_port(ip, Proto::Udp, now), Some(freed));
+    }
+
+    /// Lends a router to a network while the test keeps a handle on it:
+    /// frames run the real frame path, and the test inspects the router
+    /// between them.
+    struct Lent(std::sync::Arc<parking_lot::Mutex<NatRouter>>);
+
+    impl Device for Lent {
+        fn kind(&self) -> DeviceKind {
+            DeviceKind::NatRouter
+        }
+
+        fn on_frame(&mut self, port: PortId, frame: Frame, ctx: &mut DevCtx<'_>) {
+            self.0.lock().on_frame(port, frame, ctx);
+        }
+    }
+
+    /// A port index as sorted lists (`Proto` has no order, so TCP ranks
+    /// as `true`).
+    type Listing = Vec<((bool, SockAddr), Vec<(bool, SockAddr, SockAddr)>)>;
+
+    fn listing(ix: &PortIndex) -> Listing {
+        let mut out: Listing = ix
+            .holders
+            .iter()
+            .map(|((proto, addr), keys)| {
+                let mut keys: Vec<_> = keys
+                    .iter()
+                    .map(|k| (k.proto == Proto::Tcp, k.src, k.dst))
+                    .collect();
+                keys.sort();
+                ((*proto == Proto::Tcp, *addr), keys)
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// Asserts the port index equals one rebuilt from conntrack, and the
+    /// indexed allocator hands out what the conntrack scan does, from the
+    /// same cursor, on both protocols.
+    fn check_allocator(r: &mut NatRouter, ip: Ip4, now: SimTime) {
+        let mut rebuilt = PortIndex::new(r.ports.local.clone());
+        for (k, e) in &r.conntrack {
+            rebuilt.link(*k, e);
+        }
+        assert_eq!(
+            listing(&r.ports),
+            listing(&rebuilt),
+            "port index out of step with conntrack"
+        );
+        for proto in [Proto::Udp, Proto::Tcp] {
+            let cursor = r.next_nat_port;
+            let want = r.alloc_nat_port_scan(ip, proto, now);
+            let want_cursor = r.next_nat_port;
+            r.next_nat_port = cursor;
+            assert_eq!(
+                r.alloc_nat_port(ip, proto, now),
+                want,
+                "indexed allocator diverged from the conntrack scan"
+            );
+            assert_eq!(r.next_nat_port, want_cursor);
+        }
+    }
+
+    #[test]
+    fn indexed_port_allocator_matches_the_conntrack_scan() {
+        let timeout = SimDuration::millis(10);
+        let mut r = router().with_conntrack_timeout(timeout);
+        r.add_route(Route {
+            net: Ip4Net::new(Ip4::UNSPECIFIED, 0),
+            port: PortId(0),
+            via: Some(Ip4::new(192, 168, 0, 100)),
+        });
+        let ctl = r.control();
+        let ip = Ip4::new(192, 168, 0, 1);
+        let published = SockAddr::new(ip, 8080);
+        let dnat = DnatRule {
+            proto: Proto::Udp,
+            match_ip: None,
+            match_port: 8080,
+            to: SockAddr::new(Ip4::new(172, 17, 0, 2), 80),
+        };
+        let shared = std::sync::Arc::new(parking_lot::Mutex::new(r));
+        let mut net = Network::new(0);
+        let rid = net.add_device("nat", CpuLocation::Vm(1), Box::new(Lent(shared.clone())));
+        let ext = net.add_device("ext", CpuLocation::Host, Box::new(CaptureSink::new("ext")));
+        let pod = net.add_device("pod", CpuLocation::Vm(1), Box::new(CaptureSink::new("pod")));
+        net.connect(rid, PortId(0), ext, PortId::P0, LinkParams::default());
+        net.connect(rid, PortId(1), pod, PortId::P0, LinkParams::default());
+        let frame = |proto, ingress: PortId, src, dst| {
+            let (src_mac, dst_mac) = if ingress == PortId(0) {
+                (MacAddr::local(100), MacAddr::local(10))
+            } else {
+                (MacAddr::local(2), MacAddr::local(11))
+            };
+            match proto {
+                Proto::Udp => Frame::udp(src_mac, dst_mac, src, dst, Payload::sized(16)),
+                Proto::Tcp => Frame::tcp(
+                    src_mac,
+                    dst_mac,
+                    src,
+                    dst,
+                    0,
+                    crate::frame::TcpKind::Data,
+                    Payload::sized(16),
+                ),
+            }
+        };
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut rnd = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        // Small address pools, so flows recur: a recurring live flow is a
+        // hit, and one that expired but was not yet collected replaces its
+        // conntrack keys (forward and reply) with new entries.
+        let mut flows: Vec<(Proto, SockAddr, SockAddr)> = Vec::new();
+        for _ in 0..3_000 {
+            match rnd(100) {
+                // A pod-originated flow, masqueraded on the way out.
+                0..=44 => {
+                    let proto = if rnd(4) == 0 { Proto::Tcp } else { Proto::Udp };
+                    let src = SockAddr::new(Ip4::new(172, 17, 0, 2), 1_000 + rnd(64) as u16);
+                    let remote =
+                        SockAddr::new(Ip4::new(10, 0, 0, 1 + rnd(4) as u8), 9_000 + rnd(4) as u16);
+                    flows.push((proto, src, remote));
+                    net.inject_frame(
+                        SimDuration::ZERO,
+                        rid,
+                        PortId(1),
+                        frame(proto, PortId(1), src, remote),
+                    );
+                }
+                // A reply to a recent flow, at its masquerade address.
+                45..=74 if !flows.is_empty() => {
+                    let back = rnd(flows.len().min(16) as u64) as usize;
+                    let (proto, src, remote) = flows[flows.len() - 1 - back];
+                    let key = ConnKey {
+                        proto,
+                        src,
+                        dst: remote,
+                    };
+                    let masq = shared.lock().conntrack.get(&key).map(|e| e.new_src);
+                    if let Some(masq) = masq {
+                        net.inject_frame(
+                            SimDuration::ZERO,
+                            rid,
+                            PortId(0),
+                            frame(proto, PortId(0), remote, masq),
+                        );
+                    }
+                }
+                // A published-port flow from outside; half of them come
+                // from the router's own address in the masquerade range,
+                // so non-masquerade entries hold indexed ports too.
+                75..=84 => {
+                    let src = if rnd(2) == 0 {
+                        SockAddr::new(Ip4::new(192, 168, 0, 100), 5_000 + rnd(8) as u16)
+                    } else {
+                        SockAddr::new(ip, NatRouter::NAT_PORT_BASE + rnd(64) as u16)
+                    };
+                    net.inject_frame(
+                        SimDuration::ZERO,
+                        rid,
+                        PortId(0),
+                        frame(Proto::Udp, PortId(0), src, published),
+                    );
+                }
+                // Time passes, up to three timeouts.
+                85..=89 => {
+                    let until = net.now() + SimDuration::nanos(rnd(3 * timeout.0));
+                    net.run(StopCondition::Until(until));
+                }
+                // Un-publish and re-publish: queues a conntrack flush the
+                // next frame drains.
+                90..=92 => {
+                    ctl.remove_dnat(Proto::Udp, 8080);
+                    ctl.add_dnat(dnat);
+                }
+                // Cursor at the top of the range: the next allocation wraps.
+                93..=95 => shared.lock().next_nat_port = u16::MAX - rnd(4) as u16,
+                // Cursor onto ports earlier flows may still hold.
+                _ => shared.lock().next_nat_port = NatRouter::NAT_PORT_BASE + rnd(64) as u16,
+            }
+            net.run(StopCondition::Idle);
+            let now = net.now();
+            check_allocator(&mut shared.lock(), ip, now);
+        }
+        assert!(net.store().counter("nat.conntrack_new") > 1_000.0);
+        assert!(net.store().counter("nat.conntrack_hit") > 300.0);
+
+        // Every UDP port of the range held: both report exhaustion, then
+        // agree again as holders go and as the rest expire.
+        let mut r = shared.lock();
+        let now = net.now();
+        for p in NatRouter::NAT_PORT_BASE..=u16::MAX {
+            let remote = SockAddr::new(Ip4::new(192, 168, 0, 100), p);
+            hold_port(&mut r, ip, p, remote, now);
+        }
+        r.next_nat_port = NatRouter::NAT_PORT_BASE + 99;
+        check_allocator(&mut r, ip, now);
+        r.ct_retain(|k, e| k.dst.port % 97 != 0 && e.new_src.port % 97 != 0);
+        check_allocator(&mut r, ip, now);
+        check_allocator(&mut r, ip, now + timeout + SimDuration::nanos(1));
     }
 
     #[test]
@@ -1132,7 +1457,7 @@ mod tests {
         let client = SockAddr::new(Ip4::new(192, 168, 0, 100), 5555);
         let published = SockAddr::new(Ip4::new(192, 168, 0, 1), 8080);
         let pod = SockAddr::new(Ip4::new(172, 17, 0, 2), 80);
-        r.conntrack.insert(
+        r.ct_insert(
             ConnKey {
                 proto: Proto::Udp,
                 src: client,
