@@ -14,11 +14,11 @@
 //! * `observability_overhead` — the multihost workload re-run under each
 //!   flight-recorder mode (off / counters / full); rates and the
 //!   relative cost land in `results/observability_overhead.json`.
-//! * `multicore` — an 8-host topology swept over 1/2/4/8 shards in both
-//!   synchronization modes (conservative and optimistic), each checked
-//!   bit-identical against the sequential run; speedups, sync statistics
-//!   and the detected core count land in `results/engine_multicore.json`
-//!   (consumed by the CI perf gate, `tools/perfgate.rs`).
+//! * `multicore` — an 8-host topology swept over 1/2/4/8 shards, each
+//!   checked bit-identical against the sequential run; speedups, sync
+//!   statistics and the detected core count land in
+//!   `results/engine_multicore.json` (consumed by the CI perf gate,
+//!   `tools/perfgate.rs`).
 //!
 //! ```text
 //! cargo run --release -p nestless-bench --bin engine_throughput [reps] [frames] [scenario]
@@ -341,10 +341,10 @@ fn observability_overhead(reps: usize) {
 }
 
 /// The multicore sweep: an 8-host topology (9 islands, so an 8-shard
-/// request really yields 8 shards) swept over shard counts and both
-/// synchronization modes. Every configuration is digest-checked against
-/// the sequential run — the sweep doubles as the cross-mode determinism
-/// gate — and the JSON carries everything `tools/perfgate.rs` needs:
+/// request really yields 8 shards) swept over shard counts. Every
+/// configuration is digest-checked against the sequential run — the sweep
+/// doubles as a determinism gate — and the JSON carries everything
+/// `tools/perfgate.rs` needs:
 /// per-row speedups, sync statistics, and the detected core count (so
 /// the gate can skip scaling assertions on single-core runners).
 fn multicore(reps: usize) {
@@ -368,16 +368,13 @@ fn multicore(reps: usize) {
                                                           // noise (frequency drift, a background task waking up) then lands on
                                                           // both sides of each ratio instead of skewing whichever half of the
                                                           // sweep it happened to overlap.
-    let configs: Vec<(bool, usize)> = [false, true]
-        .into_iter()
-        .flat_map(|o| [1usize, 2, 4, 8].into_iter().map(move |w| (o, w)))
-        .collect();
+    let configs = [1usize, 2, 4, 8];
     let mut seq_rates = Vec::with_capacity(reps);
     let mut cfg_rates: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); configs.len()];
     let mut cfg_ratios: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); configs.len()];
     let mut cfg_got = vec![0usize; configs.len()];
     let mut cfg_identical = vec![true; configs.len()];
-    let mut cfg_stats = vec![simnet::SyncStats::default(); configs.len()];
+    let mut cfg_rounds = vec![0u64; configs.len()];
     let mut reference = None;
     for _ in 0..reps {
         let mut net = build();
@@ -391,13 +388,12 @@ fn multicore(reps: usize) {
             net.events_processed(),
         ));
         let ref_digest = reference.as_ref().unwrap().0;
-        for (c, &(optimistic, want)) in configs.iter().enumerate() {
+        for (c, &want) in configs.iter().enumerate() {
             let mut sn = ShardedNetwork::new(build(), want);
-            sn.set_optimistic(optimistic);
             cfg_got[c] = sn.nshards();
             let start = Instant::now();
             sn.run(StopCondition::Until(MULTIHOST_HORIZON));
-            cfg_stats[c] = sn.sync_stats();
+            cfg_rounds[c] = sn.sync_stats().rounds;
             let report = sn.into_report();
             // The merge is part of the cost of getting usable results.
             let elapsed = start.elapsed();
@@ -412,32 +408,23 @@ fn multicore(reps: usize) {
     let (_, events_per_rep) = reference.unwrap();
 
     let mut rows = Vec::new();
-    for (c, &(optimistic, want)) in configs.iter().enumerate() {
-        let mode = if optimistic {
-            "optimistic"
-        } else {
-            "conservative"
-        };
+    for (c, &want) in configs.iter().enumerate() {
         let identical = cfg_identical[c];
-        let stats = &cfg_stats[c];
         let (median, peak) = summarize(cfg_rates[c].clone());
         let (ratio_median, _) = summarize(cfg_ratios[c].clone());
         rows.push(format!(
-            "{{\"mode\":\"{mode}\",\"shards_wanted\":{want},\"shards_got\":{},\
+            "{{\"mode\":\"conservative\",\"shards_wanted\":{want},\"shards_got\":{},\
              \"events_per_sec_median\":{median:.0},\"events_per_sec_peak\":{peak:.0},\
              \"speedup_vs_sequential_median\":{ratio_median:.3},\
              \"speedup_vs_sequential_peak\":{:.3},\"bit_identical\":{identical},\
-             \"sync\":{{\"rounds\":{},\"spec_commits\":{},\"spec_rollbacks\":{},\"spec_denied\":{}}}}}",
+             \"sync\":{{\"rounds\":{}}}}}",
             cfg_got[c],
             peak / seq_peak,
-            stats.rounds,
-            stats.spec_commits,
-            stats.spec_rollbacks,
-            stats.spec_denied,
+            cfg_rounds[c],
         ));
         assert!(
             identical,
-            "{mode} run ({want} shards) diverged from the sequential engine"
+            "{want}-shard run diverged from the sequential engine"
         );
     }
 
@@ -450,7 +437,7 @@ fn multicore(reps: usize) {
          \"host_cores\": {host_cores},\n  \
          \"sequential\": {{\"events_per_sec_median\": {seq_median:.0}, \"events_per_sec_peak\": {seq_peak:.0}}},\n  \
          \"sweep\": [\n    {}\n  ],\n  \
-         \"note\": \"bit_identical asserts the merged sharded outcome equals the sequential run's, bit for bit, in both synchronization modes. Reps interleave the sequential engine with every configuration; speedup_vs_sequential_median is the median of paired per-rep ratios and speedup_vs_sequential_peak is peak-rate over sequential peak-rate (the noise-robust statistic the perf gate asserts floors on). Wall-clock speedup is bounded by host_cores: on a single-core host the rows measure coordinator overhead, not scaling; the perf gate only asserts scaling when host_cores >= 4.\"\n}}\n",
+         \"note\": \"bit_identical asserts the merged sharded outcome equals the sequential run's, bit for bit. Reps interleave the sequential engine with every configuration; speedup_vs_sequential_median is the median of paired per-rep ratios and speedup_vs_sequential_peak is peak-rate over sequential peak-rate (the noise-robust statistic the perf gate asserts floors on). Wall-clock speedup is bounded by host_cores: on a single-core host the rows measure coordinator overhead, not scaling; the perf gate only asserts scaling when host_cores >= 4.\"\n}}\n",
         MULTIHOST_HORIZON.0,
         rows.join(",\n    ")
     );

@@ -3,9 +3,9 @@
 //! One run exercises every piece of the telemetry plane end to end:
 //!
 //! 1. **Deterministic journal** — a hybrid-fidelity relay-chain scenario
-//!    with a lossy fault window runs at 1/2/8 shards, conservative and
-//!    optimistic. The deterministic journal lane (records + per-kind
-//!    counts + drop count) must be bit-identical across all five runs.
+//!    with a lossy fault window runs at 1/2/8 shards. The deterministic
+//!    journal lane (records + per-kind counts + drop count) must be
+//!    bit-identical across all three runs.
 //! 2. **Metrics registry** — counters, gauges, a log2 histogram, and a
 //!    decimating tick series are fed from the canonical run's journal.
 //! 3. **Exporters** — the merged [`TelemetrySnapshot`] is round-trip
@@ -129,11 +129,10 @@ fn plan(targets: &[DeviceId]) -> FaultPlan {
     plan
 }
 
-fn run(shards: usize, optimistic: bool) -> RunReport {
+fn run(shards: usize) -> RunReport {
     let (net, targets) = build();
     let mut sn = SimConfig::new()
         .shards(shards)
-        .optimistic(optimistic)
         .fidelity(Fidelity::Hybrid)
         .telemetry(TelemetryConfig::full())
         .fault(plan(&targets))
@@ -160,11 +159,11 @@ where
 }
 
 fn main() {
-    // 1. Journal determinism: five engine configurations, one journal.
-    let configs = [(1, false), (2, false), (8, false), (2, true), (8, true)];
+    // 1. Journal determinism: three shard counts, one journal.
+    let configs = [1, 2, 8];
     let mut canonical: Option<RunReport> = None;
-    for (shards, optimistic) in configs {
-        let report = run(shards, optimistic);
+    for shards in configs {
+        let report = run(shards);
         if report.telemetry_mode != metrics::TelemetryMode::Full {
             die("run must report telemetry mode full");
         }
@@ -174,7 +173,7 @@ fn main() {
                 || report.journal_dropped != reference.journal_dropped
             {
                 die(&format!(
-                    "journal diverged at shards={shards} optimistic={optimistic}: \
+                    "journal diverged at shards={shards}: \
                      {} records vs {} reference",
                     report.journal.len(),
                     reference.journal.len()
@@ -264,7 +263,7 @@ fn main() {
          \"drops\": {{\"journal\": {}, \"spans\": {}, \"trace\": {}}},\n  \
          \"artifacts\": [\"results/telemetry_demo.snapshot.json\", \
          \"results/telemetry_demo.prom\", \"results/telemetry_demo.trace.json\"],\n  \
-         \"note\": \"journal records, per-kind counts, and drop counts are bit-identical across 1/2/8 shards in conservative and optimistic sync; the snapshot round-trips losslessly and exports to Prometheus text and Perfetto counter tracks.\"\n}}",
+         \"note\": \"journal records, per-kind counts, and drop counts are bit-identical across 1/2/8 shards; the snapshot round-trips losslessly and exports to Prometheus text and Perfetto counter tracks.\"\n}}",
         snap.schema,
         configs.len(),
         snap.journal.len(),

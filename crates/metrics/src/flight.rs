@@ -244,40 +244,6 @@ impl SpanRing {
     pub fn into_parts(self) -> (Vec<SpanRecord>, u64) {
         (self.spans, self.dropped)
     }
-
-    /// Captures the ring's position for a later [`rewind`](SpanRing::rewind)
-    /// — the snapshot half of the optimistic shard engine's rollback. The
-    /// ring is append-only (kept spans are never mutated), so a mark is two
-    /// integers, not a copy.
-    pub fn mark(&self) -> SpanRingMark {
-        SpanRingMark {
-            len: self.spans.len(),
-            dropped: self.dropped,
-        }
-    }
-
-    /// Rolls the ring back to a previously captured [`mark`](SpanRing::mark),
-    /// discarding every span pushed (and every drop counted) since.
-    ///
-    /// # Panics
-    /// Panics if the ring has fewer spans than the mark recorded (i.e. the
-    /// mark came from a different ring or a later state).
-    pub fn rewind(&mut self, mark: SpanRingMark) {
-        assert!(
-            self.spans.len() >= mark.len && self.dropped >= mark.dropped,
-            "span ring rewound past its mark"
-        );
-        self.spans.truncate(mark.len);
-        self.dropped = mark.dropped;
-    }
-}
-
-/// An append position of a [`SpanRing`], captured by [`SpanRing::mark`] and
-/// restored by [`SpanRing::rewind`].
-#[derive(Debug, Clone, Copy)]
-pub struct SpanRingMark {
-    len: usize,
-    dropped: u64,
 }
 
 /// Power-of-two latency histogram: bucket `i` counts values with

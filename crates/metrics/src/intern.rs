@@ -92,21 +92,6 @@ impl Interner {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.names.iter().map(String::as_str)
     }
-
-    /// Forgets every name interned at or beyond `len`, restoring the
-    /// interner to an earlier [`len`](Interner::len). Ids below `len` stay
-    /// valid; a deterministic replay re-assigns the discarded ids in the
-    /// same order. Used by the optimistic shard engine to roll a store back
-    /// to a snapshot.
-    ///
-    /// # Panics
-    /// Panics if `len` exceeds the current length.
-    pub fn truncate(&mut self, len: usize) {
-        assert!(len <= self.names.len(), "truncate beyond interned names");
-        for name in self.names.drain(len..) {
-            self.by_name.remove(&name);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -125,21 +110,6 @@ mod tests {
         assert_eq!(i.get("never"), None);
         assert_eq!(i.name(a), "a.first");
         assert_eq!(i.len(), 2);
-    }
-
-    #[test]
-    fn truncate_rolls_back_to_an_earlier_length() {
-        let mut i = Interner::new();
-        let a = i.intern("a");
-        i.intern("b");
-        i.intern("c");
-        i.truncate(1);
-        assert_eq!(i.len(), 1);
-        assert_eq!(i.get("b"), None, "rolled-back names forgotten");
-        assert_eq!(i.get("a"), Some(a));
-        // A deterministic replay re-assigns the same dense ids.
-        assert_eq!(i.intern("b").index(), 1);
-        assert_eq!(i.intern("c").index(), 2);
     }
 
     #[test]

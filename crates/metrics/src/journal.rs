@@ -10,9 +10,7 @@
 //!    (`(sim time, source device, per-device seq)`), which is a pure
 //!    function of the simulation. The sharded engine frontier-merges
 //!    per-shard journals back into the exact sequential order, so the
-//!    deterministic lane is bit-identical for any shard count and under
-//!    optimistic synchronization (rolled-back records are rewound via
-//!    [`JournalMark`]).
+//!    deterministic lane is bit-identical for any shard count.
 //! 2. *Hot-path cost*: a [`JournalRecord`] is `Copy` with three `u64`
 //!    operands; counters-only mode bumps a fixed per-kind array and
 //!    allocates nothing.
@@ -46,11 +44,13 @@ pub enum JournalKind {
     /// Coordinator round planned (`a` = round, `b` = shards dispatched,
     /// `c` = global floor ns).
     CoordRound,
-    /// Speculative window committed (`a` = round, `b` = shard).
+    /// Reserved, never emitted: the code of a committed speculative
+    /// window from the retired optimistic coordinator. Kept so the `u8`
+    /// codes of every later kind stay stable.
     CoordCommit,
-    /// Speculative window rolled back (`a` = round, `b` = shard).
+    /// Reserved, never emitted (a rolled-back speculative window).
     CoordRollback,
-    /// Speculative result held past its round (`a` = round, `b` = shard).
+    /// Reserved, never emitted (a speculative result held past its round).
     CoordHold,
     /// SPSC ring high-water mark at run end (`a` = producer shard,
     /// `b` = consumer shard, `c` = peak occupancy).
@@ -177,7 +177,7 @@ pub fn journal_name_hash(name: &str) -> u64 {
 
 /// One journal record: an intrinsic tag, a kind, and three opaque
 /// operands whose meaning is documented per [`JournalKind`]. Flat and
-/// `Copy` so the ring is a plain slab and rollback is a truncate.
+/// `Copy` so the ring is a plain slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalRecord {
     /// Intrinsic identity (the emitting event's tag).
@@ -264,15 +264,6 @@ impl TelemetryConfig {
         self.journal_cap = cap;
         self
     }
-}
-
-/// Rollback cursor for a [`JournalRing`] (optimistic speculation support):
-/// rewinding truncates kept records and restores drop/count state.
-#[derive(Debug, Clone, Copy)]
-pub struct JournalMark {
-    len: usize,
-    dropped: u64,
-    counts: [u64; JOURNAL_KINDS],
 }
 
 /// Bounded journal buffer: keeps the first `cap` records, counts the rest
@@ -425,23 +416,6 @@ impl JournalRing {
         self.counts[kind as usize]
     }
 
-    /// Rollback cursor at the current state.
-    pub fn mark(&self) -> JournalMark {
-        JournalMark {
-            len: self.records.len(),
-            dropped: self.dropped,
-            counts: self.counts,
-        }
-    }
-
-    /// Rewinds to a [`mark`](JournalRing::mark) taken earlier (optimistic
-    /// rollback): records past the mark are discarded as if never emitted.
-    pub fn rewind(&mut self, mark: JournalMark) {
-        self.records.truncate(mark.len);
-        self.dropped = mark.dropped;
-        self.counts = mark.counts;
-    }
-
     /// Consumes the ring into `(kept records, dropped count, per-kind counts)`.
     pub fn into_parts(self) -> (Vec<JournalRecord>, u64, [u64; JOURNAL_KINDS]) {
         (self.records, self.dropped, self.counts)
@@ -491,22 +465,6 @@ mod tests {
         assert_eq!(r.count(JournalKind::SchedPlace), 5, "counts include drops");
         assert_eq!(r.records()[0].a, 0);
         assert_eq!(r.records()[1].a, 1);
-    }
-
-    #[test]
-    fn mark_rewind_restores_everything() {
-        let mut r = JournalRing::new(TelemetryConfig::full().with_journal_cap(2));
-        r.record(tag(1, 0, 1), JournalKind::FlowPromote, 0, 0, 0);
-        let m = r.mark();
-        r.record(tag(2, 0, 2), JournalKind::FlowEscalate, 0, 0, 0);
-        r.record(tag(3, 0, 3), JournalKind::FlowEscalate, 0, 0, 0);
-        r.record(tag(4, 0, 4), JournalKind::FlowEscalate, 0, 0, 0);
-        assert_eq!(r.dropped(), 2, "one slot was free, two pushes overflowed");
-        r.rewind(m);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.dropped(), 0);
-        assert_eq!(r.count(JournalKind::FlowEscalate), 0);
-        assert_eq!(r.count(JournalKind::FlowPromote), 1);
     }
 
     #[test]

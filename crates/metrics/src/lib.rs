@@ -31,13 +31,13 @@ pub use cdf::Cdf;
 pub use cpu::{CpuAccount, CpuBreakdown, CpuCategory, CpuLocation};
 pub use flight::{
     ChromeTrace, FlightStamp, Log2Hist, RunSnapshot, SpanAccounting, SpanId, SpanRecord, SpanRing,
-    SpanRingMark, StageAgg, StageTable, TraceAccounting, TraceConfig, TraceMode,
+    StageAgg, StageTable, TraceAccounting, TraceConfig, TraceMode,
 };
 pub use histogram::Histogram;
 pub use intern::{Interner, MetricId};
 pub use journal::{
-    journal_name_hash, FlowEscalateReason, JournalKind, JournalMark, JournalRecord, JournalRing,
-    JournalTag, TelemetryConfig, TelemetryMode, DEFAULT_JOURNAL_CAP, JOURNAL_KINDS,
+    journal_name_hash, FlowEscalateReason, JournalKind, JournalRecord, JournalRing, JournalTag,
+    TelemetryConfig, TelemetryMode, DEFAULT_JOURNAL_CAP, JOURNAL_KINDS,
 };
 pub use series::{Series, SeriesPoint};
 pub use stats::{OnlineStats, Summary};

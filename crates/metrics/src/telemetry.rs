@@ -307,7 +307,8 @@ impl DropAccounting {
 pub struct HealthSummary {
     /// Coordinator rounds executed (0 for sequential runs).
     pub rounds: u64,
-    /// Speculative rollbacks / speculative windows (0.0 when none ran).
+    /// Always 0.0: the coordinator is conservative and never rolls back.
+    /// Kept so `nestless.telemetry.v1` documents stay byte-identical.
     pub rollback_rate: f64,
     /// Times a cross-shard ring producer had to spin for space.
     pub ring_stalls: u64,

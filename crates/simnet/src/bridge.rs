@@ -246,27 +246,6 @@ impl Device for Bridge {
             }
         }
     }
-
-    fn fork(&self) -> Option<Box<dyn Device>> {
-        // Forkable iff the station is private to this bridge; a station
-        // shared with other devices (one kernel, many stages) cannot be
-        // deep-copied piecemeal, so such shards stay conservative.
-        let station = self.station.fork_private()?;
-        Some(Box::new(Bridge {
-            nports: self.nports,
-            cost: self.cost,
-            station,
-            ageing: self.ageing,
-            fdb_cap: self.fdb_cap,
-            fdb: self.fdb.clone(),
-            ids: self.ids,
-            // The control is shared (rules only mutate between runs; the
-            // compile cache is pure), the conntrack state is copied.
-            filter: self.filter.clone(),
-            tracker: self.tracker.clone(),
-            filter_ids: self.filter_ids,
-        }))
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! [`SimConfig`] is the unified front door for every engine knob that used
 //! to be scattered across constructors and ad-hoc `std::env` reads: shard
-//! count, synchronization mode, coordinator backend, flight recorder,
-//! event tracing, the fault plan, and the simulation [`Fidelity`].
+//! count, coordinator backend, flight recorder, event tracing, the fault
+//! plan, and the simulation [`Fidelity`].
 //!
 //! The `SIMNET_*` environment variables still work, but they are demoted
 //! to *overrides parsed here and nowhere else*:
@@ -11,7 +11,6 @@
 //! | Variable           | Effect                                          |
 //! |--------------------|-------------------------------------------------|
 //! | `SIMNET_SHARDS`    | shard count (default 1)                         |
-//! | `SIMNET_OPTIMISTIC`| `1`/`true` → optimistic synchronization          |
 //! | `SIMNET_INLINE`    | `1` inline / `0` threaded coordinator backend    |
 //! | `SIMNET_FIDELITY`  | `packet` (default), `hybrid`, or `flowonly`      |
 //! | `SIMNET_TELEMETRY` | `off` (default), `counters`, or `full`          |
@@ -40,18 +39,6 @@ pub fn shards_from_env() -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1)
-}
-
-/// Reads the `SIMNET_OPTIMISTIC` environment knob: `1` or `true` enables
-/// optimistic (time-warp-lite) synchronization, anything else — including
-/// the variable being unset — selects conservative mode.
-pub fn optimistic_from_env() -> bool {
-    std::env::var("SIMNET_OPTIMISTIC")
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true")
-        })
-        .unwrap_or(false)
 }
 
 /// Reads the `SIMNET_INLINE` environment knob: `Some(true)` pins the
@@ -90,12 +77,11 @@ pub fn fidelity_from_env() -> Option<Fidelity> {
 /// Builder for a fully configured simulation (see module docs).
 ///
 /// Defaults match a plain `ShardedNetwork::new(net, 1)`: one shard,
-/// conservative synchronization, backend by core-count heuristic, flight
-/// recorder off, no event trace, no fault plan, packet fidelity.
+/// backend by core-count heuristic, flight recorder off, no event trace,
+/// no fault plan, packet fidelity.
 #[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     shards: Option<usize>,
-    optimistic: bool,
     inline: Option<bool>,
     trace: TraceConfig,
     tracing: bool,
@@ -123,9 +109,6 @@ impl SimConfig {
         if std::env::var("SIMNET_SHARDS").is_ok() {
             self.shards = Some(shards_from_env());
         }
-        if std::env::var("SIMNET_OPTIMISTIC").is_ok() {
-            self.optimistic = optimistic_from_env();
-        }
         if let Some(inline) = inline_from_env() {
             self.inline = Some(inline);
         }
@@ -144,12 +127,6 @@ impl SimConfig {
     /// Shard-count target (the partitioner may produce fewer).
     pub fn shards(mut self, n: usize) -> SimConfig {
         self.shards = Some(n.max(1));
-        self
-    }
-
-    /// Optimistic (time-warp-lite) vs conservative synchronization.
-    pub fn optimistic(mut self, on: bool) -> SimConfig {
-        self.optimistic = on;
         self
     }
 
@@ -218,7 +195,6 @@ impl SimConfig {
         net.set_fidelity(self.fidelity);
         net.set_telemetry_config(self.telemetry);
         let mut sharded = ShardedNetwork::new(net, self.shards.unwrap_or(1));
-        sharded.set_optimistic(self.optimistic);
         sharded.set_inline(self.inline);
         sharded
     }
@@ -243,20 +219,6 @@ mod tests {
         std::env::set_var("SIMNET_SHARDS", "nope");
         assert_eq!(shards_from_env(), 1);
         std::env::remove_var("SIMNET_SHARDS");
-    }
-
-    #[test]
-    fn optimistic_from_env_parses_and_defaults() {
-        let _g = ENV_LOCK.lock().unwrap();
-        std::env::remove_var("SIMNET_OPTIMISTIC");
-        assert!(!optimistic_from_env());
-        std::env::set_var("SIMNET_OPTIMISTIC", "1");
-        assert!(optimistic_from_env());
-        std::env::set_var("SIMNET_OPTIMISTIC", "true");
-        assert!(optimistic_from_env());
-        std::env::set_var("SIMNET_OPTIMISTIC", "0");
-        assert!(!optimistic_from_env());
-        std::env::remove_var("SIMNET_OPTIMISTIC");
     }
 
     #[test]
@@ -310,7 +272,6 @@ mod tests {
     fn env_overrides_apply_on_top_of_programmed_defaults() {
         let _g = ENV_LOCK.lock().unwrap();
         std::env::remove_var("SIMNET_SHARDS");
-        std::env::remove_var("SIMNET_OPTIMISTIC");
         std::env::remove_var("SIMNET_INLINE");
         std::env::set_var("SIMNET_FIDELITY", "hybrid");
         let cfg = SimConfig::new()
@@ -328,11 +289,9 @@ mod tests {
         std::env::remove_var("SIMNET_SHARDS");
         let net = Network::new(7);
         let sim = SimConfig::new()
-            .optimistic(true)
             .inline(Some(true))
             .fidelity(Fidelity::Hybrid)
             .build(net);
         assert_eq!(sim.nshards(), 1, "empty topology is one shard");
-        assert!(sim.optimistic());
     }
 }

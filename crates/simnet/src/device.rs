@@ -65,20 +65,6 @@ pub trait Device: Send {
         let _ = (token, ctx);
     }
 
-    /// Deep-copies this device's state for the optimistic shard engine's
-    /// snapshots (see `parallel.rs`). A fork must share *nothing* mutable
-    /// with the original — in particular a
-    /// [`SharedStation`](crate::shared::SharedStation) may only be forked
-    /// when it is private to this device
-    /// ([`fork_private`](crate::shared::SharedStation::fork_private)).
-    ///
-    /// The default returns `None`, which declares the device
-    /// non-snapshotable; a shard containing such a device gracefully
-    /// degrades to conservative synchronization instead of speculating.
-    fn fork(&self) -> Option<Box<dyn Device>> {
-        None
-    }
-
     /// Whether the flow-level fast path may skip this device for steady
     /// flows (hybrid fidelity). Pure forwarders keep the default `true`;
     /// devices whose per-frame work changes outcomes — a rate shaper

@@ -48,9 +48,9 @@ use crate::frame::{Frame, Transport};
 use crate::nat::NatControl;
 use crate::time::{SimDuration, SimTime};
 use metrics::{
-    CpuAccount, CpuCategory, CpuLocation, FlightStamp, Interner, JournalKind, JournalMark,
-    JournalRing, JournalTag, MetricId, SpanId, SpanRecord, SpanRing, SpanRingMark, StageTable,
-    TelemetryConfig, TelemetryMode, TraceConfig, TraceMode,
+    CpuAccount, CpuCategory, CpuLocation, FlightStamp, Interner, JournalKind, JournalRing,
+    JournalTag, MetricId, SpanId, SpanRecord, SpanRing, StageTable, TelemetryConfig, TelemetryMode,
+    TraceConfig, TraceMode,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -109,7 +109,7 @@ pub(crate) struct EventTag {
     pub(crate) seq: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum EventKind {
     Frame {
         dev: DeviceId,
@@ -159,7 +159,7 @@ impl Ord for EventKey {
 
 /// Slab of in-flight event payloads plus a free list. Slots are recycled,
 /// so after warm-up the event loop performs no allocation per event.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct EventPool {
     slots: Vec<Option<EventKind>>,
     free: Vec<u32>,
@@ -364,36 +364,6 @@ impl SampleStore {
         self.journal.as_ref().map_or(0, Vec::len)
     }
 
-    /// Captures the store's position for a later
-    /// [`rewind`](SampleStore::rewind) — the optimistic engine's snapshot
-    /// half. Journal entries, interned names and per-series sample vectors
-    /// are append-only in journal mode, so the mark stores lengths plus one
-    /// copy of the (mutable) counter values.
-    pub(crate) fn mark(&self) -> StoreMark {
-        debug_assert!(
-            self.journal.is_some(),
-            "store marks are only meaningful for journaling shard stores"
-        );
-        StoreMark {
-            names: self.interner.len(),
-            counters: self.counters.clone(),
-            journal_len: self.journal_len(),
-        }
-    }
-
-    /// Rolls the store back to a previously captured
-    /// [`mark`](SampleStore::mark), forgetting names interned since (a
-    /// deterministic replay re-interns them with the same ids), truncating
-    /// the journal, and restoring counter values.
-    pub(crate) fn rewind(&mut self, mark: StoreMark) {
-        self.interner.truncate(mark.names);
-        self.samples.truncate(mark.names);
-        self.counters = mark.counters;
-        if let Some(j) = &mut self.journal {
-            j.truncate(mark.journal_len);
-        }
-    }
-
     /// Decomposes the store for the sharded-run merge.
     pub(crate) fn into_parts(self) -> StoreParts {
         StoreParts {
@@ -403,14 +373,6 @@ impl SampleStore {
             journal: self.journal.unwrap_or_default(),
         }
     }
-}
-
-/// An append position of a [`SampleStore`], captured by
-/// [`SampleStore::mark`] and restored by [`SampleStore::rewind`].
-pub(crate) struct StoreMark {
-    names: usize,
-    counters: Vec<f64>,
-    journal_len: usize,
 }
 
 /// A [`SampleStore`] decomposed for merging (see `parallel.rs`).
@@ -446,7 +408,7 @@ struct Link {
 
 /// What a cross-shard event delivers: a frame to a device port, or a flow
 /// advert to the flow table of the origin's shard.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum RemotePayload {
     Frame { port: PortId, frame: Frame },
     Advert(Box<FlowUpdate>),
@@ -455,7 +417,7 @@ pub(crate) enum RemotePayload {
 /// An event crossing shards: the full intrinsic tag plus the destination
 /// device and payload, ferried over a ring and pushed into the destination
 /// shard's heap (see `parallel.rs`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct RemoteEvent {
     pub(crate) tag: EventTag,
     pub(crate) dev: DeviceId,
@@ -477,53 +439,13 @@ pub(crate) struct LogEntry {
     pub(crate) jrecs: u32,
 }
 
-/// One local device's share of an [`EngineSnapshot`]: the forked device
-/// plus its RNG stream and emission counters.
-struct SlotSnapshot {
-    idx: usize,
-    dev: Box<dyn Device>,
-    rng: StdRng,
-    emit_seq: u64,
-    span_seq: u64,
-}
-
-/// A restorable copy of a shard [`Network`]'s complete observable state,
-/// taken between events by [`Network::snapshot`] for the optimistic
-/// (time-warp-lite) synchronization mode in `parallel.rs`. Append-only
-/// structures (journal, trace, event log, span ring, interner) are stored
-/// as truncation positions; small mutable state (heap, pool, counters,
-/// CPU account, stage table, devices) is cloned.
-pub(crate) struct EngineSnapshot {
-    /// Delivery time of the earliest committed event at snapshot time —
-    /// the shard's conservative floor while it speculates.
-    pub(crate) next_at: Option<SimTime>,
-    queue: BinaryHeap<Reverse<EventKey>>,
-    pool: EventPool,
-    now: SimTime,
-    inject_seq: u64,
-    processed: u64,
-    dropped_no_link: u64,
-    cpu: CpuAccount,
-    store: StoreMark,
-    trace_len: usize,
-    trace_dropped: u64,
-    spans: SpanRingMark,
-    stages: StageTable,
-    event_log_len: usize,
-    flow: Option<FlowTable>,
-    journal: JournalMark,
-    ext_jseq: u64,
-    fault_open: Vec<bool>,
-    devices: Vec<SlotSnapshot>,
-}
-
 /// Control-plane handles the flow fast path consults per fast-path
 /// emission: a steady flow escalates back to packet level when any
 /// registered filter/NAT control on its learned path reports a rule
 /// change (see [`crate::flow::PolicyProbeFn`]). Registered before runs
 /// via [`Network::attach_filter`]/[`Network::watch_nat`], shared
-/// read-only with every shard on split, and deliberately excluded from
-/// snapshots (controls are mutated only between runs, never rolled back).
+/// read-only with every shard on split (controls are mutated only between
+/// runs).
 #[derive(Debug, Default, Clone)]
 struct PolicyRegistry {
     filters: Vec<(DeviceId, FilterControl)>,
@@ -1184,100 +1106,6 @@ impl Network {
         std::mem::take(&mut self.cpu)
     }
 
-    /// Captures everything the optimistic shard engine must restore on a
-    /// straggler rollback: clock, heap + payload pool, counters, CPU
-    /// account, store/trace/span/event-log positions, stage aggregates,
-    /// and a deep fork of every local device (with its RNG stream and
-    /// emission counters).
-    ///
-    /// Returns `None` when any local device refuses to
-    /// [`fork`](Device::fork) — the shard then degrades gracefully to
-    /// conservative synchronization. Must be called between events with a
-    /// drained outbox (the worker drains it before snapshotting).
-    ///
-    /// The fault plan needs no entry here: [`FaultPlan`] is immutable and
-    /// evaluated per emission from the emitting device's RNG, so restoring
-    /// the device RNGs restores the fault draw sequence too.
-    pub(crate) fn snapshot(&self) -> Option<EngineSnapshot> {
-        debug_assert!(
-            self.shard.as_ref().is_none_or(|sh| sh.outbox.is_empty()),
-            "snapshot with an undrained outbox"
-        );
-        let mut devices = Vec::new();
-        for (idx, slot) in self.devices.iter().enumerate() {
-            if let Some(dev) = &slot.dev {
-                devices.push(SlotSnapshot {
-                    idx,
-                    dev: dev.fork()?,
-                    rng: slot.rng.clone(),
-                    emit_seq: slot.emit_seq,
-                    span_seq: slot.span_seq,
-                });
-            }
-        }
-        Some(EngineSnapshot {
-            next_at: self.peek_next_at(),
-            queue: self.queue.clone(),
-            pool: self.pool.clone(),
-            now: self.now,
-            inject_seq: self.inject_seq,
-            processed: self.processed,
-            dropped_no_link: self.dropped_no_link,
-            cpu: self.cpu.clone(),
-            store: self.store.mark(),
-            trace_len: self.trace.as_ref().map_or(0, Vec::len),
-            trace_dropped: self.trace_dropped,
-            spans: self.spans.mark(),
-            stages: self.stages.clone(),
-            event_log_len: self.event_log.as_ref().map_or(0, Vec::len),
-            flow: self.flow.clone(),
-            journal: self.journal.mark(),
-            ext_jseq: self.ext_jseq,
-            fault_open: self.fault_open.clone(),
-            devices,
-        })
-    }
-
-    /// Rolls the network back to `snap`, discarding every event processed,
-    /// sample recorded, span emitted and device mutation made since the
-    /// matching [`snapshot`](Network::snapshot).
-    pub(crate) fn restore(&mut self, snap: EngineSnapshot) {
-        self.queue = snap.queue;
-        self.pool = snap.pool;
-        self.now = snap.now;
-        self.inject_seq = snap.inject_seq;
-        self.processed = snap.processed;
-        self.dropped_no_link = snap.dropped_no_link;
-        self.cpu = snap.cpu;
-        self.store.rewind(snap.store);
-        if let Some(trace) = &mut self.trace {
-            trace.truncate(snap.trace_len);
-        }
-        self.trace_dropped = snap.trace_dropped;
-        self.spans.rewind(snap.spans);
-        self.stages = snap.stages;
-        if let Some(log) = &mut self.event_log {
-            log.truncate(snap.event_log_len);
-        }
-        self.event_cpu_ns = 0;
-        self.event_cpu_claimed = 0;
-        self.event_charges.clear();
-        self.flow = snap.flow;
-        self.journal.rewind(snap.journal);
-        self.ext_jseq = snap.ext_jseq;
-        self.fault_open = snap.fault_open;
-        for s in snap.devices {
-            let slot = &mut self.devices[s.idx];
-            slot.dev = Some(s.dev);
-            slot.rng = s.rng;
-            slot.emit_seq = s.emit_seq;
-            slot.span_seq = s.span_seq;
-        }
-        if let Some(sh) = &mut self.shard {
-            sh.outbox.clear();
-        }
-    }
-
     /// Splits an un-run network into one [`Network`] per shard of `plan`.
     ///
     /// Every shard keeps the full link table and a full-length device vector
@@ -1472,8 +1300,7 @@ impl Network {
         self.event_charges.clear();
         match kind {
             // Adverts are absorbed by the engine itself — the flow table is
-            // the addressee; no device is dispatched (and the origin slot
-            // may even be mid-flight elsewhere in optimistic mode).
+            // the addressee; no device is dispatched.
             EventKind::FlowAdvert { update, .. } => {
                 if let Some(flow) = &mut self.flow {
                     flow.absorb(*update, &mut self.store);
@@ -1552,9 +1379,7 @@ impl Network {
     /// `Until(t)` processes every event with `at < t` — events at exactly
     /// `t` are **excluded** — then advances the clock to `t`. This is the
     /// same window semantics the sharded engine's epochs use, so a
-    /// deadline slices a scenario identically at every shard count. (The
-    /// retired `run_until` processed `at == t` events in the sequential
-    /// backend but not in the threaded one.)
+    /// deadline slices a scenario identically at every shard count.
     pub fn run(&mut self, stop: StopCondition) {
         match stop {
             StopCondition::Until(deadline) => {
@@ -1569,25 +1394,6 @@ impl Network {
             }
             StopCondition::Idle => while self.step() {},
         }
-    }
-
-    /// Runs until the clock reaches `deadline`; events at exactly
-    /// `deadline` are excluded.
-    #[deprecated(note = "use run(StopCondition::Until(deadline))")]
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.run(StopCondition::Until(deadline));
-    }
-
-    /// Runs for `d` of simulated time from now.
-    #[deprecated(note = "use run(StopCondition::For(d))")]
-    pub fn run_for(&mut self, d: SimDuration) {
-        self.run(StopCondition::For(d));
-    }
-
-    /// Drains every remaining event (useful for short finite workloads).
-    #[deprecated(note = "use run(StopCondition::Idle)")]
-    pub fn run_to_idle(&mut self) {
-        self.run(StopCondition::Idle);
     }
 
     fn charge_at(&mut self, loc: CpuLocation, cat: CpuCategory, d: SimDuration) {

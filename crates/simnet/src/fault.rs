@@ -31,15 +31,6 @@
 //! All extra delays are non-negative, so the sharded engine's conservative
 //! lookahead epoch (minimum cross-shard link latency) stays safe: faults
 //! can only push deliveries later, never earlier.
-//!
-//! Optimistic shard snapshots (`Network::snapshot` / `restore` in
-//! `engine.rs`) need **no** fault-plan state: the plan itself is immutable
-//! for the whole run, window membership is a pure function of the emission
-//! time, and every probabilistic draw comes from the emitting device's own
-//! RNG stream — which the snapshot already captures. Rolling back the
-//! device RNGs therefore rolls back the fault draws with them, and a
-//! replayed window reproduces exactly the same loss/corrupt/duplicate/
-//! reorder decisions the speculative run saw.
 
 use crate::device::{DeviceId, PortId};
 use crate::engine::SampleStore;

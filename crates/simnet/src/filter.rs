@@ -580,9 +580,9 @@ const TRACK_GC_EVERY: u32 = 256;
 
 /// A device-local conntrack table for filter attach points that have no
 /// NAT conntrack to consult (bridges, hostlo queues, endpoints). Lives
-/// inside the device, so the sharded engine snapshots/forks it with the
-/// device and state resolution stays bit-deterministic.
-#[derive(Debug, Clone, Default)]
+/// inside the device, so it moves to the device's shard and state
+/// resolution stays bit-deterministic.
+#[derive(Debug, Default)]
 pub struct StateTracker {
     conns: HashMap<(Proto, SockAddr, SockAddr), SimTime>,
     /// Unordered ip-pair index for RELATED lookups (canonical low/high).

@@ -10,7 +10,7 @@
 //!   per CPU location and one thread per device.
 //!
 //! Both exporters are pure reads — they never perturb the run they
-//! describe, so exporting after `run_to_idle` is always safe.
+//! describe, so exporting after a run is always safe.
 
 use crate::device::DeviceId;
 use crate::engine::{Network, SampleStore};
@@ -253,14 +253,9 @@ pub fn telemetry_report(report: &RunReport, label: &str) -> TelemetrySnapshot {
     );
     snap.drops.spans = report.spans_dropped;
     snap.drops.trace = report.trace_dropped;
-    let spec_windows = report.sync.spec_commits + report.sync.spec_rollbacks;
     snap.health = HealthSummary {
         rounds: report.sync.rounds,
-        rollback_rate: if spec_windows > 0 {
-            report.sync.spec_rollbacks as f64 / spec_windows as f64
-        } else {
-            0.0
-        },
+        rollback_rate: 0.0,
         ring_stalls: report.sync.ring_stalls,
         ring_high_water: report.sync.ring_high_water,
         flow_hit_rate: flow_hit_rate(&report.store),

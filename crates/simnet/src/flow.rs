@@ -315,7 +315,7 @@ fn headers_match(a: &Frame, b: &Frame) -> bool {
 }
 
 /// Per-flow learning/steady state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct FlowState {
     /// Emissions seen (drives probe cadence).
     emits: u64,
@@ -380,7 +380,7 @@ pub(crate) enum EmitAction {
 /// A flow-table decision worth journaling. At most one per
 /// `on_emit`/`absorb` call; the engine drains it through
 /// [`FlowTable::take_event`] immediately after the call that produced it
-/// (so the slot is always empty at snapshot boundaries).
+/// (so the slot is always empty between events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlowEvent {
     /// A flow confirmed its path and was promoted to the fast path.
@@ -406,10 +406,7 @@ pub(crate) enum FlowEvent {
 }
 
 /// The per-engine flow table (present only in `Hybrid`/`FlowOnly` runs).
-///
-/// Cloned wholesale into [`EngineSnapshot`](crate::engine::Network)
-/// snapshots so optimistic rollback restores flow state exactly.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct FlowTable {
     fidelity: Fidelity,
     flows: HashMap<FlowKey, FlowState>,
@@ -431,7 +428,7 @@ impl FlowTable {
 
     /// Drains the decision event produced by the last `on_emit`/`absorb`
     /// call, if any. The engine calls this right after each call so the
-    /// slot never survives into a snapshot.
+    /// slot never outlives the event that filled it.
     #[inline]
     pub(crate) fn take_event(&mut self) -> Option<FlowEvent> {
         self.last_event.take()
@@ -577,7 +574,7 @@ impl FlowTable {
     pub(crate) fn absorb(&mut self, update: FlowUpdate, store: &mut SampleStore) {
         store.add_id(self.ids.adverts, 1.0);
         let Some(st) = self.flows.get_mut(&update.key) else {
-            // The flow was forgotten (snapshot restore): ignore.
+            // Not a flow this table probed: ignore.
             return;
         };
         if st.pipelined {

@@ -78,9 +78,7 @@ pub use flight::{
 };
 pub use flow::Fidelity;
 pub use frame::{Frame, Payload, TcpKind, Transport};
-pub use parallel::{
-    optimistic_from_env, shards_from_env, PartitionPlan, RunReport, ShardedNetwork, SyncStats,
-};
+pub use parallel::{shards_from_env, PartitionPlan, RunReport, ShardedNetwork, SyncStats};
 pub use shared::SharedStation;
 pub use time::{SimDuration, SimTime};
 

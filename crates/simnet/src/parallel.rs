@@ -1,6 +1,6 @@
-//! The parallel sharded engine: adaptive conservative lookahead, lock-free
-//! cross-shard rings, and opt-in optimistic execution — without losing a
-//! single bit of determinism.
+//! The parallel sharded engine: adaptive conservative lookahead over
+//! lock-free cross-shard rings — without losing a single bit of
+//! determinism.
 //!
 //! # Partitioning
 //!
@@ -31,17 +31,16 @@
 //! bound(d) = min over s≠d with a link s→d of  floor(s) + minlat(s, d)
 //! ```
 //!
-//! where `floor(s)` is `s`'s committed progress floor (its heap minimum,
-//! folded with the minimum arrival time of frames already in flight to
-//! `s`). A frame `s` emits at time `τ ≥ floor(s)` arrives no earlier than
+//! where `floor(s)` is `s`'s progress floor (its heap minimum, folded with
+//! the minimum arrival time of frames already in flight to `s`). A frame
+//! `s` emits at time `τ ≥ floor(s)` arrives no earlier than
 //! `τ + minlat(s, d) ≥ bound(d)`, so the window is causally closed. This
 //! strictly dominates the fixed global window `[t, t+E)` of the earlier
 //! coordinator: a shard is only throttled by the shards that can actually
 //! reach it, at the latency of the links that reach it. Shards with no
-//! processable events, no pending arrivals and no speculation verdict are
-//! not dispatched at all — on one core this is the difference between a
-//! round costing `2n` channel hops and costing only what the active
-//! shards need.
+//! processable events and no pending arrivals are not dispatched at all —
+//! on one core this is the difference between a round costing `2n`
+//! channel hops and costing only what the active shards need.
 //!
 //! # Cross-shard data plane
 //!
@@ -55,40 +54,6 @@
 //! earlier round than the one they are executing — the round tag, not
 //! thread scheduling, decides visibility, which keeps every decision the
 //! coordinator makes a pure function of deterministic state.
-//!
-//! # Optimistic mode (time-warp-lite)
-//!
-//! With [`ShardedNetwork::set_optimistic`] (or `SIMNET_OPTIMISTIC=1`), a
-//! shard that exhausts its conservative bound may *speculate* ahead up to
-//! a bounded window beyond it. Before speculating it takes a full
-//! [`EngineSnapshot`] (heap, pool, RNG streams, CPU account, store mark,
-//! trace/span marks, forked devices). Speculative cross-shard frames are
-//! **held**, never released — no anti-messages exist in this protocol, so
-//! mis-speculation can never propagate. The coordinator resolves each
-//! speculation with a per-round disposition:
-//!
-//! * **Rollback** when a straggler (an in-flight frame at or below the
-//!   speculated clock) is detected: the worker restores the snapshot,
-//!   re-queues the arrivals it drained while speculating, and replays
-//!   conservatively. Every structure the run can observe — samples,
-//!   counters, journal, traces, spans, stage table, CPU account, device
-//!   state, RNG cursors — is restored, which is what keeps optimistic
-//!   runs bit-identical to conservative ones.
-//! * **Commit** when a greatest-fixpoint check proves no straggler can
-//!   exist: starting from all speculating shards, repeatedly discard any
-//!   shard whose speculated clock is not strictly below the earliest
-//!   possible arrival from every peer — where a still-committing peer
-//!   contributes the *concrete* minimum of its held frames (real data,
-//!   which is what breaks the circular wait a floor-only rule would
-//!   deadlock on). Surviving shards release their held batches and adopt
-//!   the speculated state wholesale.
-//!
-//! If speculations are pending but nothing can run and nothing can
-//! commit, the coordinator rolls back every speculation — always sound —
-//! so the protocol is live by construction. Fault plans need no snapshot
-//! state: a [`FaultPlan`](crate::fault::FaultPlan) is immutable and its
-//! probabilistic draws come from device RNG streams, which the snapshot
-//! already restores.
 //!
 //! # Bit-identical determinism
 //!
@@ -109,11 +74,6 @@
 //!    sequential interleaving — equal-time causal chains never cross
 //!    shards because cross-shard links have latency ≥ E > 0.
 //!
-//! Optimistic execution preserves all three: committed speculation ran
-//! exactly the events a conservative run would have run, in the same
-//! intrinsic order, on the same RNG cursors; rolled-back speculation
-//! leaves no observable residue.
-//!
 //! CPU time is aggregated by folding per-shard [`CpuAccount`]s
 //! ([`CpuAccount::fold`] — integer nanoseconds, exact); counters are
 //! summed per shard in shard order (counter deltas in this codebase are
@@ -125,8 +85,7 @@
 
 use crate::device::DeviceId;
 use crate::engine::{
-    EngineSnapshot, EventTag, LogEntry, Network, RemoteEvent, SampleStore, StopCondition,
-    TraceEntry, TRACE_CAP,
+    EventTag, LogEntry, Network, RemoteEvent, SampleStore, StopCondition, TraceEntry, TRACE_CAP,
 };
 use crate::flow::Fidelity;
 use crate::spsc::{self, Consumer, Producer};
@@ -139,22 +98,18 @@ use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-pub use crate::config::{optimistic_from_env, shards_from_env};
+pub use crate::config::shards_from_env;
 
 /// Capacity of each cross-shard ring, in batches. A sender pushes at most
-/// two batches per destination per round (a committed flush plus a
-/// speculative release) and receivers drain every eligible batch on their
-/// next dispatch, so steady-state occupancy stays below four; the slack
-/// absorbs rounds where the receiver is idle-skipped.
+/// one batch per destination per round, and a receiver with pending
+/// arrivals is dispatched in the next round, where it drains every batch
+/// of earlier rounds; so a ring holds at most two batches (last round's,
+/// until drained, and the current round's). The rest is headroom.
 const RING_CAP: usize = 16;
 
-/// How far past its conservative bound a shard may speculate, in units of
-/// the partition epoch.
-const SPEC_WINDOW_EPOCHS: u64 = 4;
-
-/// Source id tagged onto coordinator-lane journal records (rounds,
-/// commits, rollbacks, ring stats). One below the engine's external
-/// source, so neither lane's tags can collide with a device's.
+/// Source id tagged onto coordinator-lane journal records (rounds and
+/// ring stats). One below the engine's external source, so neither
+/// lane's tags can collide with a device's.
 const COORD_SRC: u32 = u32::MAX - 1;
 
 /// Emits one coordinator-lane journal record (no-op when telemetry is
@@ -283,8 +238,8 @@ impl PartitionPlan {
         }
 
         // Per-pair minimum latency over links whose endpoints landed in
-        // different shards; the scalar epoch (minimum over the whole cut)
-        // is kept as the speculation-window unit and for compatibility.
+        // different shards, plus the scalar epoch (minimum over the whole
+        // cut).
         let mut min_lat = vec![u64::MAX; nshards * nshards];
         let mut epoch: Option<SimDuration> = None;
         if nshards > 1 {
@@ -331,8 +286,8 @@ impl PartitionPlan {
 
     /// The minimum latency over the whole cut (zero for single-shard
     /// plans, `u64::MAX` ns when no link crosses the cut). The adaptive
-    /// coordinator bounds each shard by the per-pair matrix instead, but
-    /// this scalar remains the unit of the speculation window.
+    /// coordinator bounds each shard by the per-pair matrix instead; this
+    /// scalar is the lookahead a fixed global window would have.
     pub fn epoch(&self) -> SimDuration {
         self.epoch
     }
@@ -387,23 +342,15 @@ impl PartitionPlan {
 }
 
 /// Synchronization statistics of a sharded run: how many coordinator
-/// rounds it took and how speculation fared. Purely observational — the
-/// simulation outcome never depends on them — but fully deterministic for
-/// a given topology, seed, shard count and mode, because every dispatch
-/// and disposition decision is a function of round-tagged state only.
+/// rounds it took and how full the cross-shard rings got. Purely
+/// observational — the simulation outcome never depends on them. The
+/// round count is fully deterministic for a given topology, seed and
+/// shard count, because every dispatch decision is a function of
+/// round-tagged state only.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SyncStats {
     /// Coordinator rounds executed.
     pub rounds: u64,
-    /// Speculations whose state was adopted wholesale.
-    pub spec_commits: u64,
-    /// Speculations discarded because a straggler arrived (or to break a
-    /// cross-shard commit deadlock).
-    pub spec_rollbacks: u64,
-    /// Shards that declined speculation permanently because a device
-    /// could not be forked ([`Device::fork`](crate::device::Device::fork)
-    /// returned `None`); they degrade to conservative synchronization.
-    pub spec_denied: u64,
     /// Peak occupancy observed across every cross-shard ring (gathered at
     /// [`ShardedNetwork::into_report`]; 0 before then and for single-shard
     /// runs).
@@ -452,8 +399,8 @@ pub struct RunReport {
     pub dropped_no_link: u64,
     /// Final simulated time.
     pub now: SimTime,
-    /// Coordinator round and speculation statistics (all zero for
-    /// single-shard runs, which bypass the coordinator).
+    /// Coordinator round and ring statistics (all zero for single-shard
+    /// runs, which bypass the coordinator).
     pub sync: SyncStats,
     /// Merged control-plane journal (deterministic lane), in exact
     /// sequential emission order — bit-identical for any shard count.
@@ -464,9 +411,9 @@ pub struct RunReport {
     /// Per-kind journal emission counts (kept + dropped), indexed by
     /// `JournalKind as usize`. Populated in `Counters` and `Full` modes.
     pub journal_counts: [u64; JOURNAL_KINDS],
-    /// Coordinator-lane journal records (rounds, commits, rollbacks, ring
-    /// stats). Shard-count-dependent by nature — excluded from the
-    /// determinism guarantee that covers [`journal`](RunReport::journal).
+    /// Coordinator-lane journal records (rounds, then ring stats).
+    /// Shard-count-dependent by nature — excluded from the determinism
+    /// guarantee that covers [`journal`](RunReport::journal).
     pub coord_journal: Vec<JournalRecord>,
     /// The telemetry mode the run was configured with.
     pub telemetry_mode: TelemetryMode,
@@ -481,26 +428,11 @@ struct RingBatch {
     events: Vec<RemoteEvent>,
 }
 
-/// What the coordinator decided about a shard's pending speculation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Disposition {
-    /// No verdict yet — keep holding the speculative state.
-    Hold,
-    /// Proven safe: adopt the speculative state, release held frames.
-    Commit,
-    /// A straggler exists (or liveness demands it): restore the snapshot.
-    Rollback,
-}
-
 /// One dispatched coordinator round for one shard.
 struct RoundCmd {
     round: u64,
-    /// Process every committed event strictly below this bound.
+    /// Process every event strictly below this bound.
     bound: SimTime,
-    /// Optimistic mode: may speculate up to (strictly below) this target
-    /// after exhausting `bound`. Equal to `bound` in conservative mode.
-    target: SimTime,
-    disposition: Disposition,
 }
 
 enum Cmd {
@@ -517,55 +449,14 @@ enum Cmd {
     },
 }
 
-/// What the coordinator knows about a shard's pending speculation.
-#[derive(Debug, Clone)]
-struct SpecInfo {
-    /// Speculated clock: the time of the last speculatively processed
-    /// event. Any in-flight frame at or below it is a straggler.
-    now: SimTime,
-    /// Minimum over the post-speculation heap (folded with arrivals
-    /// drained while the speculation was pending): if committed, the
-    /// shard's *future* emissions happen at or after this.
-    floor: Option<SimTime>,
-    /// Per-destination minimum arrival time of the held frames — the
-    /// concrete effect the speculation would have on each peer.
-    held_min: Vec<Option<SimTime>>,
-}
-
 struct Reply {
     shard: usize,
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     round: u64,
-    /// Committed progress floor: heap minimum, or for a pending
-    /// speculation the snapshot's heap minimum folded with drained
-    /// arrivals (speculative progress is never reported as progress).
+    /// Progress floor: the shard's heap minimum after the round.
     floor: Option<SimTime>,
     /// Per-destination minimum arrival time of batches pushed this round.
     sent_min: Vec<Option<SimTime>>,
-    spec: Option<SpecInfo>,
-    spec_capable: bool,
-    committed: bool,
-    rolled_back: bool,
-}
-
-/// A shard's in-progress speculation, held worker-side.
-struct Spec {
-    snapshot: EngineSnapshot,
-    /// Time of the last speculatively processed event.
-    now: SimTime,
-    /// Committed floor to report while pending: the snapshot's heap
-    /// minimum, folded with arrivals drained since.
-    committed_floor: Option<SimTime>,
-    /// Post-speculation heap minimum, folded with drained arrivals.
-    heap_floor: Option<SimTime>,
-    /// Clones of every arrival drained while pending — re-queued on
-    /// rollback (the originals went into the speculative heap, which the
-    /// snapshot restore discards).
-    drained: Vec<RemoteEvent>,
-    /// Speculative cross-shard output, held per destination until commit.
-    held: Vec<Vec<RemoteEvent>>,
-    /// Per-destination minimum arrival time of `held`.
-    held_min: Vec<Option<SimTime>>,
 }
 
 /// Ring endpoints of one shard: `incoming[s]` receives from shard `s`,
@@ -584,20 +475,20 @@ fn omin(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     }
 }
 
-/// Flushes the shard's committed outbox into per-destination round-tagged
-/// batches, folding each batch's minimum arrival time into `sent_min`.
+/// Flushes the shard's outbox into per-destination round-tagged batches
+/// and returns each destination's minimum arrival time.
 fn flush_outbox(
     net: &mut Network,
     chans: &mut WorkerChans,
     shard_of: &[u32],
     round: u64,
-    sent_min: &mut [Option<SimTime>],
-) {
+) -> Vec<Option<SimTime>> {
+    let n = chans.outgoing.len();
+    let mut sent_min = vec![None; n];
     let out = net.take_outbox();
     if out.is_empty() {
-        return;
+        return sent_min;
     }
-    let n = chans.outgoing.len();
     let mut batches: Vec<Vec<RemoteEvent>> = (0..n).map(|_| Vec::new()).collect();
     for ev in out {
         batches[shard_of[ev.dev.0] as usize].push(ev);
@@ -606,184 +497,71 @@ fn flush_outbox(
         if events.is_empty() {
             continue;
         }
-        let min = events.iter().map(|e| e.tag.at).min();
-        sent_min[d] = omin(sent_min[d], min);
+        sent_min[d] = events.iter().map(|e| e.tag.at).min();
         chans.outgoing[d]
             .as_mut()
             .expect("cross-shard frame on a pair without a link")
             .push(RingBatch { round, events });
     }
+    sent_min
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker(
     shard: usize,
     net: &mut Network,
     chans: &mut WorkerChans,
     shard_of: &[u32],
-    optimistic: bool,
-    mut spec_capable: bool,
     rx: Receiver<Cmd>,
     tx: Sender<Reply>,
 ) {
-    let mut spec: Option<Spec> = None;
     let mut last_round = 0u64;
     while let Ok(cmd) = rx.recv() {
         let cmd = match cmd {
             Cmd::Round(c) => c,
             Cmd::Terminate { round } => {
                 debug_assert!(round >= last_round, "terminated from a stale round");
-                debug_assert!(spec.is_none(), "terminated with unresolved speculation");
                 break;
             }
         };
         debug_assert!(cmd.round > last_round, "rounds are strictly monotonic");
         last_round = cmd.round;
-        let reply = round_step(
-            shard,
-            net,
-            chans,
-            shard_of,
-            optimistic,
-            &mut spec_capable,
-            &mut spec,
-            &cmd,
-        );
+        let reply = round_step(shard, net, chans, shard_of, &cmd);
         if tx.send(reply).is_err() {
             break;
         }
     }
 }
 
-/// One shard's work for one dispatched round: apply the verdict, drain the
-/// rings, run the committed window, optionally speculate. Shared verbatim by
-/// the threaded workers and the single-core inline backend, so both execute
+/// One shard's work for one dispatched round: drain the rings, run the
+/// window below the bound, flush the outbox. Shared verbatim by the
+/// threaded workers and the single-core inline backend, so both execute
 /// the identical protocol.
-#[allow(clippy::too_many_arguments)]
 fn round_step(
     shard: usize,
     net: &mut Network,
     chans: &mut WorkerChans,
     shard_of: &[u32],
-    optimistic: bool,
-    spec_capable: &mut bool,
-    spec: &mut Option<Spec>,
     cmd: &RoundCmd,
 ) -> Reply {
-    let nshards = chans.incoming.len();
-    let mut sent_min: Vec<Option<SimTime>> = vec![None; nshards];
-    let mut committed = false;
-    let mut rolled_back = false;
-    match cmd.disposition {
-        Disposition::Commit => {
-            // Adopt the speculative state: drop the snapshot, forget
-            // the drained log, release the held output.
-            let sp = spec.take().expect("commit without a pending speculation");
-            for (d, events) in sp.held.into_iter().enumerate() {
-                if events.is_empty() {
-                    continue;
-                }
-                sent_min[d] = sp.held_min[d];
-                chans.outgoing[d]
-                    .as_mut()
-                    .expect("held frames on a pair without a link")
-                    .push(RingBatch {
-                        round: cmd.round,
-                        events,
-                    });
-            }
-            committed = true;
-        }
-        Disposition::Rollback => {
-            let sp = spec.take().expect("rollback without a pending speculation");
-            net.restore(sp.snapshot);
-            for ev in sp.drained {
-                net.push_remote(ev);
-            }
-            rolled_back = true;
-        }
-        Disposition::Hold => {}
-    }
     // Drain every batch published before this round. The round tag —
     // not thread scheduling — decides what is visible, so drains (and
-    // with them every commit/rollback decision downstream) are
+    // with them every coordinator decision downstream) are
     // deterministic.
-    let mut arrivals: Vec<RemoteEvent> = Vec::new();
     for cons in chans.incoming.iter_mut().flatten() {
         while cons.peek().is_some_and(|b| b.round < cmd.round) {
             let batch = cons.try_pop().expect("peeked batch pops");
-            arrivals.extend(batch.events);
-        }
-    }
-    if let Some(sp) = spec.as_mut() {
-        // Still speculating, no verdict: arrivals must lie in the
-        // speculation's future (the coordinator rolls back first
-        // otherwise). They join the speculative heap and are logged
-        // for re-queueing should the speculation fail.
-        for ev in arrivals {
-            debug_assert!(
-                ev.tag.at > sp.now,
-                "straggler reached a still-pending speculation"
-            );
-            sp.committed_floor = omin(sp.committed_floor, Some(ev.tag.at));
-            sp.heap_floor = omin(sp.heap_floor, Some(ev.tag.at));
-            sp.drained.push(ev.clone());
-            net.push_remote(ev);
-        }
-    } else {
-        for ev in arrivals {
-            net.push_remote(ev);
-        }
-        net.run_window(cmd.bound);
-        flush_outbox(net, chans, shard_of, cmd.round, &mut sent_min);
-        if optimistic
-            && *spec_capable
-            && cmd.target > cmd.bound
-            && net.peek_next_at().is_some_and(|t| t < cmd.target)
-        {
-            match net.snapshot() {
-                Some(snapshot) => {
-                    net.run_window(cmd.target);
-                    let mut held: Vec<Vec<RemoteEvent>> =
-                        (0..nshards).map(|_| Vec::new()).collect();
-                    for ev in net.take_outbox() {
-                        held[shard_of[ev.dev.0] as usize].push(ev);
-                    }
-                    let held_min = held
-                        .iter()
-                        .map(|v| v.iter().map(|e| e.tag.at).min())
-                        .collect();
-                    *spec = Some(Spec {
-                        now: net.now(),
-                        committed_floor: snapshot.next_at,
-                        heap_floor: net.peek_next_at(),
-                        snapshot,
-                        drained: Vec::new(),
-                        held,
-                        held_min,
-                    });
-                }
-                None => *spec_capable = false,
+            for ev in batch.events {
+                net.push_remote(ev);
             }
         }
     }
-    let floor = match spec.as_ref() {
-        Some(sp) => sp.committed_floor,
-        None => net.peek_next_at(),
-    };
+    net.run_window(cmd.bound);
+    let sent_min = flush_outbox(net, chans, shard_of, cmd.round);
     Reply {
         shard,
         round: cmd.round,
-        floor,
+        floor: net.peek_next_at(),
         sent_min,
-        spec: spec.as_ref().map(|sp| SpecInfo {
-            now: sp.now,
-            floor: sp.heap_floor,
-            held_min: sp.held_min.clone(),
-        }),
-        spec_capable: *spec_capable,
-        committed,
-        rolled_back,
     }
 }
 
@@ -791,52 +569,26 @@ fn round_step(
 /// single-core inline backend so both dispatch the identical protocol.
 struct RoundPlan {
     bound: Vec<SimTime>,
-    target: Vec<SimTime>,
-    disp: Vec<Disposition>,
     dispatch: Vec<bool>,
-    optimistic: bool,
 }
 
-impl RoundPlan {
-    fn cmd_for(&self, d: usize, round: u64) -> RoundCmd {
-        RoundCmd {
-            round,
-            bound: self.bound[d],
-            target: if self.optimistic {
-                self.target[d]
-            } else {
-                self.bound[d]
-            },
-            disposition: self.disp[d],
-        }
-    }
-}
-
-/// Computes one coordinator round: adaptive per-shard bounds, speculation
-/// dispositions, and the dispatch set. Returns `None` when no committed
-/// work remains below the deadline and no speculation is pending — the
-/// run-loop termination condition.
+/// Computes one coordinator round: adaptive per-shard bounds and the
+/// dispatch set. Returns `None` when no work remains below the deadline —
+/// the run-loop termination condition.
 // Matrix-style s/d double-indexing is the clearest shape for the
 // relaxations; iterator rewrites obscure the symmetry.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[allow(clippy::needless_range_loop)]
 fn plan_round(
     plan: &PartitionPlan,
     deadline: SimTime,
-    deadline_cap: SimTime,
-    spec_window: u64,
-    optimistic: bool,
     floors: &[Option<SimTime>],
     pending_in: &[Option<SimTime>],
-    spec_capable: &[bool],
-    spec: &[Option<SpecInfo>],
 ) -> Option<RoundPlan> {
     let nshards = floors.len();
     let eff: Vec<Option<SimTime>> = (0..nshards)
         .map(|s| omin(floors[s], pending_in[s]))
         .collect();
-    let work_left = eff.iter().flatten().any(|&t| t < deadline);
-    let spec_pending = spec.iter().any(Option::is_some);
-    if !work_left && !spec_pending {
+    if !eff.iter().flatten().any(|&t| t < deadline) {
         return None;
     }
     // Emission promises: the earliest sim time at which each shard could
@@ -845,7 +597,7 @@ fn plan_round(
     // *own* output can come back around a cycle — so the promises must be
     // relaxed transitively over the shard graph (Bellman–Ford; cross-shard
     // latencies are positive, so this converges).
-    let mut promise = eff.clone();
+    let mut promise = eff;
     loop {
         let mut changed = false;
         for s in 0..nshards {
@@ -871,10 +623,12 @@ fn plan_round(
     }
     // Adaptive bound: the earliest time a frame from any peer could still
     // arrive at `d`, given the relaxed promises and the per-pair minimum
-    // latencies.
+    // latencies. The cap is the deadline itself: shard windows are
+    // exclusive (`at < bound`), so events at exactly the deadline stay
+    // queued — the same boundary the sequential engine's `run` applies.
     let bound: Vec<SimTime> = (0..nshards)
         .map(|d| {
-            let mut b = deadline_cap.0;
+            let mut b = deadline.0;
             for s in 0..nshards {
                 if s == d {
                     continue;
@@ -890,203 +644,20 @@ fn plan_round(
             SimTime(b)
         })
         .collect();
-    let target: Vec<SimTime> = (0..nshards)
-        .map(|d| SimTime(bound[d].0.saturating_add(spec_window).min(deadline_cap.0)))
+    // Dispatch only shards with something to do: arrivals to drain or
+    // events below their bound.
+    let dispatch = (0..nshards)
+        .map(|d| pending_in[d].is_some() || floors[d].is_some_and(|f| f < bound[d]))
         .collect();
-    // Dispositions. (a) A pending arrival at or below the speculated
-    // clock is a straggler: roll back.
-    let mut disp = vec![Disposition::Hold; nshards];
-    for d in 0..nshards {
-        if let Some(si) = &spec[d] {
-            if pending_in[d].is_some_and(|p| p <= si.now) {
-                disp[d] = Disposition::Rollback;
-            }
-        }
-    }
-    // (b) Greatest-fixpoint commit set: start from every still-held
-    // speculation and discard any whose speculated clock is not strictly
-    // below the earliest possible arrival from each peer. A peer still in
-    // the set contributes its *concrete* held-frame minimum (plus its
-    // post-speculation floor for frames it has not emitted yet); a
-    // discarded or conservative peer contributes its committed promise.
-    // Arrivals propagate transitively (the same relay/cycle argument as
-    // for the bounds), so each candidate set is checked against promises
-    // relaxed under the hypothesis that the whole set commits. The
-    // fixpoint is the largest mutually consistent commit set.
-    let mut in_set: Vec<bool> = (0..nshards)
-        .map(|d| spec[d].is_some() && disp[d] == Disposition::Hold)
-        .collect();
-    loop {
-        // Hypothetical promises: in-set shards start from their
-        // post-speculation heap floor, everyone else from their committed
-        // eff; edges out of in-set shards also carry the held frames'
-        // concrete minima.
-        let mut p: Vec<Option<SimTime>> = (0..nshards)
-            .map(|s| {
-                if in_set[s] {
-                    omin(spec[s].as_ref().unwrap().floor, pending_in[s])
-                } else {
-                    eff[s]
-                }
-            })
-            .collect();
-        let edge = |src: usize, dst: usize, from: Option<SimTime>| {
-            let lat = plan.min_lat(src, dst);
-            if lat == u64::MAX {
-                return None;
-            }
-            let moving = from.map(|f| SimTime(f.0.saturating_add(lat)));
-            if in_set[src] {
-                omin(spec[src].as_ref().unwrap().held_min[dst], moving)
-            } else {
-                moving
-            }
-        };
-        loop {
-            let mut changed = false;
-            for s in 0..nshards {
-                for d in 0..nshards {
-                    if s == d {
-                        continue;
-                    }
-                    let Some(cand) = edge(s, d, p[s]) else {
-                        continue;
-                    };
-                    if p[d].is_none_or(|cur| cand < cur) {
-                        p[d] = Some(cand);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let safe_of: Vec<SimTime> = (0..nshards)
-            .map(|d| {
-                let mut safe = deadline_cap;
-                for s in 0..nshards {
-                    if s == d {
-                        continue;
-                    }
-                    if let Some(c) = edge(s, d, p[s]) {
-                        safe = safe.min(c);
-                    }
-                }
-                safe
-            })
-            .collect();
-        let mut shrunk = false;
-        for d in 0..nshards {
-            if !in_set[d] {
-                continue;
-            }
-            if safe_of[d] <= spec[d].as_ref().unwrap().now {
-                in_set[d] = false;
-                shrunk = true;
-            }
-        }
-        if !shrunk {
-            break;
-        }
-    }
-    for d in 0..nshards {
-        if in_set[d] {
-            disp[d] = Disposition::Commit;
-        }
-    }
-    // Dispatch only shards with something to do: a verdict to apply,
-    // arrivals to drain, committed events below their bound, or
-    // (optimistic) events within speculation reach.
-    let mut dispatch = vec![false; nshards];
-    for d in 0..nshards {
-        let has_spec = spec[d].is_some();
-        dispatch[d] = disp[d] != Disposition::Hold
-            || pending_in[d].is_some()
-            || (!has_spec && floors[d].is_some_and(|f| f < bound[d]))
-            || (optimistic
-                && !has_spec
-                && spec_capable[d]
-                && floors[d].is_some_and(|f| f < target[d]));
-    }
-    // Liveness breaker: speculations are pending but nothing can run and
-    // nothing could commit — discard them all (always sound) so
-    // conservative progress resumes.
-    if !dispatch.iter().any(|&b| b) {
-        debug_assert!(spec_pending, "idle round without pending speculation");
-        for d in 0..nshards {
-            if spec[d].is_some() {
-                disp[d] = Disposition::Rollback;
-                dispatch[d] = true;
-            }
-        }
-    }
-    Some(RoundPlan {
-        bound,
-        target,
-        disp,
-        dispatch,
-        optimistic,
-    })
+    Some(RoundPlan { bound, dispatch })
 }
 
 /// Folds one shard's round reply into the coordinator state. Folding is
-/// commutative (indexed writes, min-folds, counter bumps), so reply
-/// arrival order — thread scheduling in the threaded backend, shard index
-/// order inline — cannot affect the outcome.
-#[allow(clippy::too_many_arguments)]
-fn fold_reply(
-    r: Reply,
-    floors: &mut [Option<SimTime>],
-    spec_capable: &mut [bool],
-    stats: &mut SyncStats,
-    spec: &mut [Option<SpecInfo>],
-    new_pending: &mut [Option<SimTime>],
-    journal: &mut JournalRing,
-    jseq: &mut u64,
-    at: SimTime,
-) {
+/// commutative (indexed writes and min-folds), so reply arrival order —
+/// thread scheduling in the threaded backend, shard index order inline —
+/// cannot affect the outcome.
+fn fold_reply(r: Reply, floors: &mut [Option<SimTime>], new_pending: &mut [Option<SimTime>]) {
     floors[r.shard] = r.floor;
-    if r.committed {
-        stats.spec_commits += 1;
-        coord_rec(
-            journal,
-            jseq,
-            at,
-            JournalKind::CoordCommit,
-            r.round,
-            r.shard as u64,
-            0,
-        );
-    }
-    if r.rolled_back {
-        stats.spec_rollbacks += 1;
-        coord_rec(
-            journal,
-            jseq,
-            at,
-            JournalKind::CoordRollback,
-            r.round,
-            r.shard as u64,
-            0,
-        );
-    }
-    if r.spec.is_some() && !r.committed && !r.rolled_back {
-        coord_rec(
-            journal,
-            jseq,
-            at,
-            JournalKind::CoordHold,
-            r.round,
-            r.shard as u64,
-            0,
-        );
-    }
-    if !r.spec_capable && spec_capable[r.shard] {
-        spec_capable[r.shard] = false;
-        stats.spec_denied += 1;
-    }
-    spec[r.shard] = r.spec;
     for (np, sent) in new_pending.iter_mut().zip(&r.sent_min) {
         *np = omin(*np, *sent);
     }
@@ -1109,40 +680,35 @@ fn apply_pending(
 }
 
 /// A [`Network`] split across shards, each running its own slab/heap event
-/// loop on its own thread, synchronized by adaptive conservative bounds
-/// with optional speculation.
+/// loop on its own thread, synchronized by adaptive conservative bounds.
 ///
 /// Build a topology on a plain [`Network`] (injecting initial frames and
 /// timers as usual), then hand it to [`ShardedNetwork::new`] *before
-/// running any event*. `run_until`/`run_to_idle` mirror the sequential
-/// API; [`into_report`](ShardedNetwork::into_report) merges the shards
-/// back into one [`RunReport`].
+/// running any event*. [`run`](ShardedNetwork::run) mirrors the
+/// sequential API; [`into_report`](ShardedNetwork::into_report) merges the
+/// shards back into one [`RunReport`].
 pub struct ShardedNetwork {
     nets: Vec<Network>,
     plan: PartitionPlan,
     chans: Vec<WorkerChans>,
-    /// Committed progress floor per shard, persisted across run calls.
+    /// Progress floor per shard, persisted across run calls.
     floors: Vec<Option<SimTime>>,
     /// Minimum arrival time of undrained in-flight frames per receiving
     /// shard, persisted across run calls (the frames themselves persist
     /// in the rings).
     pending_in: Vec<Option<SimTime>>,
-    /// False once a shard reported an unforkable device; it stays
-    /// conservative for the rest of the run.
-    spec_capable: Vec<bool>,
     /// Strictly monotonic round counter, persisted across run calls so
     /// ring batches left over at a deadline stay older than every future
     /// round.
     round: u64,
-    optimistic: bool,
     /// Backend selection: `Some` pins inline/threaded; `None` defers to
     /// `SIMNET_INLINE`, then the core-count heuristic.
     inline: Option<bool>,
     stats: SyncStats,
     now: SimTime,
-    /// Coordinator-lane journal (rounds, commits, rollbacks, ring stats);
-    /// tagged [`COORD_SRC`], shard-count-dependent, kept out of the
-    /// deterministic lane.
+    /// Coordinator-lane journal (rounds, ring stats); tagged
+    /// [`COORD_SRC`], shard-count-dependent, kept out of the deterministic
+    /// lane.
     coord_journal: JournalRing,
     /// Sequence counter for coordinator-lane record tags.
     coord_jseq: u64,
@@ -1213,9 +779,7 @@ impl ShardedNetwork {
             chans,
             floors,
             pending_in: vec![None; nshards],
-            spec_capable: vec![true; nshards],
             round: 0,
-            optimistic: false,
             inline: None,
             stats: SyncStats::default(),
             now,
@@ -1223,14 +787,6 @@ impl ShardedNetwork {
             coord_jseq: 0,
             journal_seed,
         }
-    }
-
-    /// Shards `net` according to the `SIMNET_SHARDS` environment variable
-    /// (default 1) and selects the synchronization mode from
-    /// `SIMNET_OPTIMISTIC`.
-    #[deprecated(note = "use SimConfig::from_env().build(net)")]
-    pub fn from_env(net: Network) -> ShardedNetwork {
-        crate::config::SimConfig::from_env().build(net)
     }
 
     /// The partition in effect.
@@ -1243,26 +799,13 @@ impl ShardedNetwork {
         self.nets.len()
     }
 
-    /// Current simulated time (the deadline of the last `run_until`, or
-    /// the last processed event time after `run_to_idle`).
+    /// Current simulated time (the deadline of the last `Until`/`For`
+    /// run, or the last processed event time after an `Idle` run).
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Selects optimistic (time-warp-lite) or conservative
-    /// synchronization for subsequent run calls. Either setting yields
-    /// bit-identical results; optimistic mode trades snapshot work for
-    /// progress past the conservative bound.
-    pub fn set_optimistic(&mut self, on: bool) {
-        self.optimistic = on;
-    }
-
-    /// Whether optimistic synchronization is currently selected.
-    pub fn optimistic(&self) -> bool {
-        self.optimistic
-    }
-
-    /// Coordinator round and speculation statistics accumulated so far.
+    /// Coordinator round statistics accumulated so far.
     pub fn sync_stats(&self) -> SyncStats {
         self.stats
     }
@@ -1326,29 +869,9 @@ impl ShardedNetwork {
         }
     }
 
-    /// Runs until the clock reaches `deadline`; events at exactly
-    /// `deadline` are excluded.
-    #[deprecated(note = "use run(StopCondition::Until(deadline))")]
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.run(StopCondition::Until(deadline));
-    }
-
-    /// Runs for `d` of simulated time from now.
-    #[deprecated(note = "use run(StopCondition::For(d))")]
-    pub fn run_for(&mut self, d: SimDuration) {
-        self.run(StopCondition::For(d));
-    }
-
-    /// Drains every remaining event.
-    #[deprecated(note = "use run(StopCondition::Idle)")]
-    pub fn run_to_idle(&mut self) {
-        self.run(StopCondition::Idle);
-    }
-
     /// The round coordinator (see module docs): compute per-shard
-    /// adaptive bounds from the committed floors, resolve speculation
-    /// dispositions, dispatch only the shards with something to do, and
-    /// fold replies back into the floors.
+    /// adaptive bounds from the floors, dispatch only the shards with
+    /// something to do, and fold replies back into the floors.
     fn run_epochs(&mut self, deadline: SimTime) {
         if self.nets.len() == 1 {
             let net = &mut self.nets[0];
@@ -1378,18 +901,11 @@ impl ShardedNetwork {
     }
 
     fn run_epochs_threaded(&mut self, deadline: SimTime) {
-        // The cap IS the deadline: shard windows are exclusive (`at <
-        // bound`), so events at exactly the deadline stay queued — the
-        // same boundary the sequential engine's `run` applies.
-        let deadline_cap = deadline;
         let nshards = self.nets.len();
-        let spec_window = self.plan.epoch.0.saturating_mul(SPEC_WINDOW_EPOCHS);
         let shard_of = Arc::clone(&self.plan.shard_of);
-        let optimistic = self.optimistic;
         let plan = &self.plan;
         let floors = &mut self.floors;
         let pending_in = &mut self.pending_in;
-        let spec_capable = &mut self.spec_capable;
         let round = &mut self.round;
         let stats = &mut self.stats;
         let coord_journal = &mut self.coord_journal;
@@ -1401,26 +917,11 @@ impl ShardedNetwork {
                 let (tx, rx) = std::sync::mpsc::channel::<Cmd>();
                 let rtx = reply_tx.clone();
                 let so = Arc::clone(&shard_of);
-                let capable = spec_capable[i];
-                scope.spawn(move || worker(i, net, ch, &so, optimistic, capable, rx, rtx));
+                scope.spawn(move || worker(i, net, ch, &so, rx, rtx));
                 cmd_txs.push(tx);
             }
             drop(reply_tx);
-            // Coordinator-side view of pending speculations. All of them
-            // resolve before this function returns (the loop cannot end
-            // while one is pending), so the view need not persist.
-            let mut spec: Vec<Option<SpecInfo>> = (0..nshards).map(|_| None).collect();
-            while let Some(rp) = plan_round(
-                plan,
-                deadline,
-                deadline_cap,
-                spec_window,
-                optimistic,
-                floors,
-                pending_in,
-                spec_capable,
-                &spec,
-            ) {
+            while let Some(rp) = plan_round(plan, deadline, floors, pending_in) {
                 *round += 1;
                 stats.rounds += 1;
                 let ndisp = rp.dispatch.iter().filter(|&&b| b).count();
@@ -1438,8 +939,11 @@ impl ShardedNetwork {
                     if !rp.dispatch[d] {
                         continue;
                     }
-                    tx.send(Cmd::Round(rp.cmd_for(d, *round)))
-                        .expect("shard worker exited early");
+                    let cmd = RoundCmd {
+                        round: *round,
+                        bound: rp.bound[d],
+                    };
+                    tx.send(Cmd::Round(cmd)).expect("shard worker exited early");
                 }
                 let mut new_pending: Vec<Option<SimTime>> = vec![None; nshards];
                 for _ in 0..ndisp {
@@ -1450,17 +954,7 @@ impl ShardedNetwork {
                         .recv_timeout(std::time::Duration::from_secs(120))
                         .expect("shard worker died or stalled");
                     debug_assert_eq!(r.round, *round, "reply from a stale round");
-                    fold_reply(
-                        r,
-                        floors,
-                        spec_capable,
-                        stats,
-                        &mut spec,
-                        &mut new_pending,
-                        coord_journal,
-                        coord_jseq,
-                        floor,
-                    );
+                    fold_reply(r, floors, &mut new_pending);
                 }
                 apply_pending(pending_in, &new_pending, &rp.dispatch);
             }
@@ -1470,31 +964,10 @@ impl ShardedNetwork {
         });
     }
 
-    // The dispatch loop indexes four parallel per-shard arrays; a range
-    // loop keeps the disjoint field borrows obvious.
-    #[allow(clippy::needless_range_loop)]
     fn run_epochs_inline(&mut self, deadline: SimTime) {
-        let deadline_cap = deadline;
         let nshards = self.nets.len();
-        let spec_window = self.plan.epoch.0.saturating_mul(SPEC_WINDOW_EPOCHS);
         let shard_of = Arc::clone(&self.plan.shard_of);
-        let optimistic = self.optimistic;
-        let mut spec: Vec<Option<SpecInfo>> = (0..nshards).map(|_| None).collect();
-        // Worker-side speculation state (snapshots, held frames). Specs
-        // always resolve before run_epochs returns, so this need not
-        // persist on `self`.
-        let mut specs: Vec<Option<Spec>> = (0..nshards).map(|_| None).collect();
-        while let Some(rp) = plan_round(
-            &self.plan,
-            deadline,
-            deadline_cap,
-            spec_window,
-            optimistic,
-            &self.floors,
-            &self.pending_in,
-            &self.spec_capable,
-            &spec,
-        ) {
+        while let Some(rp) = plan_round(&self.plan, deadline, &self.floors, &self.pending_in) {
             self.round += 1;
             self.stats.rounds += 1;
             let ndisp = rp.dispatch.iter().filter(|&&b| b).count();
@@ -1509,33 +982,16 @@ impl ShardedNetwork {
                 floor.0,
             );
             let mut new_pending: Vec<Option<SimTime>> = vec![None; nshards];
-            for d in 0..nshards {
+            for (d, (net, ch)) in self.nets.iter_mut().zip(&mut self.chans).enumerate() {
                 if !rp.dispatch[d] {
                     continue;
                 }
-                let cmd = rp.cmd_for(d, self.round);
-                let mut capable = self.spec_capable[d];
-                let r = round_step(
-                    d,
-                    &mut self.nets[d],
-                    &mut self.chans[d],
-                    &shard_of,
-                    optimistic,
-                    &mut capable,
-                    &mut specs[d],
-                    &cmd,
-                );
-                fold_reply(
-                    r,
-                    &mut self.floors,
-                    &mut self.spec_capable,
-                    &mut self.stats,
-                    &mut spec,
-                    &mut new_pending,
-                    &mut self.coord_journal,
-                    &mut self.coord_jseq,
-                    floor,
-                );
+                let cmd = RoundCmd {
+                    round: self.round,
+                    bound: rp.bound[d],
+                };
+                let r = round_step(d, net, ch, &shard_of, &cmd);
+                fold_reply(r, &mut self.floors, &mut new_pending);
             }
             apply_pending(&mut self.pending_in, &new_pending, &rp.dispatch);
         }

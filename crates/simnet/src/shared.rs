@@ -41,20 +41,6 @@ impl SharedStation {
     pub fn same_as(&self, other: &SharedStation) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
-
-    /// Deep-copies the station for an optimistic-mode device fork
-    /// ([`Device::fork`](crate::device::Device::fork)) — but only when this
-    /// handle is the *sole* owner. A station shared between devices cannot
-    /// be forked piecemeal (the copies would desynchronize), so shared
-    /// ownership returns `None` and the owning shard falls back to
-    /// conservative synchronization.
-    pub fn fork_private(&self) -> Option<SharedStation> {
-        if Arc::strong_count(&self.0) == 1 {
-            Some(SharedStation(Arc::new(Mutex::new(*self.0.lock()))))
-        } else {
-            None
-        }
-    }
 }
 
 impl std::fmt::Debug for SharedStation {
@@ -76,16 +62,5 @@ mod tests {
         assert!(a.same_as(&b));
         assert!(!a.same_as(&SharedStation::new()));
         assert_eq!(a.busy_until(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn fork_private_requires_sole_ownership() {
-        let a = SharedStation::new();
-        let fork = a.fork_private().expect("sole owner forks");
-        assert!(!fork.same_as(&a), "fork is an independent station");
-        let b = a.clone();
-        assert!(a.fork_private().is_none(), "shared station refuses to fork");
-        drop(b);
-        assert!(a.fork_private().is_some(), "sole ownership restored");
     }
 }

@@ -11,9 +11,9 @@
 //! `Release` store of `tail` and the consumer acquires it with an
 //! `Acquire` load (and vice versa for slot reuse), which is the entire
 //! synchronization protocol — no locks, no CAS, one atomic store per
-//! operation. Each handle caches the opposite index and refreshes it only
-//! on apparent full/empty, so the steady state touches one shared cache
-//! line per side.
+//! operation. The consumer caches `tail` and refreshes it only on apparent
+//! empty; the producer re-reads `head` after each push, which both frees
+//! space early and measures occupancy for the high-water gauge.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -52,7 +52,8 @@ pub struct Producer<T> {
     inner: Arc<Inner<T>>,
     /// Producer-private copy of `tail` (only the producer advances it).
     tail: usize,
-    /// Last observed `head`; refreshed only when the ring looks full.
+    /// Last observed `head`; refreshed after every push and whenever the
+    /// ring looks full.
     cached_head: usize,
     /// Peak occupancy observed right after a successful push (telemetry;
     /// an underestimate only by the consumer's concurrent progress).
@@ -138,6 +139,11 @@ impl<T> Producer<T> {
         // matching `Acquire` load of `tail`.
         self.inner.tail.store(self.tail + 1, Ordering::Release);
         self.tail += 1;
+        // Measure occupancy against the consumer's published `head`, not
+        // a copy last refreshed at an apparent full ring. `Acquire` pairs
+        // with the consumer's `Release` store of `head`, as in the full
+        // check above, so the refreshed copy is also safe for that check.
+        self.cached_head = self.inner.head.load(Ordering::Acquire);
         let occupancy = self.tail - self.cached_head;
         if occupancy > self.high_water {
             self.high_water = occupancy;
@@ -259,6 +265,19 @@ mod tests {
             next_pop += 1;
         }
         assert_eq!(next_pop, 10_000);
+    }
+
+    #[test]
+    fn high_water_tracks_occupancy_not_pushes() {
+        let (mut p, mut c) = channel::<u32>(16);
+        for i in 0..20 {
+            p.push(i);
+            assert_eq!(c.try_pop(), Some(i));
+        }
+        assert_eq!(p.high_water(), 1, "never more than one element queued");
+        p.push(20);
+        p.push(21);
+        assert_eq!(p.high_water(), 2);
     }
 
     #[test]

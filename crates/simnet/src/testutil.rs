@@ -64,14 +64,6 @@ impl Device for CaptureSink {
         ctx.record_id(ids.arrival_ns, ctx.now().as_nanos() as f64);
         self.frames.push(frame);
     }
-
-    fn fork(&self) -> Option<Box<dyn Device>> {
-        Some(Box::new(CaptureSink {
-            name: self.name.clone(),
-            frames: self.frames.clone(),
-            ids: self.ids,
-        }))
-    }
 }
 
 /// Builds a UDP frame of `payload_len` bytes between two MACs with fixed
@@ -155,21 +147,6 @@ impl Device for MacBouncer {
         }
         let reply = frame_between(self.mac, frame.src_mac, self.payload_len);
         ctx.transmit_at(done, PortId::P0, reply);
-    }
-
-    fn fork(&self) -> Option<Box<dyn Device>> {
-        // The station is created privately in `new`, but a caller could
-        // still have cloned it out; `fork_private` is the proof either way.
-        let station = self.station.fork_private()?;
-        Some(Box::new(MacBouncer {
-            name: self.name.clone(),
-            mac: self.mac,
-            payload_len: self.payload_len,
-            cost: self.cost,
-            station,
-            record_arrivals: self.record_arrivals,
-            ids: self.ids,
-        }))
     }
 }
 

@@ -2,7 +2,7 @@
 //! RELATED in both directions through a NAT router, REJECT vs DROP
 //! observability at the endpoint (the REJECT_TAG notification), scheduled
 //! install/remove windows as mid-run control events, and bit-identical
-//! outcomes across SIMNET_SHARDS=1/2/8 in both synchronization modes.
+//! outcomes across SIMNET_SHARDS=1/2/8.
 
 extern crate nestless_simnet as simnet;
 
@@ -302,8 +302,7 @@ fn scheduled_windows_activate_and_deactivate_midrun() {
 
 // ---------------------------------------------------------------------------
 // Sharded determinism: a filtered multi-host topology with state rules and
-// scheduled verdict windows must stay bit-identical across shard counts
-// and synchronization modes.
+// scheduled verdict windows must stay bit-identical across shard counts.
 
 const SEED: u64 = 0xF11E;
 const HOSTS: usize = 4;
@@ -533,35 +532,23 @@ fn filtered_runs_are_bit_identical_across_shards_and_modes() {
         "reject window fired"
     );
 
-    for optimistic in [false, true] {
-        for want in [1, 2, 8] {
-            let mut sn = ShardedNetwork::new(filtered_net(), want);
-            sn.set_optimistic(optimistic);
-            sn.run(StopCondition::Until(SimTime(2_000_000)));
-            let nshards = sn.nshards();
-            if want > 1 {
-                assert!(nshards > 1, "multi-host topology must actually shard");
-            }
-            let report = sn.into_report();
-            let (samples, counters) = snapshot(&report.store);
-            let out = Outcome {
-                samples,
-                counters,
-                cpu: report.cpu,
-                events: report.events_processed,
-                dropped: report.dropped_no_link,
-                now: report.now,
-            };
-            let mode = if optimistic {
-                "optimistic"
-            } else {
-                "conservative"
-            };
-            assert_identical(
-                &format!("{mode}, {want} shards (got {nshards})"),
-                &seq,
-                &out,
-            );
+    for want in [1, 2, 8] {
+        let mut sn = ShardedNetwork::new(filtered_net(), want);
+        sn.run(StopCondition::Until(SimTime(2_000_000)));
+        let nshards = sn.nshards();
+        if want > 1 {
+            assert!(nshards > 1, "multi-host topology must actually shard");
         }
+        let report = sn.into_report();
+        let (samples, counters) = snapshot(&report.store);
+        let out = Outcome {
+            samples,
+            counters,
+            cpu: report.cpu,
+            events: report.events_processed,
+            dropped: report.dropped_no_link,
+            now: report.now,
+        };
+        assert_identical(&format!("{want} shards (got {nshards})"), &seq, &out);
     }
 }

@@ -1,5 +1,4 @@
-//! The sharded-engine determinism contract: for any shard count and
-//! either synchronization mode (conservative or optimistic), a run is
+//! The sharded-engine determinism contract: for any shard count a run is
 //! bit-identical to the sequential engine — sample-for-sample,
 //! counter-for-counter, trace-for-trace — on a ≥4-host topology with
 //! jitter and frame loss enabled.
@@ -146,9 +145,8 @@ fn sequential() -> Outcome {
     outcome_of_net(&mut net)
 }
 
-fn sharded(want: usize, optimistic: bool) -> (usize, SyncStats, Outcome) {
+fn sharded(want: usize) -> (usize, SyncStats, Outcome) {
     let mut sn = ShardedNetwork::new(build(), want);
-    sn.set_optimistic(optimistic);
     sn.run(StopCondition::Until(SimTime(2_000_000)));
     let nshards = sn.nshards();
     let stats = sn.sync_stats();
@@ -192,25 +190,14 @@ fn sharded_runs_are_bit_identical_to_sequential() {
     );
     assert!(seq.spans_emitted > 1_000, "flight recorder captured spans");
     assert!(!seq.stages.is_empty(), "stage table populated");
-    for optimistic in [false, true] {
-        for want in [1, 2, 8] {
-            let (nshards, _, out) = sharded(want, optimistic);
-            if want == 1 {
-                assert_eq!(nshards, 1);
-            } else {
-                assert!(nshards > 1, "≥4-host topology must actually shard");
-            }
-            let mode = if optimistic {
-                "optimistic"
-            } else {
-                "conservative"
-            };
-            assert_identical(
-                &format!("{mode}, {want} shards (got {nshards})"),
-                &seq,
-                &out,
-            );
+    for want in [1, 2, 8] {
+        let (nshards, _, out) = sharded(want);
+        if want == 1 {
+            assert_eq!(nshards, 1);
+        } else {
+            assert!(nshards > 1, "≥4-host topology must actually shard");
         }
+        assert_identical(&format!("{want} shards (got {nshards})"), &seq, &out);
     }
 }
 
@@ -316,27 +303,19 @@ fn faulted_runs_are_bit_identical_across_shard_counts_and_modes() {
         );
     }
 
-    for optimistic in [false, true] {
-        for want in [1, 2, 8] {
-            let mut sn = ShardedNetwork::new(build_faulted(), want);
-            sn.set_optimistic(optimistic);
-            sn.run(StopCondition::Until(SimTime(2_000_000)));
-            let nshards = sn.nshards();
-            if want > 1 {
-                assert!(nshards > 1, "≥4-host topology must actually shard");
-            }
-            let mode = if optimistic {
-                "optimistic"
-            } else {
-                "conservative"
-            };
-            let out = outcome_of_sharded(sn);
-            assert_identical(
-                &format!("faulted, {mode}, {want} shards (got {nshards})"),
-                &seq,
-                &out,
-            );
+    for want in [1, 2, 8] {
+        let mut sn = ShardedNetwork::new(build_faulted(), want);
+        sn.run(StopCondition::Until(SimTime(2_000_000)));
+        let nshards = sn.nshards();
+        if want > 1 {
+            assert!(nshards > 1, "≥4-host topology must actually shard");
         }
+        let out = outcome_of_sharded(sn);
+        assert_identical(
+            &format!("faulted, {want} shards (got {nshards})"),
+            &seq,
+            &out,
+        );
     }
 }
 
@@ -376,51 +355,38 @@ fn span_cap_overflow_merges_bit_identically() {
 fn sharded_runs_are_reproducible_across_invocations() {
     // Thread scheduling must not leak into results — or even into the
     // coordinator's synchronization statistics: two identical sharded
-    // runs are bit-identical to each other, speculation verdicts
-    // included.
-    for optimistic in [false, true] {
-        let (n1, s1, a) = sharded(2, optimistic);
-        let (n2, s2, b) = sharded(2, optimistic);
-        assert_eq!(n1, n2);
-        assert_eq!(s1, s2, "sync stats are deterministic");
-        assert_identical("repeat", &a, &b);
-    }
+    // runs are bit-identical to each other.
+    let (n1, s1, a) = sharded(2);
+    let (n2, s2, b) = sharded(2);
+    assert_eq!(n1, n2);
+    assert_eq!(s1, s2, "sync stats are deterministic");
+    assert_identical("repeat", &a, &b);
 }
 
 #[test]
 fn split_runs_match_single_runs() {
     // Regression test for the coordinator shutdown race: the earlier
     // sentinel-close termination could strand a shard's final outbox when
-    // a `run_until` deadline landed between an emission and its delivery.
-    // With epoch-tagged termination and persistent rings, driving the
-    // clock in four steps must be indistinguishable from one step — in
-    // both synchronization modes.
-    for optimistic in [false, true] {
-        let mut whole = ShardedNetwork::new(build(), 4);
-        whole.set_optimistic(optimistic);
-        whole.run(StopCondition::Until(SimTime(2_000_000)));
-        let whole = outcome_of_sharded(whole);
+    // a deadline landed between an emission and its delivery. With
+    // epoch-tagged termination and persistent rings, driving the clock in
+    // four steps must be indistinguishable from one step.
+    let mut whole = ShardedNetwork::new(build(), 4);
+    whole.run(StopCondition::Until(SimTime(2_000_000)));
+    let whole = outcome_of_sharded(whole);
 
-        let mut split = ShardedNetwork::new(build(), 4);
-        split.set_optimistic(optimistic);
-        for step in 1..=4u64 {
-            split.run(StopCondition::Until(SimTime(step * 500_000)));
-        }
-        let split = outcome_of_sharded(split);
-        let mode = if optimistic {
-            "optimistic"
-        } else {
-            "conservative"
-        };
-        assert_identical(&format!("split vs whole ({mode})"), &whole, &split);
+    let mut split = ShardedNetwork::new(build(), 4);
+    for step in 1..=4u64 {
+        split.run(StopCondition::Until(SimTime(step * 500_000)));
     }
+    let split = outcome_of_sharded(split);
+    assert_identical("split vs whole", &whole, &split);
 }
 
 #[test]
 fn run_to_idle_and_env_knob_match_sequential() {
     // A finite workload (no local flows; loss kills every cross chain
-    // eventually): run_to_idle across shards equals sequential, and the
-    // SIMNET_SHARDS knob is honored by from_env.
+    // eventually): an idle run across shards equals sequential, and the
+    // SIMNET_SHARDS knob is honored by SimConfig::from_env.
     let finite = MultihostSpec {
         hosts: 4,
         local_flows: 0,
@@ -454,9 +420,9 @@ fn run_to_idle_and_env_knob_match_sequential() {
 }
 
 // ---------------------------------------------------------------------------
-// Optimistic-specific scenarios: a topology that forces stragglers (and
-// hence rollbacks) and one that guarantees commits, both bit-identical to
-// the sequential engine either way.
+// Two-island scenarios: one dense island next to a sparse one, and two
+// dense islands joined by a near-idle uplink. Both must shard in two and
+// stay bit-identical to the sequential engine.
 
 const BOUNCER_COST_NS: u64 = 600;
 
@@ -470,11 +436,9 @@ fn bridge_cost() -> StageCost {
 
 /// One dense island (bridge + local ping-pong pair) and one sparse
 /// single-bouncer island across a 20 µs uplink, with a cross ping-pong
-/// chain threaded through both. Whenever the dense shard exhausts its
-/// conservative bound it speculates ~80 µs ahead, and the sparse shard's
-/// next reply (arriving ~21 µs after the bound) is a guaranteed straggler
-/// — every cross round trip forces a rollback.
-fn straggler_net() -> Network {
+/// chain threaded through both: the sparse shard's replies keep bounding
+/// the dense shard's window.
+fn dense_sparse_net() -> Network {
     let mut net = Network::new(0xBEEF);
     let (ma1, ma2, mb) = (MacAddr::local(1), MacAddr::local(2), MacAddr::local(3));
     let br = net.add_device(
@@ -523,42 +487,10 @@ fn straggler_net() -> Network {
     net
 }
 
-#[test]
-fn forced_straggler_rolls_back_and_stays_bit_identical() {
-    let mut seq = straggler_net();
-    seq.run(StopCondition::Until(SimTime(1_000_000)));
-    let seq = outcome_of_net(&mut seq);
-    assert!(seq.events > 1_000, "dense flow generates real load");
-
-    let mut conservative = ShardedNetwork::new(straggler_net(), 2);
-    assert_eq!(conservative.nshards(), 2);
-    conservative.run(StopCondition::Until(SimTime(1_000_000)));
-    assert_eq!(
-        conservative.sync_stats().spec_rollbacks,
-        0,
-        "conservative mode never speculates"
-    );
-    let conservative = outcome_of_sharded(conservative);
-    assert_identical("conservative", &seq, &conservative);
-
-    let mut optimistic = ShardedNetwork::new(straggler_net(), 2);
-    optimistic.set_optimistic(true);
-    optimistic.run(StopCondition::Until(SimTime(1_000_000)));
-    let stats = optimistic.sync_stats();
-    assert!(
-        stats.spec_rollbacks >= 1,
-        "cross replies behind an ~80 µs speculation must force rollbacks, got {stats:?}"
-    );
-    assert_eq!(stats.spec_denied, 0, "every device in this net is forkable");
-    let optimistic = outcome_of_sharded(optimistic);
-    assert_identical("optimistic with rollbacks", &seq, &optimistic);
-}
-
 /// Two dense islands joined by an uplink that carries (almost) no
-/// traffic: both shards speculate past their bounds every round and the
-/// commit fixpoint proves them safe against each other's post-speculation
-/// floors. Exercises snapshot-commit adoption rather than rollback.
-fn commit_net() -> Network {
+/// traffic: each shard is bounded only by the other's floor plus the
+/// uplink latency.
+fn two_dense_net() -> Network {
     let mut net = Network::new(0xF00D);
     let mut mac = 0u32;
     let mut next_mac = || {
@@ -615,23 +547,33 @@ fn commit_net() -> Network {
     net
 }
 
-#[test]
-fn independent_islands_commit_speculation_and_stay_bit_identical() {
-    let mut seq = commit_net();
+/// Runs `build` sequentially and at 2 shards for 1 ms of simulated time
+/// and asserts the two runs are bit-identical.
+fn assert_two_shards_match_sequential(name: &str, build: fn() -> Network) {
+    let mut seq = build();
     seq.run(StopCondition::Until(SimTime(1_000_000)));
     let seq = outcome_of_net(&mut seq);
+    assert!(seq.events > 1_000, "{name}: dense flow generates real load");
 
-    let mut sn = ShardedNetwork::new(commit_net(), 2);
-    assert_eq!(sn.nshards(), 2);
-    sn.set_optimistic(true);
+    let mut sn = ShardedNetwork::new(build(), 2);
+    assert_eq!(sn.nshards(), 2, "{name}: two islands, two shards");
     sn.run(StopCondition::Until(SimTime(1_000_000)));
-    let stats = sn.sync_stats();
-    assert!(
-        stats.spec_commits >= 1,
-        "mutually idle uplink must let speculation commit, got {stats:?}"
-    );
     let out = outcome_of_sharded(sn);
-    assert_identical("optimistic with commits", &seq, &out);
+    assert_identical(name, &seq, &out);
+}
+
+// The two tests below keep the names they had when the coordinator could
+// also speculate; the sharded runs are conservative now, and what stays
+// is the bit-identity of each topology at 2 shards.
+
+#[test]
+fn forced_straggler_rolls_back_and_stays_bit_identical() {
+    assert_two_shards_match_sequential("dense + sparse", dense_sparse_net);
+}
+
+#[test]
+fn independent_islands_commit_speculation_and_stay_bit_identical() {
+    assert_two_shards_match_sequential("two dense", two_dense_net);
 }
 
 #[test]
@@ -644,32 +586,20 @@ fn inline_and_threaded_backends_are_bit_identical() {
     // (Serialize: no other test in this binary touches SIMNET_INLINE;
     // a concurrent reader would merely pick a backend explicitly, which
     // this very test proves equivalent.)
-    let run = |inline: bool, optimistic: bool| {
+    let run = |inline: bool| {
         std::env::set_var("SIMNET_INLINE", if inline { "1" } else { "0" });
         let mut sn = ShardedNetwork::new(build(), 4);
-        sn.set_optimistic(optimistic);
         sn.run(StopCondition::Until(SimTime(2_000_000)));
         let stats = sn.sync_stats();
         let out = outcome_of_sharded(sn);
         std::env::remove_var("SIMNET_INLINE");
         (stats, out)
     };
-    for optimistic in [false, true] {
-        let (inline_stats, inline_out) = run(true, optimistic);
-        let (threaded_stats, threaded_out) = run(false, optimistic);
-        let mode = if optimistic {
-            "optimistic"
-        } else {
-            "conservative"
-        };
-        assert_eq!(
-            inline_stats, threaded_stats,
-            "{mode}: sync stats must not depend on the backend"
-        );
-        assert_identical(
-            &format!("{mode}: inline vs threaded"),
-            &inline_out,
-            &threaded_out,
-        );
-    }
+    let (inline_stats, inline_out) = run(true);
+    let (threaded_stats, threaded_out) = run(false);
+    assert_eq!(
+        inline_stats, threaded_stats,
+        "sync stats must not depend on the backend"
+    );
+    assert_identical("inline vs threaded", &inline_out, &threaded_out);
 }

@@ -1,7 +1,7 @@
 //! The unified telemetry plane's determinism contract: the control-plane
 //! journal's **deterministic lane** — kept records, per-kind emission
 //! counts, and the drop count — is bit-identical to the sequential
-//! engine's for every shard count and both synchronization modes.
+//! engine's for every shard count.
 //!
 //! Three angles:
 //!
@@ -24,7 +24,9 @@ use nestless_simnet::device::DeviceId;
 use nestless_simnet::engine::Network;
 use nestless_simnet::testutil::{build_multihost, MultihostSpec};
 use nestless_simnet::time::{SimDuration, SimTime};
-use nestless_simnet::{FaultPlan, SimConfig, StallWindow, StopCondition};
+use nestless_simnet::{
+    telemetry_report, FaultPlan, SimConfig, StallWindow, StopCondition, SyncStats,
+};
 
 const HORIZON: SimTime = SimTime(2_000_000);
 
@@ -74,28 +76,25 @@ fn sequential(telemetry: TelemetryConfig) -> (Vec<JournalRecord>, u64, Vec<u64>)
 fn assert_shard_invariant(telemetry: TelemetryConfig) -> u64 {
     let (ref_records, ref_dropped, ref_counts) = sequential(telemetry);
     for shards in [1usize, 2, 4, 8] {
-        for optimistic in [false, true] {
-            let mut sn = SimConfig::new()
-                .shards(shards)
-                .optimistic(optimistic)
-                .telemetry(telemetry)
-                .build(build(telemetry));
-            sn.run(StopCondition::Until(HORIZON));
-            let report = sn.into_report();
-            assert_eq!(
-                report.journal, ref_records,
-                "kept records diverged at {shards} shards (optimistic={optimistic})"
-            );
-            assert_eq!(
-                report.journal_dropped, ref_dropped,
-                "drop count diverged at {shards} shards (optimistic={optimistic})"
-            );
-            assert_eq!(
-                report.journal_counts.to_vec(),
-                ref_counts,
-                "per-kind counts diverged at {shards} shards (optimistic={optimistic})"
-            );
-        }
+        let mut sn = SimConfig::new()
+            .shards(shards)
+            .telemetry(telemetry)
+            .build(build(telemetry));
+        sn.run(StopCondition::Until(HORIZON));
+        let report = sn.into_report();
+        assert_eq!(
+            report.journal, ref_records,
+            "kept records diverged at {shards} shards"
+        );
+        assert_eq!(
+            report.journal_dropped, ref_dropped,
+            "drop count diverged at {shards} shards"
+        );
+        assert_eq!(
+            report.journal_counts.to_vec(),
+            ref_counts,
+            "per-kind counts diverged at {shards} shards"
+        );
     }
     ref_dropped
 }
@@ -122,7 +121,7 @@ fn journal_bit_identical_across_shards_and_sync_modes() {
 fn tiny_cap_overflow_drops_are_shard_invariant() {
     // Cap below the scenario's record count: the ring must overflow, and
     // the kept prefix + drop count must still match the sequential run
-    // at every shard count and in both sync modes.
+    // at every shard count.
     let cfg = TelemetryConfig::full().with_journal_cap(3);
     let dropped = assert_shard_invariant(cfg);
     assert!(dropped > 0, "the tiny cap must actually overflow");
@@ -160,4 +159,74 @@ fn off_mode_journals_nothing() {
         build(TelemetryConfig::off()).telemetry_config().mode,
         TelemetryMode::Off
     );
+}
+
+/// The coordinator lane (`RunReport::coord_journal`) of an 8-host
+/// multihost run driven in four `run` calls: one `CoordRound` record per
+/// round with consecutive round numbers across the calls, then only
+/// ring high-water records, and ring occupancy within the protocol's
+/// two-batch bound on either backend.
+#[test]
+fn coordinator_lane_records_every_round_and_bounded_rings() {
+    let build = || {
+        let mut net = Network::new(0xBEEF);
+        build_multihost(
+            &mut net,
+            &MultihostSpec {
+                hosts: 8,
+                local_flows: 4,
+                loss: 0.0,
+                ..MultihostSpec::default()
+            },
+        );
+        net
+    };
+    let run = |shards: usize, inline: bool| {
+        let mut sn = SimConfig::new()
+            .shards(shards)
+            .inline(Some(inline))
+            .telemetry(TelemetryConfig::full())
+            .build(build());
+        for step in 1..=4u64 {
+            sn.run(StopCondition::Until(SimTime(step * 500_000)));
+        }
+        (sn.nshards(), sn.into_report())
+    };
+
+    let (nshards, report) = run(1, true);
+    assert_eq!(nshards, 1);
+    assert!(
+        report.coord_journal.is_empty(),
+        "one shard has no coordinator"
+    );
+    assert_eq!(report.sync, SyncStats::default());
+
+    for shards in [2usize, 8] {
+        for inline in [true, false] {
+            let label = format!("{shards} shards, inline={inline}");
+            let (nshards, report) = run(shards, inline);
+            assert_eq!(nshards, shards, "{label}: 9 islands split as asked");
+            let sync = report.sync;
+            assert!(sync.rounds > 4, "{label}: coordinator ran");
+            let lane = &report.coord_journal;
+            let rounds = sync.rounds as usize;
+            assert!(lane.len() > rounds, "{label}: ring records follow rounds");
+            for (i, r) in lane[..rounds].iter().enumerate() {
+                assert_eq!(r.kind, JournalKind::CoordRound, "{label}: record {i}");
+                assert_eq!(r.a, i as u64 + 1, "{label}: rounds count up from 1");
+            }
+            for r in &lane[rounds..] {
+                assert_eq!(r.kind, JournalKind::RingHighWater, "{label}");
+                assert!((1..=2).contains(&r.c), "{label}: ring {}→{}", r.a, r.b);
+            }
+            assert!(
+                (1..=2).contains(&sync.ring_high_water),
+                "{label}: high water {} outside 1..=2",
+                sync.ring_high_water
+            );
+            let health = telemetry_report(&report, "coord").health;
+            assert_eq!(health.rounds, sync.rounds, "{label}");
+            assert_eq!(health.rollback_rate, 0.0, "{label}");
+        }
+    }
 }

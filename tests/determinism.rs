@@ -137,8 +137,8 @@ fn engine_store_and_trace_bit_identical() {
     assert_ne!(run(18).1, a.1, "a different seed must lose differently");
 }
 
-/// The sharded engine honors `SIMNET_SHARDS` (the CI matrix runs this file
-/// with the variable set to 1 and 4) and produces bit-identical samples,
+/// The sharded engine honors `SIMNET_SHARDS` (CI runs this file unset and
+/// again with `SIMNET_SHARDS=4`) and produces bit-identical samples,
 /// counters, and event counts for whatever shard count is in effect.
 #[test]
 fn sharded_engine_matches_sequential_under_env_knob() {
