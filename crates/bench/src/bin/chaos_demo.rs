@@ -34,7 +34,7 @@ use simnet::frame::Payload;
 use simnet::nat::Proto;
 use simnet::shared::SharedStation;
 use simnet::{
-    snapshot_network, telemetry_network, FaultPlan, JournalKind, LinkFault, LinkFaultKind, MacAddr,
+    snapshot_report, telemetry_report, FaultPlan, JournalKind, LinkFault, LinkFaultKind, MacAddr,
     SimDuration, SimTime, SockAddr, StallWindow, StopCondition, TelemetryConfig,
 };
 
@@ -334,7 +334,8 @@ fn run_brfusion(seed: u64) -> BrFusionReport {
     );
     cluster.run_for(SimDuration::millis(55));
 
-    let store = cluster.vmm.network().store();
+    let report = cluster.vmm.network_mut().take_report();
+    let store = &report.store;
     let delivered = store.samples("chaos.reply_seq").to_vec();
     let phases = phase_goodput(
         &delivered,
@@ -359,7 +360,7 @@ fn run_brfusion(seed: u64) -> BrFusionReport {
     }
     let stats = cluster.cni_status();
     let latency = stats.repromotion_latency_ns.clone();
-    let snapshot: RunSnapshot = snapshot_network(cluster.vmm.network(), "chaos_demo.brfusion");
+    let snapshot: RunSnapshot = snapshot_report(&report, "chaos_demo.brfusion");
     let snapshot_json = round_trip("RunSnapshot", &snapshot);
     if let Err(e) = std::fs::create_dir_all("results")
         .and_then(|()| std::fs::write("results/chaos_demo.snapshot.json", &snapshot_json))
@@ -370,7 +371,7 @@ fn run_brfusion(seed: u64) -> BrFusionReport {
     // The unified telemetry export must surface the fault counters, the
     // control-plane journal (per-kind counts survive the capped ring),
     // and — because the 4-slot ring overflowed — an honest drop count.
-    let telem = telemetry_network(cluster.vmm.network(), "chaos_demo.brfusion");
+    let telem = telemetry_report(&report, "chaos_demo.brfusion");
     let telem_json = round_trip("TelemetrySnapshot", &telem);
     if let Err(e) = std::fs::write("results/chaos_demo.telemetry.json", &telem_json) {
         die(&format!("writing results/chaos_demo.telemetry.json: {e}"));

@@ -32,15 +32,14 @@
 //! committed artifact is produced with `-- 3 100000 --full`.
 //!
 //! One indexed replay (the MostRequested shootout leg, or the `--full`
-//! certification run) is instrumented through the unified telemetry
-//! registry; its [`metrics::TelemetrySnapshot`] lands in
-//! `results/cloudsim_hyperscale.telemetry.json`. The decision digest
+//! certification run) fills a [`metrics::TelemetrySnapshot`], which lands
+//! in `results/cloudsim_hyperscale.telemetry.json`. The decision digest
 //! stays bit-identical: telemetry fills *after* the replay, never in it.
 
 use cloudsim::{
     run_hyperscale, run_hyperscale_with_telemetry, HyperConfig, HyperReport, PlacePolicy,
 };
-use metrics::TelemetryRegistry;
+use metrics::TelemetrySnapshot;
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -278,9 +277,9 @@ fn main() {
     let shootout_users = if full { FULL_USERS } else { users / 10 };
     let mut shootout = Vec::new();
 
-    // One replay feeds the unified telemetry registry; the snapshot is
-    // written next to the results JSON below.
-    let mut reg = TelemetryRegistry::new();
+    // One replay fills the telemetry snapshot, written next to the
+    // results JSON below.
+    let mut snap = TelemetrySnapshot::new("", "full");
     let mut telemetry_label = String::new();
 
     // `--full`: certify memory first — peak heap of a complete 100k-user
@@ -303,7 +302,7 @@ fn main() {
                 users: FULL_USERS,
                 ..HyperConfig::default()
             },
-            &mut reg,
+            &mut snap,
         );
         let secs = start.elapsed().as_secs_f64();
         telemetry_label = format!("cloudsim_hyperscale.full_{FULL_USERS}");
@@ -360,7 +359,7 @@ fn main() {
         };
         let (report, secs) = if policy == PlacePolicy::MostRequested {
             let start = Instant::now();
-            let r = run_hyperscale_with_telemetry(&cfg, &mut reg);
+            let r = run_hyperscale_with_telemetry(&cfg, &mut snap);
             telemetry_label = format!("cloudsim_hyperscale.{policy:?}_{}", cfg.users);
             (r, start.elapsed().as_secs_f64())
         } else {
@@ -396,7 +395,7 @@ fn main() {
         eprintln!("warning: could not write results/cloudsim_hyperscale.json: {e}");
     }
 
-    let snap = reg.snapshot(&telemetry_label, "full");
+    snap.label.clone_from(&telemetry_label);
     assert!(
         snap.counters.get("hyper.placements").copied().unwrap_or(0) > 0,
         "the instrumented replay must surface hyper.placements in the telemetry snapshot"

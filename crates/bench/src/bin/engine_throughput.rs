@@ -304,10 +304,11 @@ fn observability_overhead(reps: usize) {
             net.run(StopCondition::Until(MULTIHOST_HORIZON));
             let elapsed = start.elapsed();
             rates.push(net.events_processed() as f64 / elapsed.as_secs_f64());
-            spans_emitted = net.spans_emitted();
-            stage_rows = net.stages().iter().count();
-            journal_records = net.journal().len() as u64;
-            journal_emitted = net.journal().counts().iter().sum::<u64>();
+            let report = net.take_report();
+            spans_emitted = report.spans_emitted;
+            stage_rows = report.stages.iter().count();
+            journal_records = report.journal.len() as u64;
+            journal_emitted = report.journal_counts.iter().sum::<u64>();
         }
         let (median, peak) = summarize(rates);
         let off = *off_median.get_or_insert(median);

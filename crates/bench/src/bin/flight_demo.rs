@@ -17,7 +17,7 @@ use nestless::topology::{build, Config, Testbed, CLIENT_PORT, SERVER_PORT};
 use simnet::endpoint::{AppApi, Application, Incoming};
 use simnet::frame::Payload;
 use simnet::StopCondition;
-use simnet::{chrome_trace_network, snapshot_network, SimDuration, SockAddr};
+use simnet::{chrome_trace_report, snapshot_report, SimDuration, SockAddr};
 
 /// Echoes every request back to its sender.
 struct Echo;
@@ -106,11 +106,9 @@ fn main() {
         })
         .unwrap_or(200);
 
-    let tb = traced_hostlo_run(rounds);
-    let net = tb.vmm.network();
-
-    let snapshot: RunSnapshot = snapshot_network(net, "flight_demo.hostlo");
-    let chrome: ChromeTrace = chrome_trace_network(net);
+    let report = traced_hostlo_run(rounds).vmm.network_mut().take_report();
+    let snapshot: RunSnapshot = snapshot_report(&report, "flight_demo.hostlo");
+    let chrome: ChromeTrace = chrome_trace_report(&report);
     if snapshot.stages.is_empty() {
         eprintln!("error: traced run produced no stage aggregates");
         std::process::exit(1);

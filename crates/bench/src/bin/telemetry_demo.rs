@@ -6,8 +6,9 @@
 //!    with a lossy fault window runs at 1/2/8 shards. The deterministic
 //!    journal lane (records + per-kind counts + drop count) must be
 //!    bit-identical across all three runs.
-//! 2. **Metrics registry** — counters, gauges, a log2 histogram, and a
-//!    decimating tick series are fed from the canonical run's journal.
+//! 2. **Derived metrics** — a counter, a gauge, a log2 histogram and a
+//!    decimating tick series are computed from the canonical run's
+//!    journal and added to its snapshot.
 //! 3. **Exporters** — the merged [`TelemetrySnapshot`] is round-trip
 //!    validated through serde and written as versioned JSON, Prometheus
 //!    text, and a Perfetto counter-track trace.
@@ -23,7 +24,7 @@
 
 use metrics::CpuCategory;
 use metrics::CpuLocation;
-use metrics::{TelemetryConfig, TelemetryRegistry};
+use metrics::{HistSummary, Log2Hist, ObsMode, TelemetryConfig, TickSeries};
 use simnet::bridge::Bridge;
 use simnet::costs::StageCost;
 use simnet::device::{DeviceId, PortId};
@@ -164,7 +165,7 @@ fn main() {
     let mut canonical: Option<RunReport> = None;
     for shards in configs {
         let report = run(shards);
-        if report.telemetry_mode != metrics::TelemetryMode::Full {
+        if report.telemetry_mode != ObsMode::Full {
             die("run must report telemetry mode full");
         }
         if let Some(reference) = &canonical {
@@ -188,28 +189,26 @@ fn main() {
         die("hybrid run with faults journaled nothing — scenario is broken");
     }
 
-    // 2. Registry: derived metrics fed from the canonical journal.
-    let mut reg = TelemetryRegistry::new().with_series_cap(64);
-    let records = reg.counter("demo.journal_records");
-    let flow_hits = reg.gauge("demo.flow_hit_rate");
-    let gaps = reg.hist("demo.record_gap_ns");
-    let series = reg.series("demo.journal_cumulative");
-    reg.inc(records, report.journal.len() as u64);
-    for pair in report.journal.windows(2) {
-        reg.observe(gaps, pair[1].tag.at_ns.saturating_sub(pair[0].tag.at_ns));
-    }
-    for (i, r) in report.journal.iter().enumerate() {
-        reg.sample(series, r.tag.at_ns, (i + 1) as f64);
-    }
-
-    // 3. Snapshot: engine report + registry, merged, then exported.
+    // 2. Snapshot: the engine report plus metrics derived from the
+    // canonical journal, then exported.
     let mut snap: TelemetrySnapshot = telemetry_report(&report, "telemetry_demo.relay_chains");
-    reg.set(flow_hits, snap.health.flow_hit_rate);
-    let reg_snap = reg.snapshot("telemetry_demo.relay_chains", "full");
-    snap.counters.extend(reg_snap.counters);
-    snap.gauges.extend(reg_snap.gauges);
-    snap.histograms.extend(reg_snap.histograms);
-    snap.series.extend(reg_snap.series);
+    snap.counters.insert(
+        "demo.journal_records".to_string(),
+        report.journal.len() as u64,
+    );
+    snap.gauges
+        .insert("demo.flow_hit_rate".to_string(), snap.health.flow_hit_rate);
+    let mut gaps = Log2Hist::new();
+    for pair in report.journal.windows(2) {
+        gaps.record(pair[1].tag.at_ns.saturating_sub(pair[0].tag.at_ns));
+    }
+    snap.histograms
+        .insert("demo.record_gap_ns".to_string(), HistSummary::of(&gaps));
+    let mut series = TickSeries::new(64);
+    for (i, r) in report.journal.iter().enumerate() {
+        series.push(r.tag.at_ns, (i + 1) as f64);
+    }
+    snap.series.push(series.export("demo.journal_cumulative"));
 
     if snap.journal_count(JournalKind::FlowPromote) == 0 {
         die("hybrid steady chains must journal flow promotions");
@@ -232,7 +231,7 @@ fn main() {
         die("the default journal ring must not drop in this scenario");
     }
     if snap.series.iter().all(|s| s.points.is_empty()) {
-        die("the registry tick series must export points");
+        die("the derived tick series must export points");
     }
 
     let snapshot_json = round_trip("TelemetrySnapshot", &snap);

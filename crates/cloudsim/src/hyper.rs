@@ -22,7 +22,7 @@ use crate::catalog::cheapest_fitting;
 use crate::index::{FreeCapIndex, PlacePolicy, TieBreak};
 use crate::resources::Res;
 use crate::trace::TraceStream;
-use metrics::TelemetryRegistry;
+use metrics::{HistSummary, Log2Hist, TelemetrySnapshot, TickSeries, DEFAULT_SERIES_CAP};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -629,20 +629,20 @@ pub fn run_hyperscale(cfg: &HyperConfig) -> HyperReport {
     run_hyperscale_inner(cfg, None)
 }
 
-/// Same replay as [`run_hyperscale`], additionally folding the decision
-/// metrics into `reg`: placement/fleet counters, a `hyper.placements_per_tick`
-/// gauge, the end-of-replay [`FreeCapIndex::bucket_occupancy`] histogram,
-/// and the fleet curve as tick series (the x axis carries the tick
-/// number). The replay itself is untouched — equal digests with the
-/// registry-less run.
+/// Same replay as [`run_hyperscale`], additionally writing the decision
+/// metrics into `snap`: placement/fleet counters, a
+/// `hyper.placements_per_tick` gauge, the end-of-replay
+/// [`FreeCapIndex::bucket_occupancy`] histogram, and the fleet curve as
+/// decimated tick series (the x axis carries the tick number). The replay
+/// itself is untouched — equal digests with the plain run.
 pub fn run_hyperscale_with_telemetry(
     cfg: &HyperConfig,
-    reg: &mut TelemetryRegistry,
+    snap: &mut TelemetrySnapshot,
 ) -> HyperReport {
-    run_hyperscale_inner(cfg, Some(reg))
+    run_hyperscale_inner(cfg, Some(snap))
 }
 
-fn run_hyperscale_inner(cfg: &HyperConfig, reg: Option<&mut TelemetryRegistry>) -> HyperReport {
+fn run_hyperscale_inner(cfg: &HyperConfig, snap: Option<&mut TelemetrySnapshot>) -> HyperReport {
     let mut stream = ScenarioStream::new(cfg);
     let mut eng = Engine::new(cfg);
     let mut completed = true;
@@ -704,15 +704,15 @@ fn run_hyperscale_inner(cfg: &HyperConfig, reg: Option<&mut TelemetryRegistry>) 
         digest: eng.digest,
         curve: eng.curve,
     };
-    if let Some(reg) = reg {
-        fill_registry(reg, &report, &eng.idx);
+    if let Some(snap) = snap {
+        fill_snapshot(snap, &report, &eng.idx);
     }
     report
 }
 
-/// Folds one finished replay into the registry (see
+/// Writes one finished replay's metrics into `snap` (see
 /// [`run_hyperscale_with_telemetry`]).
-fn fill_registry(reg: &mut TelemetryRegistry, report: &HyperReport, idx: &FreeCapIndex) {
+fn fill_snapshot(snap: &mut TelemetrySnapshot, report: &HyperReport, idx: &FreeCapIndex) {
     for (name, v) in [
         ("hyper.users", report.users),
         ("hyper.pods_placed", report.pods_placed),
@@ -721,8 +721,7 @@ fn fill_registry(reg: &mut TelemetryRegistry, report: &HyperReport, idx: &FreeCa
         ("hyper.reclaims", report.reclaims),
         ("hyper.tenant_exits", report.tenant_exits),
     ] {
-        let c = reg.counter(name);
-        reg.inc(c, v);
+        snap.counters.insert(name.to_string(), v);
     }
     for (name, v) in [
         ("hyper.peak_vms", report.peak_vms as f64),
@@ -733,20 +732,23 @@ fn fill_registry(reg: &mut TelemetryRegistry, report: &HyperReport, idx: &FreeCa
             report.placements as f64 / report.ticks.max(1) as f64,
         ),
     ] {
-        let g = reg.gauge(name);
-        reg.set(g, v);
+        snap.gauges.insert(name.to_string(), v);
     }
-    let h = reg.hist("hyper.index_bucket_occupancy");
+    let mut hist = Log2Hist::new();
     for n in idx.bucket_occupancy() {
-        reg.observe(h, n);
+        hist.record(n);
     }
+    snap.histograms.insert(
+        "hyper.index_bucket_occupancy".to_string(),
+        HistSummary::of(&hist),
+    );
     for (name, pick) in [
         ("hyper.cost_per_h", 0usize),
         ("hyper.util_cpu_pm", 1),
         ("hyper.live_pods", 2),
         ("hyper.live_vms", 3),
     ] {
-        let s = reg.series(name);
+        let mut series = TickSeries::new(DEFAULT_SERIES_CAP);
         for p in &report.curve {
             let v = match pick {
                 0 => p.cost_per_h,
@@ -754,8 +756,9 @@ fn fill_registry(reg: &mut TelemetryRegistry, report: &HyperReport, idx: &FreeCa
                 2 => p.live_pods as f64,
                 _ => p.live_vms as f64,
             };
-            reg.sample(s, p.tick, v);
+            series.push(p.tick, v);
         }
+        snap.series.push(series.export(name));
     }
 }
 

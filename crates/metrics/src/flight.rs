@@ -17,50 +17,29 @@
 //!    [`MetricId`]s, and aggregation is integer-only ([`Log2Hist`]) so
 //!    counters-only mode allocates nothing in steady state and merges are
 //!    order-independent.
-//! 3. *Bounded memory*: [`SpanRing`] keeps the first `cap` spans and counts
-//!    the rest instead of silently truncating.
+//! 3. *Bounded memory*: spans ride a [`Ring`](crate::Ring), which keeps
+//!    the first `cap` records and counts the rest instead of silently
+//!    truncating.
 
 use crate::cdf::Cdf;
 use crate::cpu::{CpuCategory, CpuLocation};
 use crate::intern::MetricId;
+use crate::ring::ObsMode;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// How much the flight recorder does on the per-packet hot path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceMode {
-    /// No per-stage work at all: one branch per stage call. The default.
-    #[default]
-    Off,
-    /// Per-stage aggregates only (frame counts, CPU ns, latency histogram);
-    /// no span records, no per-frame trace ids.
-    Counters,
-    /// Aggregates plus full span records with parent links, bounded by the
-    /// configured span cap.
-    Full,
-}
-
-impl TraceMode {
-    /// Stable lowercase label (used in snapshots and bench output).
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceMode::Off => "off",
-            TraceMode::Counters => "counters",
-            TraceMode::Full => "full",
-        }
-    }
-}
-
-/// Default bound on retained span records (~16 MiB of `SpanRecord`s).
+/// Default bound on retained span records: 262,144 records of 80 bytes,
+/// 20 MiB when full.
 pub const DEFAULT_SPAN_CAP: usize = 262_144;
 
 /// Flight-recorder configuration, set on a network before a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceConfig {
-    /// Hot-path mode.
-    pub mode: TraceMode,
+    /// Hot-path mode: `Counters` keeps per-stage aggregates, `Full` adds
+    /// span records.
+    pub mode: ObsMode,
     /// Maximum span records retained (first-`cap` kept; rest counted as
-    /// dropped). Only meaningful in [`TraceMode::Full`].
+    /// dropped). Only meaningful in [`ObsMode::Full`].
     pub span_cap: usize,
 }
 
@@ -74,7 +53,7 @@ impl TraceConfig {
     /// Everything off (the default; zero-alloc, one branch per stage).
     pub fn off() -> TraceConfig {
         TraceConfig {
-            mode: TraceMode::Off,
+            mode: ObsMode::Off,
             span_cap: DEFAULT_SPAN_CAP,
         }
     }
@@ -82,7 +61,7 @@ impl TraceConfig {
     /// Per-stage aggregates only.
     pub fn counters() -> TraceConfig {
         TraceConfig {
-            mode: TraceMode::Counters,
+            mode: ObsMode::Counters,
             span_cap: DEFAULT_SPAN_CAP,
         }
     }
@@ -90,7 +69,7 @@ impl TraceConfig {
     /// Full span recording with the default cap.
     pub fn full() -> TraceConfig {
         TraceConfig {
-            mode: TraceMode::Full,
+            mode: ObsMode::Full,
             span_cap: DEFAULT_SPAN_CAP,
         }
     }
@@ -181,68 +160,6 @@ impl SpanRecord {
     /// Stage latency in sim nanoseconds.
     pub fn latency_ns(&self) -> u64 {
         self.exit.saturating_sub(self.enter)
-    }
-}
-
-/// Bounded span store: keeps the first `cap` records, counts the rest.
-#[derive(Debug, Clone, Default)]
-pub struct SpanRing {
-    cap: usize,
-    spans: Vec<SpanRecord>,
-    dropped: u64,
-}
-
-impl SpanRing {
-    /// An empty ring retaining at most `cap` spans.
-    pub fn with_cap(cap: usize) -> SpanRing {
-        SpanRing {
-            cap,
-            spans: Vec::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Retention bound.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Records a span; returns `true` if it was kept, `false` if it only
-    /// bumped the drop count.
-    pub fn push(&mut self, rec: SpanRecord) -> bool {
-        if self.spans.len() < self.cap {
-            self.spans.push(rec);
-            true
-        } else {
-            self.dropped += 1;
-            false
-        }
-    }
-
-    /// Spans kept, in emission order.
-    pub fn spans(&self) -> &[SpanRecord] {
-        &self.spans
-    }
-
-    /// Spans that did not fit under the cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total spans emitted (kept + dropped).
-    pub fn emitted(&self) -> u64 {
-        self.spans.len() as u64 + self.dropped
-    }
-
-    /// Adds `n` to the drop count (used by the shard merge when replayed
-    /// spans exceed the merged cap).
-    pub fn add_dropped(&mut self, n: u64) {
-        self.dropped += n;
-    }
-
-    /// Consumes the ring, returning `(kept spans, dropped count)`.
-    pub fn into_parts(self) -> (Vec<SpanRecord>, u64) {
-        (self.spans, self.dropped)
     }
 }
 
@@ -570,12 +487,12 @@ pub struct SpanAccounting {
     pub dropped: u64,
 }
 
-/// Debug-trace bookkeeping of a run (the legacy `TraceEntry` ring).
+/// Event-trace bookkeeping of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceAccounting {
     /// Entries retained.
     pub kept: u64,
-    /// Entries dropped at `TRACE_CAP` (previously silent).
+    /// Entries dropped at the trace cap (100,000 entries).
     pub dropped: u64,
 }
 
@@ -701,33 +618,26 @@ impl ChromeTrace {
 
     /// Names a process (one per CPU location).
     pub fn add_process(&mut self, pid: u64, name: impl Into<String>) {
-        self.traceEvents.push(TraceEvent {
-            ph: "M".into(),
-            name: "process_name".into(),
-            cat: "__metadata".into(),
-            ts: 0.0,
-            dur: 0.0,
-            pid,
-            tid: 0,
-            args: TraceArgs {
-                name: Some(name.into()),
-                ..TraceArgs::default()
-            },
-        });
+        self.add_metadata("process_name", pid, 0, name.into());
     }
 
     /// Names a thread (one per device).
     pub fn add_thread(&mut self, pid: u64, tid: u64, name: impl Into<String>) {
+        self.add_metadata("thread_name", pid, tid, name.into());
+    }
+
+    /// Adds an `M` metadata event naming a process or thread.
+    fn add_metadata(&mut self, what: &str, pid: u64, tid: u64, name: String) {
         self.traceEvents.push(TraceEvent {
             ph: "M".into(),
-            name: "thread_name".into(),
+            name: what.into(),
             cat: "__metadata".into(),
             ts: 0.0,
             dur: 0.0,
             pid,
             tid,
             args: TraceArgs {
-                name: Some(name.into()),
+                name: Some(name),
                 ..TraceArgs::default()
             },
         });
@@ -783,6 +693,7 @@ impl ChromeTrace {
 mod tests {
     use super::*;
     use crate::cpu::CpuAccount;
+    use crate::ring::Ring;
 
     fn rec(seq: u64, enter: u64, exit: u64) -> SpanRecord {
         SpanRecord {
@@ -800,14 +711,14 @@ mod tests {
 
     #[test]
     fn ring_keeps_first_cap_and_counts_drops() {
-        let mut r = SpanRing::with_cap(2);
+        let mut r = Ring::with_cap(2);
         assert!(r.push(rec(1, 0, 5)));
         assert!(r.push(rec(2, 5, 9)));
         assert!(!r.push(rec(3, 9, 12)));
-        assert_eq!(r.spans().len(), 2);
+        assert_eq!(r.items().len(), 2);
         assert_eq!(r.dropped(), 1);
         assert_eq!(r.emitted(), 3);
-        assert_eq!(r.spans()[0].span.seq, 1);
+        assert_eq!(r.items()[0].span.seq, 1);
     }
 
     #[test]

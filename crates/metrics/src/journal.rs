@@ -1,7 +1,7 @@
 //! Structured control-plane event journal: typed, intrinsically-tagged
 //! records for the decisions the packet-level flight recorder never sees
 //! — flow-table promotions, fault windows, CNI degrade/repair cycles,
-//! scheduler placements, coordinator rounds.
+//! scheduler placements, filter rule changes.
 //!
 //! Design constraints mirror the flight recorder (`flight.rs`):
 //!
@@ -14,9 +14,11 @@
 //! 2. *Hot-path cost*: a [`JournalRecord`] is `Copy` with three `u64`
 //!    operands; counters-only mode bumps a fixed per-kind array and
 //!    allocates nothing.
-//! 3. *Bounded memory*: [`JournalRing`] keeps the first `cap` records and
-//!    counts the rest — drops are exported, never silent.
+//! 3. *Bounded memory*: [`JournalRing`] keeps its records in a
+//!    [`Ring`], which keeps the first `cap` and counts the rest — drops
+//!    are exported, never silent.
 
+use crate::ring::{ObsMode, Ring};
 use serde::{Deserialize, Serialize};
 
 /// Intrinsic identity of a journal record: the tag of the simulation
@@ -24,7 +26,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Records emitted outside event processing (harness calls between runs)
 /// use `src == u32::MAX` (the engine's external source) with a dedicated
-/// monotonic sequence; coordinator-lane records use `src == u32::MAX - 1`.
+/// monotonic sequence.
 #[derive(
     Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
@@ -39,10 +41,15 @@ pub struct JournalTag {
 
 /// What a journal record describes. The discriminant is stable (records
 /// serialize the `u8` code) — append new kinds, never renumber.
+///
+/// The first five kinds are reserved and never emitted: they named
+/// coordinator events, which depend on the shard count and so never
+/// belonged in a journal that is identical at every shard count. Their
+/// codes and labels stay so every later kind keeps its code. Round and
+/// ring statistics live in `SyncStats` and the telemetry health fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum JournalKind {
-    /// Coordinator round planned (`a` = round, `b` = shards dispatched,
-    /// `c` = global floor ns).
+    /// Reserved, never emitted (a coordinator round).
     CoordRound,
     /// Reserved, never emitted: the code of a committed speculative
     /// window from the retired optimistic coordinator. Kept so the `u8`
@@ -52,8 +59,7 @@ pub enum JournalKind {
     CoordRollback,
     /// Reserved, never emitted (a speculative result held past its round).
     CoordHold,
-    /// SPSC ring high-water mark at run end (`a` = producer shard,
-    /// `b` = consumer shard, `c` = peak occupancy).
+    /// Reserved, never emitted (a cross-shard ring's high-water mark).
     RingHighWater,
     /// Flow promoted to the fast path (`a` = flow hash, `b` = hop count).
     FlowPromote,
@@ -192,39 +198,18 @@ pub struct JournalRecord {
     pub c: u64,
 }
 
-/// How much journal work happens on the hot path — mirrors `TraceMode`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TelemetryMode {
-    /// No journal work at all: one branch per record site. The default.
-    #[default]
-    Off,
-    /// Per-kind counts only (a fixed array bump; allocation-free).
-    Counters,
-    /// Counts plus full records, bounded by the configured cap.
-    Full,
-}
-
-impl TelemetryMode {
-    /// Stable lowercase label (used in snapshots and bench output).
-    pub fn label(self) -> &'static str {
-        match self {
-            TelemetryMode::Off => "off",
-            TelemetryMode::Counters => "counters",
-            TelemetryMode::Full => "full",
-        }
-    }
-}
-
-/// Default bound on retained journal records (~3 MiB of records).
+/// Default bound on retained journal records: 65,536 records of 56 bytes,
+/// 3.5 MiB when full.
 pub const DEFAULT_JOURNAL_CAP: usize = 65_536;
 
 /// Telemetry-plane configuration, set on a network before a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
-    /// Hot-path mode.
-    pub mode: TelemetryMode,
+    /// Hot-path mode: `Counters` keeps per-kind counts, `Full` adds the
+    /// records.
+    pub mode: ObsMode,
     /// Maximum journal records retained (first-`cap` kept; rest counted
-    /// as dropped). Only meaningful in [`TelemetryMode::Full`].
+    /// as dropped). Only meaningful in [`ObsMode::Full`].
     pub journal_cap: usize,
 }
 
@@ -238,7 +223,7 @@ impl TelemetryConfig {
     /// Everything off (the default; zero-alloc, one branch per site).
     pub fn off() -> TelemetryConfig {
         TelemetryConfig {
-            mode: TelemetryMode::Off,
+            mode: ObsMode::Off,
             journal_cap: DEFAULT_JOURNAL_CAP,
         }
     }
@@ -246,7 +231,7 @@ impl TelemetryConfig {
     /// Per-kind counts only.
     pub fn counters() -> TelemetryConfig {
         TelemetryConfig {
-            mode: TelemetryMode::Counters,
+            mode: ObsMode::Counters,
             journal_cap: DEFAULT_JOURNAL_CAP,
         }
     }
@@ -254,7 +239,7 @@ impl TelemetryConfig {
     /// Full record journaling with the default cap.
     pub fn full() -> TelemetryConfig {
         TelemetryConfig {
-            mode: TelemetryMode::Full,
+            mode: ObsMode::Full,
             journal_cap: DEFAULT_JOURNAL_CAP,
         }
     }
@@ -266,37 +251,30 @@ impl TelemetryConfig {
     }
 }
 
-/// Bounded journal buffer: keeps the first `cap` records, counts the rest
-/// as dropped, and tracks per-kind emission counts (kept *and* dropped)
-/// in all non-off modes.
-#[derive(Debug, Clone)]
+/// The journal buffer: per-kind emission counts (kept *and* dropped) in
+/// every non-off mode, plus the records themselves in a [`Ring`] in full
+/// mode.
+#[derive(Debug, Clone, Default)]
 pub struct JournalRing {
-    mode: TelemetryMode,
-    cap: usize,
-    records: Vec<JournalRecord>,
-    dropped: u64,
+    mode: ObsMode,
+    records: Ring<JournalRecord>,
     counts: [u64; JOURNAL_KINDS],
 }
 
-impl Default for JournalRing {
-    fn default() -> Self {
-        JournalRing::new(TelemetryConfig::off())
+/// The record cap a mode retains under: only full mode keeps records.
+fn record_cap(cfg: TelemetryConfig) -> usize {
+    match cfg.mode {
+        ObsMode::Full => cfg.journal_cap,
+        _ => 0,
     }
 }
 
 impl JournalRing {
-    /// A ring configured by `cfg`. In [`TelemetryMode::Full`] the record
-    /// buffer is pre-allocated to the cap so steady-state pushes never
-    /// reallocate.
+    /// A ring configured by `cfg`. The record buffer grows on demand.
     pub fn new(cfg: TelemetryConfig) -> JournalRing {
         JournalRing {
             mode: cfg.mode,
-            cap: cfg.journal_cap,
-            records: match cfg.mode {
-                TelemetryMode::Full => Vec::with_capacity(cfg.journal_cap.min(DEFAULT_JOURNAL_CAP)),
-                _ => Vec::new(),
-            },
-            dropped: 0,
+            records: Ring::with_cap(record_cap(cfg)),
             counts: [0; JOURNAL_KINDS],
         }
     }
@@ -309,38 +287,21 @@ impl JournalRing {
     /// journal external records during setup and *then* finalize the
     /// configuration (e.g. `SimConfig::build`) without losing them.
     pub fn reconfigure(&mut self, cfg: TelemetryConfig) {
-        self.mode = cfg.mode;
-        self.cap = cfg.journal_cap;
         match cfg.mode {
-            TelemetryMode::Off => {
-                self.records = Vec::new();
-                self.counts = [0; JOURNAL_KINDS];
-                self.dropped = 0;
+            ObsMode::Off => *self = JournalRing::new(cfg),
+            ObsMode::Counters => {
+                let dropped = self.records.dropped();
+                self.records = Ring::default();
+                self.records.add_dropped(dropped);
             }
-            TelemetryMode::Counters => {
-                self.records = Vec::new();
-            }
-            TelemetryMode::Full => {
-                if self.records.capacity() == 0 {
-                    self.records
-                        .reserve(cfg.journal_cap.min(DEFAULT_JOURNAL_CAP));
-                }
-                if self.records.len() > self.cap {
-                    self.dropped += (self.records.len() - self.cap) as u64;
-                    self.records.truncate(self.cap);
-                }
-            }
+            ObsMode::Full => self.records.set_cap(cfg.journal_cap),
         }
+        self.mode = cfg.mode;
     }
 
     /// The configured mode.
-    pub fn mode(&self) -> TelemetryMode {
+    pub fn mode(&self) -> ObsMode {
         self.mode
-    }
-
-    /// The configured record cap.
-    pub fn cap(&self) -> usize {
-        self.cap
     }
 
     /// Records an event. Off mode is a single branch; counters mode bumps
@@ -348,34 +309,30 @@ impl JournalRing {
     /// kept, the rest counted as dropped).
     #[inline]
     pub fn record(&mut self, tag: JournalTag, kind: JournalKind, a: u64, b: u64, c: u64) {
-        if self.mode == TelemetryMode::Off {
+        if self.mode == ObsMode::Off {
             return;
         }
         self.counts[kind as usize] += 1;
-        if self.mode == TelemetryMode::Full {
-            if self.records.len() < self.cap {
-                self.records.push(JournalRecord { tag, kind, a, b, c });
-            } else {
-                self.dropped += 1;
-            }
+        if self.mode == ObsMode::Full {
+            self.records.push(JournalRecord { tag, kind, a, b, c });
         }
     }
 
-    /// Re-pushes an already-built record (shard merge path): same
-    /// first-`cap` + counted-drops semantics, but per-kind counts are
-    /// *not* bumped — the merger sums the shards' count arrays instead.
-    pub fn push_merged(&mut self, rec: JournalRecord) {
-        if self.records.len() < self.cap {
-            self.records.push(rec);
-        } else {
-            self.dropped += 1;
-        }
+    /// Kept records, in emission order.
+    pub fn records(&self) -> &[JournalRecord] {
+        self.records.items()
     }
 
-    /// Adds drops observed elsewhere (a shard's local ring overflowed
-    /// before the merge saw its records).
-    pub fn add_dropped(&mut self, n: u64) {
-        self.dropped += n;
+    /// The record ring itself, for the shard merge: it re-pushes replayed
+    /// records here and sums the shards' counts through
+    /// [`add_counts`](JournalRing::add_counts) instead of re-counting.
+    pub fn records_mut(&mut self) -> &mut Ring<JournalRecord> {
+        &mut self.records
+    }
+
+    /// Records emitted but not kept (ring at capacity).
+    pub fn dropped(&self) -> u64 {
+        self.records.dropped()
     }
 
     /// Adds another ring's per-kind counts (shard merge).
@@ -385,40 +342,16 @@ impl JournalRing {
         }
     }
 
-    /// Kept records, in emission order.
-    pub fn records(&self) -> &[JournalRecord] {
-        &self.records
-    }
-
-    /// Number of kept records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no records are kept.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Records emitted but not kept (ring at capacity).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Per-kind emission counts (kept + dropped), indexed by
     /// `JournalKind as usize`.
     pub fn counts(&self) -> &[u64; JOURNAL_KINDS] {
         &self.counts
     }
 
-    /// Emissions of one kind.
-    pub fn count(&self, kind: JournalKind) -> u64 {
-        self.counts[kind as usize]
-    }
-
     /// Consumes the ring into `(kept records, dropped count, per-kind counts)`.
     pub fn into_parts(self) -> (Vec<JournalRecord>, u64, [u64; JOURNAL_KINDS]) {
-        (self.records, self.dropped, self.counts)
+        let (records, dropped) = self.records.into_parts();
+        (records, dropped, self.counts)
     }
 }
 
@@ -438,9 +371,9 @@ mod tests {
     fn off_mode_records_nothing() {
         let mut r = JournalRing::new(TelemetryConfig::off());
         r.record(tag(1, 0, 1), JournalKind::FlowPromote, 1, 2, 3);
-        assert!(r.is_empty());
+        assert!(r.records().is_empty());
         assert_eq!(r.dropped(), 0);
-        assert_eq!(r.count(JournalKind::FlowPromote), 0);
+        assert_eq!(r.counts()[JournalKind::FlowPromote as usize], 0);
     }
 
     #[test]
@@ -449,9 +382,9 @@ mod tests {
         r.record(tag(1, 0, 1), JournalKind::FlowPromote, 1, 2, 3);
         r.record(tag(2, 0, 2), JournalKind::FlowPromote, 1, 2, 3);
         r.record(tag(3, 0, 3), JournalKind::FaultOpen, 9, 9, 9);
-        assert!(r.is_empty(), "counters mode keeps no records");
-        assert_eq!(r.count(JournalKind::FlowPromote), 2);
-        assert_eq!(r.count(JournalKind::FaultOpen), 1);
+        assert!(r.records().is_empty(), "counters mode keeps no records");
+        assert_eq!(r.counts()[JournalKind::FlowPromote as usize], 2);
+        assert_eq!(r.counts()[JournalKind::FaultOpen as usize], 1);
     }
 
     #[test]
@@ -460,9 +393,13 @@ mod tests {
         for i in 0..5u64 {
             r.record(tag(i, 0, i), JournalKind::SchedPlace, i, 0, 0);
         }
-        assert_eq!(r.len(), 2, "first-cap kept");
+        assert_eq!(r.records().len(), 2, "first-cap kept");
         assert_eq!(r.dropped(), 3, "rest counted");
-        assert_eq!(r.count(JournalKind::SchedPlace), 5, "counts include drops");
+        assert_eq!(
+            r.counts()[JournalKind::SchedPlace as usize],
+            5,
+            "counts include drops"
+        );
         assert_eq!(r.records()[0].a, 0);
         assert_eq!(r.records()[1].a, 1);
     }

@@ -23,6 +23,7 @@ pub mod flight;
 pub mod histogram;
 pub mod intern;
 pub mod journal;
+pub mod ring;
 pub mod series;
 pub mod stats;
 pub mod telemetry;
@@ -30,18 +31,19 @@ pub mod telemetry;
 pub use cdf::Cdf;
 pub use cpu::{CpuAccount, CpuBreakdown, CpuCategory, CpuLocation};
 pub use flight::{
-    ChromeTrace, FlightStamp, Log2Hist, RunSnapshot, SpanAccounting, SpanId, SpanRecord, SpanRing,
-    StageAgg, StageTable, TraceAccounting, TraceConfig, TraceMode,
+    ChromeTrace, FlightStamp, Log2Hist, RunSnapshot, SpanAccounting, SpanId, SpanRecord, StageAgg,
+    StageTable, TraceAccounting, TraceConfig,
 };
 pub use histogram::Histogram;
 pub use intern::{Interner, MetricId};
 pub use journal::{
     journal_name_hash, FlowEscalateReason, JournalKind, JournalRecord, JournalRing, JournalTag,
-    TelemetryConfig, TelemetryMode, DEFAULT_JOURNAL_CAP, JOURNAL_KINDS,
+    TelemetryConfig, DEFAULT_JOURNAL_CAP, JOURNAL_KINDS,
 };
+pub use ring::{ObsMode, Ring};
 pub use series::{Series, SeriesPoint};
 pub use stats::{OnlineStats, Summary};
 pub use telemetry::{
-    CounterId, DropAccounting, GaugeId, HealthSummary, HistId, HistSummary, SeriesExport,
-    TelemetryRegistry, TelemetrySnapshot, TickSeries, TELEMETRY_SCHEMA,
+    DropAccounting, HealthSummary, HistSummary, SeriesExport, TelemetrySnapshot, TickSeries,
+    DEFAULT_SERIES_CAP, TELEMETRY_SCHEMA,
 };

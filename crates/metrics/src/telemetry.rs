@@ -1,11 +1,10 @@
-//! Live metrics registry and the unified telemetry export shapes.
+//! The unified telemetry export shapes.
 //!
 //! The journal (`journal.rs`) answers "what did the control plane
 //! decide"; this module answers "what were the rates and levels while it
-//! did". A [`TelemetryRegistry`] holds interned, fixed-slot counters,
-//! gauges and log2 histograms — registration allocates, steady-state
-//! updates never do — plus tick-sampled time series with streaming
-//! decimation so week-long simulated horizons stay bounded.
+//! did". Harnesses fill a [`TelemetrySnapshot`] after a run: counters,
+//! gauges, [`HistSummary`]s of log2 histograms, and [`TickSeries`] with
+//! streaming decimation so week-long simulated horizons stay bounded.
 //!
 //! Exports:
 //!
@@ -19,7 +18,6 @@
 //!   `flight.rs::ChromeTrace::add_counter`).
 
 use crate::flight::Log2Hist;
-use crate::intern::{Interner, MetricId};
 use crate::journal::{JournalKind, JournalRecord, JOURNAL_KINDS};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -30,25 +28,12 @@ pub const TELEMETRY_SCHEMA: &str = "nestless.telemetry.v1";
 /// Default point cap per tick series before decimation halves it.
 pub const DEFAULT_SERIES_CAP: usize = 4_096;
 
-/// Handle to a registered counter (monotonic `u64`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge (`f64` level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a registered log2 histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistId(usize);
-
 /// One tick-sampled series with streaming decimation: when the point
 /// buffer reaches its cap, every other point is discarded and the keep
 /// stride doubles, so memory stays `O(cap)` for any horizon while the
 /// surviving points remain an even subsample.
 #[derive(Debug, Clone)]
 pub struct TickSeries {
-    name: MetricId,
     cap: usize,
     stride: u64,
     ticks: u64,
@@ -56,9 +41,10 @@ pub struct TickSeries {
 }
 
 impl TickSeries {
-    fn new(name: MetricId, cap: usize) -> TickSeries {
+    /// An empty series keeping fewer than `cap` points (at least 2; see
+    /// [`DEFAULT_SERIES_CAP`]).
+    pub fn new(cap: usize) -> TickSeries {
         TickSeries {
-            name,
             cap: cap.max(2),
             stride: 1,
             ticks: 0,
@@ -110,139 +96,14 @@ impl TickSeries {
     pub fn ticks(&self) -> u64 {
         self.ticks
     }
-}
 
-/// Interned, fixed-slot metrics registry. Registration (name → handle)
-/// allocates; `inc`/`set`/`observe`/`sample` on existing handles do not.
-#[derive(Debug, Default)]
-pub struct TelemetryRegistry {
-    names: Interner,
-    counters: Vec<(MetricId, u64)>,
-    gauges: Vec<(MetricId, f64)>,
-    hists: Vec<(MetricId, Log2Hist)>,
-    series: Vec<TickSeries>,
-    series_cap: usize,
-}
-
-impl TelemetryRegistry {
-    /// An empty registry with the default series cap.
-    pub fn new() -> TelemetryRegistry {
-        TelemetryRegistry {
-            series_cap: DEFAULT_SERIES_CAP,
-            ..TelemetryRegistry::default()
+    /// The series as a snapshot entry named `name`.
+    pub fn export(&self, name: &str) -> SeriesExport {
+        SeriesExport {
+            name: name.to_string(),
+            stride: self.stride,
+            points: self.points.clone(),
         }
-    }
-
-    /// Same registry with a different per-series point cap.
-    pub fn with_series_cap(mut self, cap: usize) -> TelemetryRegistry {
-        self.series_cap = cap.max(2);
-        self
-    }
-
-    /// Registers (or finds) a counter.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        let id = self.names.intern(name);
-        if let Some(i) = self.counters.iter().position(|(n, _)| *n == id) {
-            return CounterId(i);
-        }
-        self.counters.push((id, 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers (or finds) a gauge.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        let id = self.names.intern(name);
-        if let Some(i) = self.gauges.iter().position(|(n, _)| *n == id) {
-            return GaugeId(i);
-        }
-        self.gauges.push((id, 0.0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Registers (or finds) a log2 histogram.
-    pub fn hist(&mut self, name: &str) -> HistId {
-        let id = self.names.intern(name);
-        if let Some(i) = self.hists.iter().position(|(n, _)| *n == id) {
-            return HistId(i);
-        }
-        self.hists.push((id, Log2Hist::new()));
-        HistId(self.hists.len() - 1)
-    }
-
-    /// Registers a tick series and returns its index.
-    pub fn series(&mut self, name: &str) -> usize {
-        let id = self.names.intern(name);
-        if let Some(i) = self.series.iter().position(|s| s.name == id) {
-            return i;
-        }
-        self.series.push(TickSeries::new(id, self.series_cap));
-        self.series.len() - 1
-    }
-
-    /// Bumps a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].1 = self.counters[id.0].1.saturating_add(by);
-    }
-
-    /// Sets a gauge level.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, v: f64) {
-        self.gauges[id.0].1 = v;
-    }
-
-    /// Records one histogram observation.
-    #[inline]
-    pub fn observe(&mut self, id: HistId, v: u64) {
-        self.hists[id.0].1.record(v);
-    }
-
-    /// Current counter value.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
-    /// Current gauge level.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
-    /// Samples one series at sim-time `at_ns`.
-    pub fn sample(&mut self, series: usize, at_ns: u64, value: f64) {
-        self.series[series].push(at_ns, value);
-    }
-
-    /// The tick series, in registration order.
-    pub fn tick_series(&self) -> &[TickSeries] {
-        &self.series
-    }
-
-    /// Resolves an interned metric name.
-    pub fn name_of(&self, id: MetricId) -> &str {
-        self.names.name(id)
-    }
-
-    /// Folds the registry into an (initially journal-less) snapshot.
-    pub fn snapshot(&self, label: &str, mode: &str) -> TelemetrySnapshot {
-        let mut snap = TelemetrySnapshot::new(label, mode);
-        for (id, v) in &self.counters {
-            snap.counters.insert(self.names.name(*id).to_string(), *v);
-        }
-        for (id, v) in &self.gauges {
-            snap.gauges.insert(self.names.name(*id).to_string(), *v);
-        }
-        for (id, h) in &self.hists {
-            snap.histograms
-                .insert(self.names.name(*id).to_string(), HistSummary::of(h));
-        }
-        for s in &self.series {
-            snap.series.push(SeriesExport {
-                name: self.names.name(s.name).to_string(),
-                stride: s.stride,
-                points: s.points.iter().map(|&(x, y)| (x, y)).collect(),
-            });
-        }
-        snap
     }
 }
 
@@ -292,13 +153,6 @@ pub struct DropAccounting {
     pub spans: u64,
     /// Event-trace entries emitted but not kept.
     pub trace: u64,
-}
-
-impl DropAccounting {
-    /// True when nothing was dropped anywhere.
-    pub fn is_clean(&self) -> bool {
-        self.journal == 0 && self.spans == 0 && self.trace == 0
-    }
 }
 
 /// Derived health indicators for the run, computed from journal counts
@@ -468,27 +322,8 @@ mod tests {
     use crate::journal::JournalTag;
 
     #[test]
-    fn registry_counters_gauges_hists_round_trip() {
-        let mut reg = TelemetryRegistry::new();
-        let c = reg.counter("placements");
-        let g = reg.gauge("occupancy");
-        let h = reg.hist("latency_ns");
-        reg.inc(c, 3);
-        reg.set(g, 0.75);
-        reg.observe(h, 1024);
-        reg.observe(h, 2048);
-        assert_eq!(reg.counter_value(c), 3);
-        assert_eq!(reg.gauge_value(g), 0.75);
-        let snap = reg.snapshot("t", "full");
-        assert_eq!(snap.counters["placements"], 3);
-        assert_eq!(snap.gauges["occupancy"], 0.75);
-        assert_eq!(snap.histograms["latency_ns"].count, 2);
-        assert_eq!(reg.counter("placements"), c, "re-registration finds");
-    }
-
-    #[test]
     fn tick_series_decimates_and_stays_bounded() {
-        let mut s = TickSeries::new(MetricId::from_index(0), 8);
+        let mut s = TickSeries::new(8);
         for i in 0..1_000u64 {
             s.push(i * 10, i as f64);
         }
@@ -503,7 +338,7 @@ mod tests {
 
     #[test]
     fn decimate_is_idempotent_under_cap() {
-        let mut s = TickSeries::new(MetricId::from_index(0), 16);
+        let mut s = TickSeries::new(16);
         for i in 0..10u64 {
             s.push(i, i as f64);
         }

@@ -219,12 +219,10 @@ proptest! {
     /// Decimation keeps series bounded, ordered, and is idempotent.
     #[test]
     fn decimation_bounded_ordered_idempotent(n in 0u64..5000, cap in 2usize..64) {
-        let mut reg = metrics::TelemetryRegistry::new().with_series_cap(cap);
-        let s = reg.series("ticks");
+        let mut series = metrics::TickSeries::new(cap);
         for i in 0..n {
-            reg.sample(s, i * 7, i as f64);
+            series.push(i * 7, i as f64);
         }
-        let series = &reg.tick_series()[s];
         prop_assert!(series.points().len() < cap, "cap enforced");
         let xs: Vec<u64> = series.points().iter().map(|p| p.0).collect();
         let mut sorted = xs.clone();

@@ -8,12 +8,11 @@ extern crate nestless;
 use std::collections::{BTreeMap, BTreeSet};
 
 use metrics::{SpanId, SpanRecord, TraceConfig};
-use nestless::topology::{build, Config, Testbed, CLIENT_PORT, SERVER_PORT};
+use nestless::topology::{build, Config, CLIENT_PORT, SERVER_PORT};
 use simnet::endpoint::{AppApi, Application, Incoming};
-use simnet::engine::Network;
 use simnet::frame::Payload;
-use simnet::StopCondition;
-use simnet::{chrome_trace_network, snapshot_network, SimDuration, SockAddr};
+use simnet::{chrome_trace_report, snapshot_report, SimDuration, SockAddr};
+use simnet::{RunReport, StopCondition};
 
 /// Echoes every request back to its sender.
 struct Echo;
@@ -48,8 +47,8 @@ impl Application for Ping {
 }
 
 /// Builds `config`, switches the recorder to full tracing *before* any
-/// event runs, drives a 16-round ping-pong, and returns the testbed.
-fn traced_run(config: Config) -> Testbed {
+/// event runs, drives a 16-round ping-pong, and returns the run's report.
+fn traced_run(config: Config) -> RunReport {
     let mut tb = build(config, 11);
     tb.vmm.network_mut().set_trace_config(TraceConfig::full());
     let target = tb.target;
@@ -64,29 +63,28 @@ fn traced_run(config: Config) -> Testbed {
         }),
     );
     tb.start(&[server, client]);
-    tb.vmm
-        .network_mut()
-        .run(StopCondition::For(SimDuration::secs(1)));
-    tb
+    let net = tb.vmm.network_mut();
+    net.run(StopCondition::For(SimDuration::secs(1)));
+    net.take_report()
 }
 
 /// The set of distinct stage names the run's spans touched.
-fn span_stages(net: &Network) -> BTreeSet<String> {
-    net.spans()
+fn span_stages(report: &RunReport) -> BTreeSet<String> {
+    report
+        .spans
         .iter()
-        .map(|r| net.store().name_of(r.stage).to_string())
+        .map(|r| report.store.name_of(r.stage).to_string())
         .collect()
 }
 
 /// Checks the structural invariants every traced run must satisfy:
 /// non-NONE parents resolve to a recorded span on the same trace, spans
 /// close after they open, and some trace crosses several stages.
-fn assert_span_tree(label: &str, net: &Network) {
-    let spans = net.spans();
+fn assert_span_tree(label: &str, report: &RunReport) {
+    let spans = &report.spans;
     assert!(!spans.is_empty(), "{label}: no spans recorded");
     assert_eq!(
-        net.spans_dropped(),
-        0,
+        report.spans_dropped, 0,
         "{label}: default cap must hold a smoke run"
     );
     let by_id: BTreeMap<(u32, u64), &SpanRecord> = spans
@@ -120,29 +118,28 @@ fn assert_span_tree(label: &str, net: &Network) {
 }
 
 /// Exporters must produce populated output for a traced run.
-fn assert_exports(label: &str, net: &Network) {
-    let snap = snapshot_network(net, label);
+fn assert_exports(label: &str, report: &RunReport) {
+    let snap = snapshot_report(report, label);
     assert_eq!(snap.trace_mode, "full", "{label}: snapshot trace mode");
     assert!(!snap.stages.is_empty(), "{label}: snapshot stage map");
     assert_eq!(
         snap.spans.kept as usize,
-        net.spans().len(),
+        report.spans.len(),
         "{label}: snapshot span accounting"
     );
-    let chrome = chrome_trace_network(net);
+    let chrome = chrome_trace_report(report);
     assert!(!chrome.is_empty(), "{label}: chrome trace events");
     // Spans plus at least one process/thread metadata record each.
     assert!(
-        chrome.len() > net.spans().len(),
+        chrome.len() > report.spans.len(),
         "{label}: chrome trace is missing metadata events"
     );
 }
 
 #[test]
 fn hostlo_path_is_fully_traced() {
-    let tb = traced_run(Config::Hostlo);
-    let net = tb.vmm.network();
-    let stages = span_stages(net);
+    let report = traced_run(Config::Hostlo);
+    let stages = span_stages(&report);
     assert!(
         stages.contains("stage.hostlo"),
         "hostlo TAP fan-out must be staged, saw {stages:?}"
@@ -151,15 +148,14 @@ fn hostlo_path_is_fully_traced() {
         stages.contains("stage.endpoint"),
         "delivery must close the flight path, saw {stages:?}"
     );
-    assert_span_tree("hostlo", net);
-    assert_exports("hostlo", net);
+    assert_span_tree("hostlo", &report);
+    assert_exports("hostlo", &report);
 }
 
 #[test]
 fn brfusion_path_is_fully_traced() {
-    let tb = traced_run(Config::BrFusion);
-    let net = tb.vmm.network();
-    let stages = span_stages(net);
+    let report = traced_run(Config::BrFusion);
+    let stages = span_stages(&report);
     assert!(
         stages.contains("stage.bridge"),
         "host bridge must be staged, saw {stages:?}"
@@ -168,6 +164,6 @@ fn brfusion_path_is_fully_traced() {
         stages.contains("stage.endpoint"),
         "delivery must close the flight path, saw {stages:?}"
     );
-    assert_span_tree("brfusion", net);
-    assert_exports("brfusion", net);
+    assert_span_tree("brfusion", &report);
+    assert_exports("brfusion", &report);
 }

@@ -2,8 +2,10 @@
 //!
 //! [`SimConfig`] is the unified front door for every engine knob that used
 //! to be scattered across constructors and ad-hoc `std::env` reads: shard
-//! count, coordinator backend, flight recorder, event tracing, the fault
-//! plan, and the simulation [`Fidelity`].
+//! count, coordinator backend, flight recorder, telemetry journal, the
+//! fault plan, and the simulation [`Fidelity`]. (The debugging event trace
+//! is switched on the [`Network`] itself, with
+//! [`Network::set_tracing`], and survives `build`.)
 //!
 //! The `SIMNET_*` environment variables still work, but they are demoted
 //! to *overrides parsed here and nowhere else*:
@@ -29,7 +31,7 @@ use crate::engine::Network;
 use crate::fault::FaultPlan;
 use crate::flow::Fidelity;
 use crate::parallel::ShardedNetwork;
-use metrics::{TelemetryConfig, TelemetryMode, TraceConfig};
+use metrics::{ObsMode, TelemetryConfig, TraceConfig};
 
 /// Reads the `SIMNET_SHARDS` environment knob (default 1). Values below 1
 /// or unparsable values read as 1.
@@ -51,12 +53,12 @@ pub fn inline_from_env() -> Option<bool> {
 /// Reads the `SIMNET_TELEMETRY` environment knob: `off`, `counters`, or
 /// `full`. Unset or unrecognized values read as `None` (caller keeps its
 /// programmed default).
-pub fn telemetry_from_env() -> Option<TelemetryMode> {
+pub fn telemetry_from_env() -> Option<ObsMode> {
     let v = std::env::var("SIMNET_TELEMETRY").ok()?;
     match v.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "none" => Some(TelemetryMode::Off),
-        "counters" => Some(TelemetryMode::Counters),
-        "full" | "journal" => Some(TelemetryMode::Full),
+        "off" | "0" | "none" => Some(ObsMode::Off),
+        "counters" => Some(ObsMode::Counters),
+        "full" | "journal" => Some(ObsMode::Full),
         _ => None,
     }
 }
@@ -77,14 +79,13 @@ pub fn fidelity_from_env() -> Option<Fidelity> {
 /// Builder for a fully configured simulation (see module docs).
 ///
 /// Defaults match a plain `ShardedNetwork::new(net, 1)`: one shard,
-/// backend by core-count heuristic, flight recorder off, no event trace,
-/// no fault plan, packet fidelity.
+/// backend by core-count heuristic, flight recorder and journal off, no
+/// fault plan, packet fidelity.
 #[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     shards: Option<usize>,
     inline: Option<bool>,
     trace: TraceConfig,
-    tracing: bool,
     fault: Option<FaultPlan>,
     fidelity: Fidelity,
     telemetry: TelemetryConfig,
@@ -143,12 +144,6 @@ impl SimConfig {
         self
     }
 
-    /// Full event tracing (every event's time/device/content retained).
-    pub fn tracing(mut self, on: bool) -> SimConfig {
-        self.tracing = on;
-        self
-    }
-
     /// Installs a deterministic fault plan.
     pub fn fault(mut self, plan: FaultPlan) -> SimConfig {
         self.fault = Some(plan);
@@ -168,7 +163,7 @@ impl SimConfig {
     }
 
     /// The configured telemetry plane (for harness-side branching).
-    pub fn telemetry_mode(&self) -> TelemetryMode {
+    pub fn telemetry_mode(&self) -> ObsMode {
         self.telemetry.mode
     }
 
@@ -186,9 +181,6 @@ impl SimConfig {
     /// processed events yet) and shards it.
     pub fn build(self, mut net: Network) -> ShardedNetwork {
         net.set_trace_config(self.trace);
-        if self.tracing {
-            net.set_tracing(true);
-        }
         if let Some(plan) = self.fault {
             net.install_fault_plan(plan);
         }
@@ -249,11 +241,11 @@ mod tests {
         std::env::remove_var("SIMNET_TELEMETRY");
         assert_eq!(telemetry_from_env(), None);
         std::env::set_var("SIMNET_TELEMETRY", "counters");
-        assert_eq!(telemetry_from_env(), Some(TelemetryMode::Counters));
+        assert_eq!(telemetry_from_env(), Some(ObsMode::Counters));
         std::env::set_var("SIMNET_TELEMETRY", "FULL");
-        assert_eq!(telemetry_from_env(), Some(TelemetryMode::Full));
+        assert_eq!(telemetry_from_env(), Some(ObsMode::Full));
         std::env::set_var("SIMNET_TELEMETRY", "off");
-        assert_eq!(telemetry_from_env(), Some(TelemetryMode::Off));
+        assert_eq!(telemetry_from_env(), Some(ObsMode::Off));
         std::env::set_var("SIMNET_TELEMETRY", "bogus");
         assert_eq!(telemetry_from_env(), None);
 
@@ -263,7 +255,7 @@ mod tests {
         let cfg = SimConfig::new()
             .telemetry(TelemetryConfig::counters().with_journal_cap(128))
             .env_overrides();
-        assert_eq!(cfg.telemetry_mode(), TelemetryMode::Full);
+        assert_eq!(cfg.telemetry_mode(), ObsMode::Full);
         assert_eq!(cfg.telemetry.journal_cap, 128);
         std::env::remove_var("SIMNET_TELEMETRY");
     }

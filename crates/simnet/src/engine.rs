@@ -46,11 +46,12 @@ use crate::flow::{
 };
 use crate::frame::{Frame, Transport};
 use crate::nat::NatControl;
+use crate::obs::Recorder;
+use crate::parallel::RunReport;
 use crate::time::{SimDuration, SimTime};
 use metrics::{
     CpuAccount, CpuCategory, CpuLocation, FlightStamp, Interner, JournalKind, JournalRing,
-    JournalTag, MetricId, SpanId, SpanRecord, SpanRing, StageTable, TelemetryConfig, TelemetryMode,
-    TraceConfig, TraceMode,
+    MetricId, ObsMode, Ring, SpanId, SpanRecord, TelemetryConfig, TraceConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -394,9 +395,6 @@ pub struct TraceEntry {
     pub what: String,
 }
 
-/// Cap on stored trace entries (tracing is a debugging aid, not a log).
-pub(crate) const TRACE_CAP: usize = 100_000;
-
 /// One endpoint's view of a link: who is on the other side, and with what
 /// propagation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -422,21 +420,6 @@ pub(crate) struct RemoteEvent {
     pub(crate) tag: EventTag,
     pub(crate) dev: DeviceId,
     pub(crate) payload: RemotePayload,
-}
-
-/// Per-event bookkeeping kept by shard networks: the event's tag plus how
-/// many journal records, trace entries and retained spans it produced. The
-/// merge replays these logs in frontier order to reconstruct the exact
-/// sequential interleaving of samples, traces and spans.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LogEntry {
-    pub(crate) tag: EventTag,
-    pub(crate) recs: u32,
-    pub(crate) traces: u32,
-    pub(crate) spans: u32,
-    /// Journal records *kept* by this event (drops are reconciled
-    /// wholesale at merge time, like span drops).
-    pub(crate) jrecs: u32,
 }
 
 /// Control-plane handles the flow fast path consults per fast-path
@@ -478,27 +461,12 @@ pub struct Network {
     seed: u64,
     store: SampleStore,
     link_lost: MetricId,
-    trace: Option<Vec<TraceEntry>>,
-    /// Trace entries that did not fit under [`TRACE_CAP`] (previously the
-    /// trace silently truncated).
-    trace_dropped: u64,
-    /// Flight-recorder configuration (off / counters-only / full spans).
-    flight: TraceConfig,
-    /// Retained span records (only written in [`TraceMode::Full`]).
-    spans: SpanRing,
-    /// Per-stage frame/latency/CPU aggregates (written in `Counters` and
-    /// `Full` modes).
-    stages: StageTable,
-    /// CPU ns charged so far while handling the current event; reset per
-    /// event, consumed by [`DevCtx::stage_frame`] for span attribution.
-    event_cpu_ns: u64,
-    /// Portion of `event_cpu_ns` already attributed to a stage.
-    event_cpu_claimed: u64,
+    /// Event trace, flight recorder, journal and (shards) event log.
+    obs: Recorder,
     /// Device pairs the partitioner must keep in one shard (e.g. devices
     /// serializing on one shared station).
     affinity: Vec<(DeviceId, DeviceId)>,
     shard: Option<ShardCtx>,
-    event_log: Option<Vec<LogEntry>>,
     /// Scheduled fault plan (see `fault.rs`); shared read-only with every
     /// shard when the network is split.
     fault: Option<Arc<FaultPlan>>,
@@ -513,17 +481,6 @@ pub struct Network {
     /// costs. Cleared each event; only written while a flow table is
     /// installed.
     event_charges: Vec<(CpuLocation, CpuCategory, u64)>,
-    /// Telemetry-plane configuration (off / counters / full journal).
-    telem: TelemetryConfig,
-    /// The control-plane event journal (see `metrics::journal`).
-    journal: JournalRing,
-    /// Intrinsic tag of the event currently being processed — the tag
-    /// every journal record emitted during [`step`](Network::step) carries.
-    cur_tag: JournalTag,
-    /// Sequence counter for journal records emitted outside event
-    /// processing (harness/control-plane calls between runs). Separate
-    /// from `inject_seq` so journaling never perturbs event tags.
-    ext_jseq: u64,
     /// Open/closed state per fault-plan window (link faults first, then
     /// stalls), scanned on emission to journal window transitions. Empty
     /// unless telemetry is on and a fault plan is installed.
@@ -551,24 +508,13 @@ impl Network {
             seed,
             store,
             link_lost,
-            trace: None,
-            trace_dropped: 0,
-            flight: TraceConfig::off(),
-            spans: SpanRing::default(),
-            stages: StageTable::new(),
-            event_cpu_ns: 0,
-            event_cpu_claimed: 0,
+            obs: Recorder::default(),
             affinity: Vec::new(),
             shard: None,
-            event_log: None,
             fault: None,
             fault_ids: None,
             flow: None,
             event_charges: Vec::new(),
-            telem: TelemetryConfig::off(),
-            journal: JournalRing::default(),
-            cur_tag: JournalTag::default(),
-            ext_jseq: 0,
             fault_open: Vec::new(),
             policies: Arc::new(PolicyRegistry::default()),
         }
@@ -623,16 +569,12 @@ impl Network {
     /// Configures the flight recorder. Must be called before any event is
     /// processed (devices observe the mode from their first frame on).
     pub fn set_trace_config(&mut self, cfg: TraceConfig) {
-        self.flight = cfg;
-        self.spans = match cfg.mode {
-            TraceMode::Full => SpanRing::with_cap(cfg.span_cap),
-            _ => SpanRing::default(),
-        };
+        self.obs.set_flight(cfg);
     }
 
     /// The active flight-recorder configuration.
     pub fn trace_config(&self) -> TraceConfig {
-        self.flight
+        self.obs.flight
     }
 
     /// Configures the telemetry plane (control-plane journal). Mirrors
@@ -642,31 +584,25 @@ impl Network {
     /// setup, before `SimConfig::build` re-applies the configuration)
     /// survive as long as the new mode retains them.
     pub fn set_telemetry_config(&mut self, cfg: TelemetryConfig) {
-        self.telem = cfg;
-        self.journal.reconfigure(cfg);
+        self.obs.set_telem(cfg);
         self.resize_fault_open();
     }
 
     /// The active telemetry configuration.
     pub fn telemetry_config(&self) -> TelemetryConfig {
-        self.telem
+        self.obs.telem
     }
 
     /// The control-plane journal collected so far.
     pub fn journal(&self) -> &JournalRing {
-        &self.journal
-    }
-
-    /// Takes the journal ring, leaving a fresh one (same config) behind.
-    pub fn take_journal(&mut self) -> JournalRing {
-        std::mem::replace(&mut self.journal, JournalRing::new(self.telem))
+        &self.obs.journal
     }
 
     /// (Re)sizes the fault-window transition state: one open/closed flag
     /// per plan window when both telemetry and a fault plan are active.
     fn resize_fault_open(&mut self) {
-        let n = match (&self.fault, self.telem.mode) {
-            (Some(plan), TelemetryMode::Counters | TelemetryMode::Full) => {
+        let n = match (&self.fault, self.obs.telem.mode) {
+            (Some(plan), ObsMode::Counters | ObsMode::Full) => {
                 plan.link_faults().len() + plan.stalls().len()
             }
             _ => 0,
@@ -674,29 +610,12 @@ impl Network {
         self.fault_open = vec![false; n];
     }
 
-    /// Emits a journal record with the current event's intrinsic tag.
-    /// Off-mode cost: one branch inside [`JournalRing::record`].
-    #[inline]
-    fn jrec(&mut self, kind: JournalKind, a: u64, b: u64, c: u64) {
-        self.journal.record(self.cur_tag, kind, a, b, c);
-    }
-
     /// Emits a journal record from *outside* event processing (harness or
     /// control-plane code between runs). Tagged with the external source
     /// and a dedicated monotonic sequence, so enabling telemetry never
     /// perturbs event tags.
     pub fn journal_external(&mut self, kind: JournalKind, a: u64, b: u64, c: u64) {
-        if self.telem.mode == TelemetryMode::Off {
-            return;
-        }
-        let seq = self.ext_jseq;
-        self.ext_jseq += 1;
-        let tag = JournalTag {
-            at_ns: self.now.0,
-            src: EXTERNAL_SRC,
-            seq,
-        };
-        self.journal.record(tag, kind, a, b, c);
+        self.obs.journal_external(self.now, kind, a, b, c);
     }
 
     /// Registers `ctl` as device `dev`'s filter table for the flow fast
@@ -748,44 +667,42 @@ impl Network {
         ok
     }
 
-    /// Span records retained so far (empty unless [`TraceMode::Full`]).
-    pub fn spans(&self) -> &[SpanRecord] {
-        self.spans.spans()
-    }
-
-    /// Spans emitted in total (kept + dropped at the span cap).
-    pub fn spans_emitted(&self) -> u64 {
-        self.spans.emitted()
-    }
-
-    /// Spans dropped because the span ring was full.
-    pub fn spans_dropped(&self) -> u64 {
-        self.spans.dropped()
-    }
-
-    /// Per-stage latency/CPU aggregates (empty when the recorder is off).
-    pub fn stages(&self) -> &StageTable {
-        &self.stages
-    }
-
-    /// Trace entries dropped at [`TRACE_CAP`]. Before the flight recorder
-    /// the trace silently truncated; now every overflow is counted and
-    /// surfaced in run snapshots.
-    pub fn dropped_traces(&self) -> u64 {
-        self.trace_dropped
-    }
-
     /// Enables (or disables) event tracing. Traced runs record every
     /// event's time, device and content — invaluable for walking a
     /// packet's hop-by-hop path through a topology (see the `pathfinder`
-    /// binary), at a real memory cost.
+    /// binary), at a real memory cost. The first 100,000 entries are kept
+    /// and the rest counted as dropped. Set it before
+    /// [`SimConfig::build`](crate::SimConfig::build) to trace a sharded run.
     pub fn set_tracing(&mut self, on: bool) {
-        self.trace = if on { Some(Vec::new()) } else { None };
+        self.obs.set_tracing(on);
     }
 
     /// Trace entries collected so far (empty when tracing is off).
     pub fn trace(&self) -> &[TraceEntry] {
-        self.trace.as_deref().unwrap_or(&[])
+        self.obs.trace.as_ref().map_or(&[], Ring::items)
+    }
+
+    /// Takes everything the run recorded — store, CPU account, event
+    /// trace, spans, stage aggregates and journal — as the [`RunReport`]
+    /// every exporter reads. The recorder restarts empty with the same
+    /// configuration; the store and CPU account are gone, so the network
+    /// is spent.
+    pub fn take_report(&mut self) -> RunReport {
+        let fresh = self.obs.fresh();
+        let obs = std::mem::replace(&mut self.obs, fresh);
+        RunReport {
+            cpu: self.take_cpu(),
+            device_names: self.device_names(),
+            events_processed: self.processed,
+            dropped_no_link: self.dropped_no_link,
+            now: self.now,
+            ..obs.into_report(self.take_store())
+        }
+    }
+
+    /// Name of every device, indexed by device id.
+    pub(crate) fn device_names(&self) -> Vec<String> {
+        self.devices.iter().map(|d| d.name.clone()).collect()
     }
 
     /// Adds a device located at `loc` (host or a VM); returns its id.
@@ -1076,24 +993,9 @@ impl Network {
         }
     }
 
-    /// Takes the event log (shard networks only).
-    pub(crate) fn take_event_log(&mut self) -> Vec<LogEntry> {
-        self.event_log.take().unwrap_or_default()
-    }
-
-    /// Takes the trace buffer.
-    pub(crate) fn take_trace(&mut self) -> Vec<TraceEntry> {
-        self.trace.take().unwrap_or_default()
-    }
-
-    /// Takes the span ring, leaving an empty one behind.
-    pub(crate) fn take_spans(&mut self) -> SpanRing {
-        std::mem::take(&mut self.spans)
-    }
-
-    /// Takes the stage table, leaving an empty one behind.
-    pub(crate) fn take_stages(&mut self) -> StageTable {
-        std::mem::take(&mut self.stages)
+    /// Takes the recorder (shard merge).
+    pub(crate) fn take_obs(&mut self) -> Recorder {
+        std::mem::take(&mut self.obs)
     }
 
     /// Takes the sample store, leaving an empty one behind.
@@ -1106,20 +1008,26 @@ impl Network {
         std::mem::take(&mut self.cpu)
     }
 
-    /// Splits an un-run network into one [`Network`] per shard of `plan`.
+    /// Splits an un-run network into one [`Network`] per shard of `plan`,
+    /// returned with the master's recorder (the merge target, holding any
+    /// journal records emitted before the split).
     ///
     /// Every shard keeps the full link table and a full-length device vector
     /// (foreign slots are stubs), so device ids keep working unchanged; the
     /// heap contents are distributed by destination device. Shard stores
-    /// record through journals and every shard keeps an event log, which is
-    /// what lets `parallel::ShardedNetwork::into_report` reconstruct the
-    /// exact sequential interleaving.
+    /// record through journals and every shard recorder keeps an event log,
+    /// which is what lets `obs::merge` reconstruct the exact sequential
+    /// interleaving.
     ///
     /// # Panics
     /// Panics if events have already been processed: devices cache
     /// [`MetricId`]s from the store they first record into, so the split
     /// must happen before any device runs.
-    pub(crate) fn split(mut self, shard_of: &Arc<Vec<u32>>, nshards: usize) -> Vec<Network> {
+    pub(crate) fn split(
+        mut self,
+        shard_of: &Arc<Vec<u32>>,
+        nshards: usize,
+    ) -> (Vec<Network>, Recorder) {
         assert_eq!(
             self.processed, 0,
             "a network must be sharded before any event is processed"
@@ -1137,13 +1045,12 @@ impl Network {
             };
             initial[shard_of[dev.0] as usize].push((key.tag, kind));
         }
-        let names: Vec<String> = self.devices.iter().map(|d| d.name.clone()).collect();
+        let names = self.device_names();
         let locs: Vec<CpuLocation> = self.devices.iter().map(|d| d.loc).collect();
         let mut slots: Vec<Option<DeviceSlot>> = self.devices.into_iter().map(Some).collect();
-        let tracing = self.trace.is_some();
         let mut master_store = Some(self.store);
         let mut initial = initial.into_iter();
-        (0..nshards)
+        let nets = (0..nshards)
             .map(|s| {
                 let devices: Vec<DeviceSlot> = (0..slots.len())
                     .map(|i| {
@@ -1195,42 +1102,17 @@ impl Network {
                     seed: self.seed,
                     store,
                     link_lost,
-                    trace: tracing.then(Vec::new),
-                    trace_dropped: 0,
-                    // Every shard runs the master's recorder config with the
-                    // *global* span cap: a shard's share of the sequential
-                    // first-cap spans is a prefix of its own emission order,
-                    // so per-shard cap == global cap retains a superset of
-                    // what the merge keeps (see `parallel::into_report`).
-                    flight: self.flight,
-                    spans: match self.flight.mode {
-                        TraceMode::Full => SpanRing::with_cap(self.flight.span_cap),
-                        _ => SpanRing::default(),
-                    },
-                    stages: StageTable::new(),
-                    event_cpu_ns: 0,
-                    event_cpu_claimed: 0,
+                    obs: self.obs.for_shard(),
                     affinity: Vec::new(),
                     shard: Some(ShardCtx {
                         shard_of: Arc::clone(shard_of),
                         me: s as u32,
                         outbox: Vec::new(),
                     }),
-                    event_log: Some(Vec::new()),
                     fault: self.fault.clone(),
                     fault_ids,
                     flow,
                     event_charges: Vec::new(),
-                    // Every shard journals at the master's mode with the
-                    // *global* record cap: a shard's emission order is a
-                    // subsequence of the sequential order, so a record a
-                    // shard drops (local index >= cap) would have been
-                    // dropped sequentially too — per-shard cap == global
-                    // cap retains a superset of what the merge keeps.
-                    telem: self.telem,
-                    journal: JournalRing::new(self.telem),
-                    cur_tag: JournalTag::default(),
-                    ext_jseq: self.ext_jseq,
                     fault_open: Vec::new(),
                     policies: Arc::clone(&self.policies),
                 };
@@ -1240,7 +1122,8 @@ impl Network {
                 }
                 net
             })
-            .collect()
+            .collect();
+        (nets, self.obs)
     }
 
     /// Processes the next event. Returns `false` when the queue is empty.
@@ -1260,43 +1143,22 @@ impl Network {
         // Journal records emitted while handling this event carry its
         // intrinsic tag — a pure function of the simulation, identical at
         // every shard count.
-        self.cur_tag = JournalTag {
-            at_ns: key.tag.at.0,
-            src: key.tag.src,
-            seq: key.tag.seq,
-        };
-        let logging = self.event_log.is_some();
-        let (recs_before, traces_before, spans_before, jrecs_before) = if logging {
-            (
-                self.store.journal_len(),
-                self.trace.as_ref().map_or(0, Vec::len),
-                self.spans.spans().len(),
-                self.journal.len(),
-            )
-        } else {
-            (0, 0, 0, 0)
-        };
-        if let Some(trace) = &mut self.trace {
-            if trace.len() < TRACE_CAP {
-                let what = match &kind {
+        self.obs.begin_event(key.tag, &self.store);
+        if let Some(trace) = &mut self.obs.trace {
+            let device = &self.devices[dev_id.0].name;
+            trace.push_with(|| TraceEntry {
+                at: key.tag.at,
+                device: device.clone(),
+                what: match &kind {
                     EventKind::Frame { frame, .. } => format!("frame {frame}"),
                     EventKind::Timer { token, .. } => format!("timer {token}"),
                     EventKind::FlowAdvert { update, .. } => format!(
                         "flow advert {}:{} lat {}ns",
                         update.key.src_port, update.key.dst_port, update.lat
                     ),
-                };
-                trace.push(TraceEntry {
-                    at: key.tag.at,
-                    device: self.devices[dev_id.0].name.clone(),
-                    what,
-                });
-            } else {
-                self.trace_dropped += 1;
-            }
+                },
+            });
         }
-        self.event_cpu_ns = 0;
-        self.event_cpu_claimed = 0;
         self.event_charges.clear();
         match kind {
             // Adverts are absorbed by the engine itself — the flow table is
@@ -1337,41 +1199,20 @@ impl Network {
                 self.devices[dev_id.0].dev = Some(dev);
             }
         }
-        if logging {
-            let recs = (self.store.journal_len() - recs_before) as u32;
-            let traces = (self.trace.as_ref().map_or(0, Vec::len) - traces_before) as u32;
-            let spans = (self.spans.spans().len() - spans_before) as u32;
-            let jrecs = (self.journal.len() - jrecs_before) as u32;
-            // An event that recorded nothing adds nothing to the merged
-            // interleaving — skipping its entry keeps the log (and the
-            // frontier merge, which is O(log length)) proportional to the
-            // *observability* volume rather than the event volume.
-            if recs | traces | spans | jrecs != 0 {
-                self.event_log.as_mut().unwrap().push(LogEntry {
-                    tag: key.tag,
-                    recs,
-                    traces,
-                    spans,
-                    jrecs,
-                });
-            }
-        }
+        self.obs.end_event(&self.store);
         true
     }
 
     /// Translates a flow-table decision into its journal record.
     fn journal_flow_event(&mut self, ev: FlowEvent) {
-        match ev {
-            FlowEvent::Promoted { origin, lat } => {
-                self.jrec(JournalKind::FlowPromote, origin as u64, lat, 0);
-            }
+        let (kind, origin, b) = match ev {
+            FlowEvent::Promoted { origin, lat } => (JournalKind::FlowPromote, origin, lat),
             FlowEvent::Escalated { origin, reason } => {
-                self.jrec(JournalKind::FlowEscalate, origin as u64, reason as u64, 0);
+                (JournalKind::FlowEscalate, origin, reason as u64)
             }
-            FlowEvent::Pinned { origin } => {
-                self.jrec(JournalKind::FlowPin, origin as u64, 0, 0);
-            }
-        }
+            FlowEvent::Pinned { origin } => (JournalKind::FlowPin, origin, 0),
+        };
+        self.obs.jrec(kind, origin as u64, b, 0);
     }
 
     /// Runs the network until `stop` is reached (or the queue empties).
@@ -1415,7 +1256,7 @@ impl Network {
         // call within this event belongs to the next staged span. One add;
         // the mirror charge below is *not* double-counted (it is the same
         // work, seen from the host).
-        self.event_cpu_ns += d.as_nanos();
+        self.obs.event_cpu_ns += d.as_nanos();
         // Work executed inside a VM is vCPU time the host hands to the
         // guest: mirror it into the host's `guest` bucket, as `top` on the
         // host would report it (figs. 14/15 rely on this attribution).
@@ -1439,10 +1280,11 @@ impl Network {
     ) {
         let enter = self.now.as_nanos();
         let exit = done.as_nanos().max(enter);
-        let cpu_ns = self.event_cpu_ns - self.event_cpu_claimed;
-        self.event_cpu_claimed = self.event_cpu_ns;
-        self.stages.record(stage, exit - enter, cpu_ns);
-        if self.flight.mode != TraceMode::Full {
+        let obs = &mut self.obs;
+        let cpu_ns = obs.event_cpu_ns - obs.event_cpu_claimed;
+        obs.event_cpu_claimed = obs.event_cpu_ns;
+        obs.stages.record(stage, exit - enter, cpu_ns);
+        if obs.flight.mode != ObsMode::Full {
             return;
         }
         let slot = &mut self.devices[id.0];
@@ -1464,7 +1306,7 @@ impl Network {
             trace,
             parent: span,
         };
-        self.spans.push(SpanRecord {
+        self.obs.spans.push(SpanRecord {
             trace,
             span,
             parent,
@@ -1524,8 +1366,8 @@ impl Network {
         // level end to end so traces and span trees remain complete.
         let slot = &self.devices[id.0];
         if slot.kind != DeviceKind::Endpoint
-            || self.trace.is_some()
-            || self.flight.mode == TraceMode::Full
+            || self.obs.trace.is_some()
+            || self.obs.flight.mode == ObsMode::Full
             || frame.flight.trace != 0
         {
             return Some(frame);
@@ -1783,15 +1625,22 @@ impl<'a> DevCtx<'a> {
                     // shard counts: a window's device lives on exactly one
                     // shard and its emissions are totally ordered, so the
                     // transition is detected at the same event everywhere.
-                    // Empty (one branch) unless telemetry is on.
+                    // Empty (one branch) unless telemetry is on. Windows are
+                    // indexed link faults first, then stalls (port 0).
                     if !net.fault_open.is_empty() {
-                        let tag = net.cur_tag;
-                        let nlinks = plan.link_faults().len();
-                        for (i, w) in plan.link_faults().iter().enumerate() {
-                            if w.dev != self.id {
+                        let links = plan
+                            .link_faults()
+                            .iter()
+                            .map(|w| (w.dev, w.port, w.from, w.until));
+                        let stalls = plan
+                            .stalls()
+                            .iter()
+                            .map(|w| (w.dev, PortId(0), w.from, w.until));
+                        for (i, (dev, port, from, until)) in links.chain(stalls).enumerate() {
+                            if dev != self.id {
                                 continue;
                             }
-                            let active = w.from <= when && when < w.until;
+                            let active = from <= when && when < until;
                             if active != net.fault_open[i] {
                                 net.fault_open[i] = active;
                                 let kind = if active {
@@ -1799,29 +1648,7 @@ impl<'a> DevCtx<'a> {
                                 } else {
                                     JournalKind::FaultClose
                                 };
-                                net.journal.record(
-                                    tag,
-                                    kind,
-                                    w.dev.0 as u64,
-                                    w.port.0 as u64,
-                                    i as u64,
-                                );
-                            }
-                        }
-                        for (j, w) in plan.stalls().iter().enumerate() {
-                            if w.dev != self.id {
-                                continue;
-                            }
-                            let active = w.from <= when && when < w.until;
-                            let i = nlinks + j;
-                            if active != net.fault_open[i] {
-                                net.fault_open[i] = active;
-                                let kind = if active {
-                                    JournalKind::FaultOpen
-                                } else {
-                                    JournalKind::FaultClose
-                                };
-                                net.journal.record(tag, kind, w.dev.0 as u64, 0, i as u64);
+                                net.obs.jrec(kind, dev.0 as u64, port.0 as u64, i as u64);
                             }
                         }
                     }
@@ -1960,7 +1787,7 @@ impl<'a> DevCtx<'a> {
     /// obtained from [`metric`](DevCtx::metric) and cached by the device.
     #[inline]
     pub fn stage_frame(&mut self, stage: MetricId, frame: &mut Frame, done: SimTime) {
-        if self.net.flight.mode == TraceMode::Off {
+        if self.net.obs.flight.mode == ObsMode::Off {
             return;
         }
         self.net.flight_stage(self.id, self.loc, stage, frame, done);
@@ -1972,7 +1799,7 @@ impl<'a> DevCtx<'a> {
     /// cost: one branch.
     #[inline]
     pub fn journal(&mut self, kind: JournalKind, a: u64, b: u64, c: u64) {
-        self.net.jrec(kind, a, b, c);
+        self.net.obs.jrec(kind, a, b, c);
     }
 }
 

@@ -1,19 +1,21 @@
-//! Exporters for the packet flight recorder: turn a finished run — a
-//! sequential [`Network`] or a merged [`RunReport`] — into the two
-//! portable artifacts of the observability layer:
+//! Exporters of the observability plane. Each reads one input, a finished
+//! run's [`RunReport`] — from [`Network::take_report`](crate::Network::take_report)
+//! for a sequential run, [`ShardedNetwork::into_report`](crate::ShardedNetwork::into_report)
+//! for a sharded one — so every export is identical at any shard count:
 //!
 //! * a [`RunSnapshot`]: counters, sample summaries, CPU attribution by
 //!   location × category, per-stage latency CDFs and recorder
 //!   bookkeeping, serialized to JSON by benches into `results/`;
 //! * a [`ChromeTrace`]: the retained spans as Chrome `trace_event` JSON,
 //!   loadable directly in Perfetto or `chrome://tracing`, one process
-//!   per CPU location and one thread per device.
+//!   per CPU location and one thread per device;
+//! * a [`TelemetrySnapshot`]: the journal with its per-kind counts, drop
+//!   accounting for every bounded ring, and health indicators, plus its
+//!   Perfetto counter tracks.
 //!
-//! Both exporters are pure reads — they never perturb the run they
-//! describe, so exporting after a run is always safe.
+//! Every exporter is a pure read of the report.
 
-use crate::device::DeviceId;
-use crate::engine::{Network, SampleStore};
+use crate::engine::SampleStore;
 use crate::parallel::RunReport;
 use metrics::flight::{
     cpu_cells, LatencyCdf, SampleSummary, SpanAccounting, StageSnapshot, TraceAccounting,
@@ -77,35 +79,9 @@ fn stages_map(
         .collect()
 }
 
-/// Snapshot of a finished sequential [`Network`] run.
-pub fn snapshot_network(net: &Network, label: &str) -> RunSnapshot {
-    RunSnapshot {
-        schema: SNAPSHOT_SCHEMA.to_string(),
-        label: label.to_string(),
-        sim_now_ns: net.now().0,
-        events_processed: net.events_processed(),
-        dropped_no_link: net.dropped_no_link(),
-        trace_mode: net.trace_config().mode.label().to_string(),
-        counters: counters_map(net.store()),
-        samples: samples_map(net.store()),
-        cpu: cpu_cells(net.cpu()),
-        stages: stages_map(net.stages(), net.store(), net.spans()),
-        spans: SpanAccounting {
-            emitted: net.spans_emitted(),
-            kept: net.spans().len() as u64,
-            dropped: net.spans_dropped(),
-        },
-        trace_entries: TraceAccounting {
-            kept: net.trace().len() as u64,
-            dropped: net.dropped_traces(),
-        },
-    }
-}
-
-/// Snapshot of a merged [`RunReport`] (sharded or single-shard run).
-/// Bit-identical to [`snapshot_network`] of the equivalent sequential
-/// run, except for the unobservable map orderings already normalized by
-/// the `BTreeMap` keys.
+/// Snapshot of a finished run. The `BTreeMap` keys normalize the one
+/// thing a merged store may order differently, its name enumeration, so
+/// the snapshot is identical at every shard count.
 pub fn snapshot_report(report: &RunReport, label: &str) -> RunSnapshot {
     RunSnapshot {
         schema: SNAPSHOT_SCHEMA.to_string(),
@@ -130,47 +106,28 @@ pub fn snapshot_report(report: &RunReport, label: &str) -> RunSnapshot {
     }
 }
 
-/// Shared body of the Chrome-trace exporters: metadata rows for every
+/// Chrome `trace_event` export of a finished run: metadata rows for every
 /// (location, device) seen in the spans, then one `X` event per span.
-fn chrome_from(
-    spans: &[SpanRecord],
-    store: &SampleStore,
-    mut dev_name: impl FnMut(u32) -> String,
-) -> ChromeTrace {
+pub fn chrome_trace_report(report: &RunReport) -> ChromeTrace {
     let mut out = ChromeTrace::new();
     let mut procs: BTreeSet<u64> = BTreeSet::new();
     let mut threads: BTreeSet<(u64, u64)> = BTreeSet::new();
-    for r in spans {
+    for r in &report.spans {
         let pid = pid_of(r.loc);
         if procs.insert(pid) {
             out.add_process(pid, r.loc.to_string());
         }
         if threads.insert((pid, u64::from(r.dev))) {
-            out.add_thread(pid, u64::from(r.dev), dev_name(r.dev));
+            let name = report.device_names.get(r.dev as usize).cloned();
+            let name = name.unwrap_or_else(|| format!("dev{}", r.dev));
+            out.add_thread(pid, u64::from(r.dev), name);
         }
     }
-    for r in spans {
-        out.add_span(r, store.name_of(r.stage), pid_of(r.loc), u64::from(r.dev));
+    for r in &report.spans {
+        let stage = report.store.name_of(r.stage);
+        out.add_span(r, stage, pid_of(r.loc), u64::from(r.dev));
     }
     out
-}
-
-/// Chrome `trace_event` export of a sequential [`Network`] run.
-pub fn chrome_trace_network(net: &Network) -> ChromeTrace {
-    chrome_from(net.spans(), net.store(), |d| {
-        net.device_name(DeviceId(d as usize)).to_string()
-    })
-}
-
-/// Chrome `trace_event` export of a merged [`RunReport`].
-pub fn chrome_trace_report(report: &RunReport) -> ChromeTrace {
-    chrome_from(&report.spans, &report.store, |d| {
-        report
-            .device_names
-            .get(d as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("dev{d}"))
-    })
 }
 
 /// Store counters as integer telemetry counters (they are all counts or
@@ -214,35 +171,12 @@ fn degrade_dwell_ns(journal: &[JournalRecord]) -> f64 {
     }
 }
 
-/// Unified telemetry export of a finished sequential [`Network`] run:
-/// store counters, the deterministic journal lane with its per-kind
-/// counts and drop accounting (journal + span ring + event trace), and
-/// the derived [`HealthSummary`]. Coordinator health fields are zero by
-/// construction — no coordinator ran.
-pub fn telemetry_network(net: &Network, label: &str) -> TelemetrySnapshot {
-    let mut snap = TelemetrySnapshot::new(label, net.telemetry_config().mode.label());
-    snap.counters = telemetry_counters(net.store());
-    let journal = net.journal();
-    snap.set_journal(
-        journal.records().to_vec(),
-        journal.counts(),
-        journal.dropped(),
-    );
-    snap.drops.spans = net.spans_dropped();
-    snap.drops.trace = net.dropped_traces();
-    snap.health = HealthSummary {
-        flow_hit_rate: flow_hit_rate(net.store()),
-        degrade_dwell_ns: degrade_dwell_ns(&snap.journal),
-        ..HealthSummary::default()
-    };
-    snap
-}
-
-/// Unified telemetry export of a merged [`RunReport`]. The deterministic
-/// journal lane is bit-identical to the sequential export at any shard
-/// count; the coordinator lane (`RunReport::coord_journal`) is
-/// shard-count-dependent and therefore only folded into health fields,
-/// never into `journal`.
+/// Unified telemetry export of a finished run: store counters, the
+/// journal with its per-kind counts and drop accounting (journal, span
+/// ring, event trace), and the derived [`HealthSummary`]. Everything but
+/// the coordinator health fields (`rounds`, `ring_stalls`,
+/// `ring_high_water`, from [`SyncStats`](crate::SyncStats); zero for
+/// sequential runs) is identical at any shard count.
 pub fn telemetry_report(report: &RunReport, label: &str) -> TelemetrySnapshot {
     let mut snap = TelemetrySnapshot::new(label, report.telemetry_mode.label());
     snap.counters = telemetry_counters(&report.store);
@@ -267,8 +201,8 @@ pub fn telemetry_report(report: &RunReport, label: &str) -> TelemetrySnapshot {
 /// Perfetto counter tracks for a telemetry snapshot: every decimated
 /// tick series becomes one `C`-phase track (pid 1, alongside the host's
 /// span rows), plus one cumulative track per journal kind replaying the
-/// kept records. Merge with [`chrome_trace_network`] /
-/// [`chrome_trace_report`] output or load standalone.
+/// kept records. Merge with [`chrome_trace_report`] output or load
+/// standalone.
 pub fn chrome_counter_tracks(snap: &TelemetrySnapshot) -> ChromeTrace {
     let mut out = ChromeTrace::new();
     out.add_process(1, "telemetry".to_string());
@@ -303,14 +237,14 @@ mod tests {
 
     #[test]
     fn empty_network_snapshots_cleanly() {
-        let net = Network::new(1);
-        let snap = snapshot_network(&net, "empty");
+        let report = crate::Network::new(1).take_report();
+        let snap = snapshot_report(&report, "empty");
         assert_eq!(snap.schema, SNAPSHOT_SCHEMA);
         assert_eq!(snap.label, "empty");
         assert_eq!(snap.trace_mode, "off");
         assert!(snap.stages.is_empty());
         assert_eq!(snap.spans.emitted, 0);
-        let trace = chrome_trace_network(&net);
+        let trace = chrome_trace_report(&report);
         assert!(trace.is_empty());
     }
 }

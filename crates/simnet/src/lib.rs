@@ -53,6 +53,7 @@ pub mod flow;
 pub mod frame;
 pub mod nat;
 pub mod nic;
+mod obs;
 pub mod parallel;
 pub mod rate;
 pub mod shared;
@@ -72,10 +73,7 @@ pub use filter::{
     Chain, ConnState, FilterControl, FilterRule, HookIds, StateMask, StateTracker, Verdict,
     NO_RULE, REJECT_TAG,
 };
-pub use flight::{
-    chrome_counter_tracks, chrome_trace_network, chrome_trace_report, snapshot_network,
-    snapshot_report, telemetry_network, telemetry_report,
-};
+pub use flight::{chrome_counter_tracks, chrome_trace_report, snapshot_report, telemetry_report};
 pub use flow::Fidelity;
 pub use frame::{Frame, Payload, TcpKind, Transport};
 pub use parallel::{shards_from_env, PartitionPlan, RunReport, ShardedNetwork, SyncStats};
@@ -85,6 +83,6 @@ pub use time::{SimDuration, SimTime};
 // Telemetry-plane vocabulary (defined in the `metrics` crate) re-exported
 // so simulation harnesses need only one dependency for journal access.
 pub use metrics::{
-    FlowEscalateReason, JournalKind, JournalRecord, JournalRing, JournalTag, TelemetryConfig,
-    TelemetryMode, TelemetrySnapshot,
+    FlowEscalateReason, JournalKind, JournalRecord, JournalRing, JournalTag, ObsMode,
+    TelemetryConfig, TelemetrySnapshot,
 };

@@ -67,32 +67,30 @@
 //! 2. **Per-device RNG streams** seeded from `(network seed, device id)`:
 //!    jitter/loss draws depend only on a device's own event sequence, never
 //!    on how unrelated devices interleave.
-//! 3. **Merge by frontier order**: each shard keeps an event log and a
-//!    sample journal; [`ShardedNetwork::into_report`] replays them with a
-//!    k-way frontier merge (always consume the shard whose next logged
-//!    event has the smallest key) which provably reconstructs the exact
-//!    sequential interleaving — equal-time causal chains never cross
-//!    shards because cross-shard links have latency ≥ E > 0.
+//! 3. **Merge by frontier order**: each shard's recorder keeps an event
+//!    log next to its sample journal, trace, spans and control-plane
+//!    journal; [`ShardedNetwork::into_report`] replays them with a k-way
+//!    frontier merge (`obs::merge`: always consume the shard whose next
+//!    logged event has the smallest key), which provably reconstructs the
+//!    exact sequential interleaving — equal-time causal chains never
+//!    cross shards because cross-shard links have latency ≥ E > 0.
+//!    Re-capping the replay against the global caps reproduces the
+//!    sequential kept/dropped split of every bounded stream bit for bit.
 //!
 //! CPU time is aggregated by folding per-shard [`CpuAccount`]s
 //! ([`CpuAccount::fold`] — integer nanoseconds, exact); counters are
 //! summed per shard in shard order (counter deltas in this codebase are
 //! integer-valued, so f64 addition is exact far beyond any realistic run
-//! length). Flight-recorder spans ride the same frontier merge as sample
-//! journals: each [`LogEntry`] carries its span count, replay restores
-//! exact sequential emission order, and re-capping against the global
-//! span cap reproduces the sequential kept/dropped split bit for bit.
+//! length).
 
 use crate::device::DeviceId;
-use crate::engine::{
-    EventTag, LogEntry, Network, RemoteEvent, SampleStore, StopCondition, TraceEntry, TRACE_CAP,
-};
+use crate::engine::{Network, RemoteEvent, SampleStore, StopCondition, TraceEntry};
 use crate::flow::Fidelity;
+use crate::obs::{self, Recorder};
 use crate::spsc::{self, Consumer, Producer};
 use crate::time::{SimDuration, SimTime};
 use metrics::{
-    CpuAccount, CpuLocation, JournalKind, JournalRecord, JournalRing, JournalTag, SpanRecord,
-    SpanRing, StageTable, TelemetryConfig, TelemetryMode, TraceMode, JOURNAL_KINDS,
+    CpuAccount, CpuLocation, JournalRecord, ObsMode, SpanRecord, StageTable, JOURNAL_KINDS,
 };
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
@@ -106,35 +104,6 @@ pub use crate::config::shards_from_env;
 /// of earlier rounds; so a ring holds at most two batches (last round's,
 /// until drained, and the current round's). The rest is headroom.
 const RING_CAP: usize = 16;
-
-/// Source id tagged onto coordinator-lane journal records (rounds and
-/// ring stats). One below the engine's external source, so neither
-/// lane's tags can collide with a device's.
-const COORD_SRC: u32 = u32::MAX - 1;
-
-/// Emits one coordinator-lane journal record (no-op when telemetry is
-/// off; the sequence counter advances only on emission so off-mode runs
-/// leave no trace at all).
-fn coord_rec(
-    journal: &mut JournalRing,
-    seq: &mut u64,
-    at: SimTime,
-    kind: JournalKind,
-    a: u64,
-    b: u64,
-    c: u64,
-) {
-    if journal.mode() == TelemetryMode::Off {
-        return;
-    }
-    let tag = JournalTag {
-        at_ns: at.0,
-        src: COORD_SRC,
-        seq: *seq,
-    };
-    *seq += 1;
-    journal.record(tag, kind, a, b, c);
-}
 
 /// Minimal union-find over device indices.
 struct UnionFind {
@@ -360,10 +329,14 @@ pub struct SyncStats {
     pub ring_stalls: u64,
 }
 
-/// Everything a finished (sharded or single-shard) run yields: the merged
-/// sample store, CPU account, trace, and engine counters. For any shard
-/// count the contents are bit-identical to a sequential [`Network`] run of
-/// the same topology, workload and seed.
+/// Everything a finished run yields, and the one input every exporter
+/// reads: the sample store, CPU account, trace, spans, stage aggregates,
+/// journal and engine counters. A sequential run gets one from
+/// [`Network::take_report`], a sharded one from
+/// [`ShardedNetwork::into_report`]; for any shard count the contents are
+/// bit-identical to the sequential run of the same topology, workload and
+/// seed.
+#[derive(Default)]
 pub struct RunReport {
     /// Merged sample store. Per-name samples and counters match the
     /// sequential run exactly; only the (unobservable) name enumeration
@@ -373,12 +346,13 @@ pub struct RunReport {
     pub cpu: CpuAccount,
     /// Merged event trace (empty unless tracing was enabled).
     pub trace: Vec<TraceEntry>,
-    /// Trace entries dropped at [`TRACE_CAP`], summed over shard-local
-    /// drops and merge re-cap skips — exactly the sequential drop count.
+    /// Trace entries dropped at the trace cap (100,000 entries), summed
+    /// over shard-local drops and merge re-cap skips — exactly the
+    /// sequential drop count.
     pub trace_dropped: u64,
     /// Flight-recorder spans retained under the span cap, in exact
     /// sequential emission order (empty unless the recorder ran in
-    /// [`TraceMode::Full`]).
+    /// [`ObsMode::Full`]).
     pub spans: Vec<SpanRecord>,
     /// Spans emitted in total (kept + dropped at the span cap).
     pub spans_emitted: u64,
@@ -389,7 +363,7 @@ pub struct RunReport {
     /// [`store`](RunReport::store) (same interner).
     pub stages: StageTable,
     /// The recorder mode the run was configured with.
-    pub trace_mode: TraceMode,
+    pub trace_mode: ObsMode,
     /// Name of every device, indexed by device id (exporters resolve
     /// span `dev` fields through this).
     pub device_names: Vec<String>,
@@ -402,21 +376,17 @@ pub struct RunReport {
     /// Coordinator round and ring statistics (all zero for single-shard
     /// runs, which bypass the coordinator).
     pub sync: SyncStats,
-    /// Merged control-plane journal (deterministic lane), in exact
-    /// sequential emission order — bit-identical for any shard count.
-    /// Empty unless telemetry ran in [`TelemetryMode::Full`].
+    /// Merged control-plane journal, in exact sequential emission order —
+    /// bit-identical for any shard count. Empty unless telemetry ran in
+    /// [`ObsMode::Full`].
     pub journal: Vec<JournalRecord>,
     /// Journal records emitted but dropped at the cap (never silent).
     pub journal_dropped: u64,
     /// Per-kind journal emission counts (kept + dropped), indexed by
     /// `JournalKind as usize`. Populated in `Counters` and `Full` modes.
     pub journal_counts: [u64; JOURNAL_KINDS],
-    /// Coordinator-lane journal records (rounds, then ring stats).
-    /// Shard-count-dependent by nature — excluded from the determinism
-    /// guarantee that covers [`journal`](RunReport::journal).
-    pub coord_journal: Vec<JournalRecord>,
     /// The telemetry mode the run was configured with.
-    pub telemetry_mode: TelemetryMode,
+    pub telemetry_mode: ObsMode,
 }
 
 /// A round-tagged batch of cross-shard frames traveling through an SPSC
@@ -706,16 +676,10 @@ pub struct ShardedNetwork {
     inline: Option<bool>,
     stats: SyncStats,
     now: SimTime,
-    /// Coordinator-lane journal (rounds, ring stats); tagged
-    /// [`COORD_SRC`], shard-count-dependent, kept out of the deterministic
-    /// lane.
-    coord_journal: JournalRing,
-    /// Sequence counter for coordinator-lane record tags.
-    coord_jseq: u64,
-    /// The master network's pre-split journal (harness records emitted
-    /// before sharding); seeds the merged ring in `into_report`. Unused
-    /// (empty) for single-shard runs, whose network keeps its own ring.
-    journal_seed: JournalRing,
+    /// The master network's recorder (holding journal records emitted
+    /// before the split): the merge target of `into_report`. Unused for
+    /// single-shard runs, whose network keeps its own.
+    seed: Recorder,
 }
 
 impl ShardedNetwork {
@@ -725,9 +689,8 @@ impl ShardedNetwork {
     /// # Panics
     /// Panics if `net` has already processed events — sharding must happen
     /// between topology construction and the first run.
-    pub fn new(mut net: Network, want: usize) -> ShardedNetwork {
+    pub fn new(net: Network, want: usize) -> ShardedNetwork {
         let now = net.now();
-        let telem = net.telemetry_config();
         let mut plan = PartitionPlan::partition(&net, want);
         if net.fidelity() != Fidelity::Packet {
             // Flow fast-path traffic can cross directly between any two
@@ -735,16 +698,11 @@ impl ShardedNetwork {
             plan.relax();
         }
         let nshards = plan.nshards();
-        let mut journal_seed = JournalRing::new(telem);
-        let nets = if nshards == 1 {
+        let (nets, seed) = if nshards == 1 {
             // Single shard: keep the network whole and run it directly —
             // trivially identical to the sequential engine.
-            vec![net]
+            (vec![net], Recorder::default())
         } else {
-            // The master's pre-split journal (harness records emitted
-            // during topology construction) seeds the merged ring —
-            // its records precede every event, like pre-split samples.
-            journal_seed = net.take_journal();
             net.split(&plan.shard_of, nshards)
         };
         // One ring per directed pair that can exchange events: pairs
@@ -783,9 +741,7 @@ impl ShardedNetwork {
             inline: None,
             stats: SyncStats::default(),
             now,
-            coord_journal: JournalRing::new(telem),
-            coord_jseq: 0,
-            journal_seed,
+            seed,
         }
     }
 
@@ -808,30 +764,6 @@ impl ShardedNetwork {
     /// Coordinator round statistics accumulated so far.
     pub fn sync_stats(&self) -> SyncStats {
         self.stats
-    }
-
-    /// Enables (or disables) event tracing on every shard.
-    pub fn set_tracing(&mut self, on: bool) {
-        for net in &mut self.nets {
-            net.set_tracing(on);
-        }
-    }
-
-    /// Configures the telemetry plane on every shard (plus the seed and
-    /// coordinator rings). Prefer configuring the master [`Network`]
-    /// before sharding (e.g. through `SimConfig`); this exists for parity
-    /// with [`set_tracing`](ShardedNetwork::set_tracing).
-    pub fn set_telemetry_config(&mut self, cfg: TelemetryConfig) {
-        for net in &mut self.nets {
-            net.set_telemetry_config(cfg);
-        }
-        self.journal_seed.reconfigure(cfg);
-        self.coord_journal.reconfigure(cfg);
-    }
-
-    /// The active telemetry configuration.
-    pub fn telemetry_config(&self) -> TelemetryConfig {
-        self.nets[0].telemetry_config()
     }
 
     /// Pins the coordinator backend: `Some(true)` inline (coordinator
@@ -908,8 +840,6 @@ impl ShardedNetwork {
         let pending_in = &mut self.pending_in;
         let round = &mut self.round;
         let stats = &mut self.stats;
-        let coord_journal = &mut self.coord_journal;
-        let coord_jseq = &mut self.coord_jseq;
         std::thread::scope(|scope| {
             let (reply_tx, reply_rx) = std::sync::mpsc::channel::<Reply>();
             let mut cmd_txs = Vec::with_capacity(nshards);
@@ -925,16 +855,6 @@ impl ShardedNetwork {
                 *round += 1;
                 stats.rounds += 1;
                 let ndisp = rp.dispatch.iter().filter(|&&b| b).count();
-                let floor = rp.bound.iter().copied().min().unwrap_or(deadline);
-                coord_rec(
-                    coord_journal,
-                    coord_jseq,
-                    floor,
-                    JournalKind::CoordRound,
-                    *round,
-                    ndisp as u64,
-                    floor.0,
-                );
                 for (d, tx) in cmd_txs.iter().enumerate() {
                     if !rp.dispatch[d] {
                         continue;
@@ -970,17 +890,6 @@ impl ShardedNetwork {
         while let Some(rp) = plan_round(&self.plan, deadline, &self.floors, &self.pending_in) {
             self.round += 1;
             self.stats.rounds += 1;
-            let ndisp = rp.dispatch.iter().filter(|&&b| b).count();
-            let floor = rp.bound.iter().copied().min().unwrap_or(deadline);
-            coord_rec(
-                &mut self.coord_journal,
-                &mut self.coord_jseq,
-                floor,
-                JournalKind::CoordRound,
-                self.round,
-                ndisp as u64,
-                floor.0,
-            );
             let mut new_pending: Vec<Option<SimTime>> = vec![None; nshards];
             for (d, (net, ch)) in self.nets.iter_mut().zip(&mut self.chans).enumerate() {
                 if !rp.dispatch[d] {
@@ -997,247 +906,46 @@ impl ShardedNetwork {
         }
     }
 
-    /// Merges the shards back into one [`RunReport`]. The k-way frontier
-    /// merge over per-shard event logs reconstructs the exact sequential
-    /// interleaving of samples and trace entries (see module docs).
+    /// Merges the shards back into one [`RunReport`]: `obs::merge`
+    /// replays every shard's recorded streams in exact sequential order
+    /// (see module docs), and ring statistics fold into
+    /// [`SyncStats`].
     pub fn into_report(mut self) -> RunReport {
-        let now = self.now;
         let mut sync = self.stats;
-        // Ring telemetry: peak occupancy (max over rings) and cumulative
-        // push stalls, read from every producer half. Journaled in the
-        // coordinator lane — shard-count-dependent by construction.
-        for (s, ch) in self.chans.iter().enumerate() {
-            for (d, prod) in ch.outgoing.iter().enumerate() {
-                let Some(p) = prod else { continue };
-                sync.ring_high_water = sync.ring_high_water.max(p.high_water() as u64);
-                sync.ring_stalls += p.stalls();
-                if p.high_water() > 0 || p.stalls() > 0 {
-                    coord_rec(
-                        &mut self.coord_journal,
-                        &mut self.coord_jseq,
-                        now,
-                        JournalKind::RingHighWater,
-                        s as u64,
-                        d as u64,
-                        p.high_water() as u64,
-                    );
-                }
-            }
+        for p in self
+            .chans
+            .iter()
+            .flat_map(|ch| ch.outgoing.iter().flatten())
+        {
+            sync.ring_high_water = sync.ring_high_water.max(p.high_water() as u64);
+            sync.ring_stalls += p.stalls();
         }
-        let coord_journal = std::mem::take(&mut self.coord_journal).into_parts().0;
         if self.nets.len() == 1 {
-            let net = &mut self.nets[0];
-            let (spans, spans_dropped) = net.take_spans().into_parts();
-            let telemetry_mode = net.telemetry_config().mode;
-            let (journal, journal_dropped, journal_counts) = net.take_journal().into_parts();
-            let device_names = (0..net.device_count())
-                .map(|i| net.device_name(DeviceId(i)).to_string())
-                .collect();
             return RunReport {
-                events_processed: net.events_processed(),
-                dropped_no_link: net.dropped_no_link(),
-                trace_dropped: net.dropped_traces(),
-                spans_emitted: spans.len() as u64 + spans_dropped,
-                spans,
-                spans_dropped,
-                stages: net.take_stages(),
-                trace_mode: net.trace_config().mode,
-                device_names,
-                store: net.take_store(),
-                cpu: net.take_cpu(),
-                trace: net.take_trace(),
-                now,
+                now: self.now,
                 sync,
-                journal,
-                journal_dropped,
-                journal_counts,
-                coord_journal,
-                telemetry_mode,
+                ..self.nets[0].take_report()
             };
         }
-        let n = self.nets.len();
-        let mut events_processed = 0;
-        let mut dropped_no_link = 0;
-        let mut trace_dropped = 0;
-        let trace_mode = self.nets[0].trace_config().mode;
-        let span_cap = self.nets[0].trace_config().span_cap;
-        let device_names: Vec<String> = (0..self.nets[0].device_count())
-            .map(|i| self.nets[0].device_name(DeviceId(i)).to_string())
-            .collect();
-        let telemetry_mode = self.nets[0].telemetry_config().mode;
-        let mut cpus = Vec::with_capacity(n);
-        let mut logs: Vec<Vec<LogEntry>> = Vec::with_capacity(n);
-        let mut traces: Vec<Vec<TraceEntry>> = Vec::with_capacity(n);
-        let mut shard_spans: Vec<Vec<SpanRecord>> = Vec::with_capacity(n);
-        let mut shard_stages: Vec<StageTable> = Vec::with_capacity(n);
-        let mut spans = SpanRing::with_cap(span_cap);
-        // The merged journal ring starts from the master's pre-split
-        // records (which precede every event) and re-caps replayed shard
-        // records below. Same first-cap argument as spans: a record a
-        // shard dropped sits at local emission index ≥ cap, hence at
-        // sequential index ≥ cap — exactly a record the sequential run
-        // also dropped.
-        let mut jring = std::mem::take(&mut self.journal_seed);
-        let mut shard_jrecs: Vec<Vec<JournalRecord>> = Vec::with_capacity(n);
-        let mut parts = Vec::with_capacity(n);
+        let device_names = self.nets[0].device_names();
+        let (mut events_processed, mut dropped_no_link) = (0, 0);
+        let mut cpus = Vec::with_capacity(self.nets.len());
+        let mut shards = Vec::with_capacity(self.nets.len());
         for net in &mut self.nets {
             events_processed += net.events_processed();
             dropped_no_link += net.dropped_no_link();
-            trace_dropped += net.dropped_traces();
             cpus.push(net.take_cpu());
-            logs.push(net.take_event_log());
-            traces.push(net.take_trace());
-            let (sp, locally_dropped) = net.take_spans().into_parts();
-            // A span dropped at a shard's ring sits at local emission index
-            // ≥ cap, hence at sequential emission index ≥ cap (a shard's
-            // emission order is a subsequence of the sequential order), so
-            // it is exactly a span the sequential run also dropped.
-            spans.add_dropped(locally_dropped);
-            shard_spans.push(sp);
-            shard_stages.push(net.take_stages());
-            let (jrecs, jdropped, jcounts) = net.take_journal().into_parts();
-            jring.add_dropped(jdropped);
-            jring.add_counts(&jcounts);
-            shard_jrecs.push(jrecs);
-            parts.push(net.take_store().into_parts());
+            shards.push((net.take_obs(), net.take_store().into_parts()));
         }
-        // Satellite of the flight recorder: shard-local CPU accounts fold
-        // cell-wise (exact, order-independent).
-        let cpu = CpuAccount::fold(&cpus);
-
-        let mut store = SampleStore::default();
-        // Samples recorded before the split live in shard 0's per-series
-        // vectors and precede every event.
-        for (i, name) in parts[0].names.iter().enumerate() {
-            if !parts[0].samples[i].is_empty() {
-                let id = store.metric_id(name);
-                for &v in &parts[0].samples[i] {
-                    store.record_id(id, v);
-                }
-            }
-        }
-
-        // Lazily maps a shard-local metric id into the merged store,
-        // interning the name on first sight (shared by sample records,
-        // span stage ids and the stage-table fold below).
-        fn remap_id(
-            store: &mut SampleStore,
-            map: &mut [Option<metrics::MetricId>],
-            names: &[String],
-            mid: metrics::MetricId,
-        ) -> metrics::MetricId {
-            match map[mid.index()] {
-                Some(id) => id,
-                None => {
-                    let id = store.metric_id(&names[mid.index()]);
-                    map[mid.index()] = Some(id);
-                    id
-                }
-            }
-        }
-
-        // Frontier merge: repeatedly consume the shard whose next logged
-        // event has the smallest intrinsic key, replaying its journal
-        // records, trace entries and span records. Keys are globally
-        // unique, and an inductive argument over event availability shows
-        // this recovers the sequential processing order exactly.
-        //
-        // Span re-cap: the replayed span sequence is the sequential
-        // emission order minus shard-locally dropped spans, and every
-        // locally dropped span has sequential emission index ≥ cap (see
-        // the collection loop above), so the first `cap` replayed spans
-        // are exactly the sequential kept set; the rest are re-dropped
-        // here, which [`SpanRing::push`] counts. The same argument covers
-        // trace entries at [`TRACE_CAP`].
-        let mut idmap: Vec<Vec<Option<metrics::MetricId>>> =
-            parts.iter().map(|p| vec![None; p.names.len()]).collect();
-        let mut li = vec![0usize; n];
-        let mut ji = vec![0usize; n];
-        let mut ti = vec![0usize; n];
-        let mut si = vec![0usize; n];
-        let mut jx = vec![0usize; n];
-        let mut trace = Vec::new();
-        loop {
-            let mut best: Option<(usize, EventTag)> = None;
-            for s in 0..n {
-                if let Some(e) = logs[s].get(li[s]) {
-                    if best.is_none_or(|(_, bt)| e.tag < bt) {
-                        best = Some((s, e.tag));
-                    }
-                }
-            }
-            let Some((s, _)) = best else { break };
-            let e = logs[s][li[s]];
-            li[s] += 1;
-            for _ in 0..e.recs {
-                let (mid, v) = parts[s].journal[ji[s]];
-                ji[s] += 1;
-                let oid = remap_id(&mut store, &mut idmap[s], &parts[s].names, mid);
-                store.record_id(oid, v);
-            }
-            for _ in 0..e.traces {
-                if trace.len() < TRACE_CAP {
-                    trace.push(traces[s][ti[s]].clone());
-                } else {
-                    trace_dropped += 1;
-                }
-                ti[s] += 1;
-            }
-            for _ in 0..e.spans {
-                let mut rec = shard_spans[s][si[s]];
-                si[s] += 1;
-                rec.stage = remap_id(&mut store, &mut idmap[s], &parts[s].names, rec.stage);
-                spans.push(rec);
-            }
-            for _ in 0..e.jrecs {
-                jring.push_merged(shard_jrecs[s][jx[s]]);
-                jx[s] += 1;
-            }
-        }
-
-        // Per-stage aggregates fold cell-wise (integer sums, min/max,
-        // histogram bucket adds) — exact and order-independent, so shard
-        // order is as good as sequential order.
-        let mut stages = StageTable::default();
-        for (s, table) in shard_stages.iter().enumerate() {
-            let map = &mut idmap[s];
-            let names = &parts[s].names;
-            stages.merge_with(table, |mid| remap_id(&mut store, map, names, mid));
-        }
-
-        // Counters: summed per shard in shard order. Deltas are
-        // integer-valued throughout the codebase, so f64 addition here is
-        // exact and order-insensitive.
-        for p in &parts {
-            for (i, name) in p.names.iter().enumerate() {
-                if p.counters[i] != 0.0 {
-                    store.add(name, p.counters[i]);
-                }
-            }
-        }
-
-        let (spans, spans_dropped) = spans.into_parts();
-        let (journal, journal_dropped, journal_counts) = jring.into_parts();
+        let store = obs::merge(&mut self.seed, shards);
         RunReport {
-            store,
-            cpu,
-            trace,
-            trace_dropped,
-            spans_emitted: spans.len() as u64 + spans_dropped,
-            spans,
-            spans_dropped,
-            stages,
-            trace_mode,
+            cpu: CpuAccount::fold(&cpus),
             device_names,
             events_processed,
             dropped_no_link,
-            now,
+            now: self.now,
             sync,
-            journal,
-            journal_dropped,
-            journal_counts,
-            coord_journal,
-            telemetry_mode,
+            ..self.seed.into_report(store)
         }
     }
 }

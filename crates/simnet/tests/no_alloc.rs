@@ -6,14 +6,14 @@
 //! The flight recorder rides the same budget: with tracing *off* (the
 //! default; enforced by the warm-flood test, whose bridge now passes
 //! through `DevCtx::stage_frame`) and in *counters-only* mode the warmed
-//! steady state must stay allocation-free. Only `TraceMode::Full` may
+//! steady state must stay allocation-free. Only `ObsMode::Full` may
 //! allocate (the span ring grows).
 //!
 //! The counter is thread-local so the tests (which cargo runs on
 //! separate threads) cannot interfere with each other.
 
 use bytes::Bytes;
-use metrics::{CpuCategory, CpuLocation, JournalKind, TelemetryConfig, TraceConfig, TraceMode};
+use metrics::{CpuCategory, CpuLocation, JournalKind, ObsMode, TelemetryConfig, TraceConfig};
 use nestless_simnet::addr::{Ip4, MacAddr, SockAddr};
 use nestless_simnet::bridge::Bridge;
 use nestless_simnet::costs::StageCost;
@@ -161,8 +161,8 @@ fn warm_bridge_flood_steady_state_is_allocation_free() {
     assert_eq!(net.store().counter("bridge.flooded"), 576.0);
     assert_eq!(net.store().counter("sink1.stray"), 576.0);
     // The default config is the recorder's off mode — the budget above
-    // therefore proves `TraceMode::Off` adds zero allocations.
-    assert_eq!(net.trace_config().mode, TraceMode::Off);
+    // therefore proves `ObsMode::Off` adds zero allocations.
+    assert_eq!(net.trace_config().mode, ObsMode::Off);
 }
 
 #[test]
@@ -228,10 +228,11 @@ fn warm_counters_mode_steady_state_is_allocation_free() {
         }
     });
     assert_eq!(n, 0, "warmed counters-only steady state allocated");
-    let stages: Vec<_> = net.stages().iter().collect();
+    let report = net.take_report();
+    let stages: Vec<_> = report.stages.iter().collect();
     assert_eq!(stages.len(), 1, "bridge stage aggregated");
     assert_eq!(stages[0].1.frames, 576, "every flood round recorded");
-    assert_eq!(net.spans_emitted(), 0, "counters mode emits no spans");
+    assert_eq!(report.spans_emitted, 0, "counters mode emits no spans");
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! The sharded-engine determinism contract: for any shard count a run is
 //! bit-identical to the sequential engine — sample-for-sample,
-//! counter-for-counter, trace-for-trace — on a ≥4-host topology with
-//! jitter and frame loss enabled.
+//! counter-for-counter, trace-for-trace, export-for-export — on a ≥4-host
+//! topology with jitter and frame loss enabled.
 
 use metrics::{
-    CpuAccount, CpuCategory, CpuLocation, SpanId, SpanRecord, StageAgg, StageTable, TraceConfig,
+    ChromeTrace, CpuAccount, CpuCategory, CpuLocation, RunSnapshot, SpanId, SpanRecord, StageAgg,
+    StageTable, TelemetryConfig, TelemetrySnapshot, TraceConfig,
 };
 use nestless_simnet::addr::MacAddr;
 use nestless_simnet::bridge::Bridge;
@@ -15,7 +16,8 @@ use nestless_simnet::shared::SharedStation;
 use nestless_simnet::testutil::{build_multihost, frame_between, MacBouncer, MultihostSpec};
 use nestless_simnet::time::{SimDuration, SimTime};
 use nestless_simnet::{
-    FaultPlan, LinkFault, LinkFaultKind, ShardedNetwork, StallWindow, SyncStats,
+    chrome_trace_report, snapshot_report, telemetry_report, FaultPlan, LinkFault, LinkFaultKind,
+    RunReport, ShardedNetwork, StallWindow, SyncStats,
 };
 use nestless_simnet::{SimConfig, StopCondition};
 use std::collections::BTreeMap;
@@ -100,28 +102,9 @@ struct Outcome {
     now: SimTime,
 }
 
-/// Snapshot of a finished sequential network.
-fn outcome_of_net(net: &mut Network) -> Outcome {
-    let (samples, counters) = snapshot(net.store());
-    Outcome {
-        samples,
-        counters,
-        cpu: net.cpu().clone(),
-        trace: net.trace().to_vec(),
-        trace_dropped: net.dropped_traces(),
-        spans: named_spans(net.spans(), net.store()),
-        spans_emitted: net.spans_emitted(),
-        spans_dropped: net.spans_dropped(),
-        stages: named_stages(net.stages(), net.store()),
-        events: net.events_processed(),
-        dropped: net.dropped_no_link(),
-        now: net.now(),
-    }
-}
-
-/// Snapshot of a merged sharded run.
-fn outcome_of_sharded(sn: ShardedNetwork) -> Outcome {
-    let report = sn.into_report();
+/// Snapshot of a finished run, sequential (`Network::take_report`) or
+/// sharded (`ShardedNetwork::into_report`).
+fn outcome(report: RunReport) -> Outcome {
     let (samples, counters) = snapshot(&report.store);
     Outcome {
         samples,
@@ -142,7 +125,7 @@ fn outcome_of_sharded(sn: ShardedNetwork) -> Outcome {
 fn sequential() -> Outcome {
     let mut net = build();
     net.run(StopCondition::Until(SimTime(2_000_000)));
-    outcome_of_net(&mut net)
+    outcome(net.take_report())
 }
 
 fn sharded(want: usize) -> (usize, SyncStats, Outcome) {
@@ -150,7 +133,7 @@ fn sharded(want: usize) -> (usize, SyncStats, Outcome) {
     sn.run(StopCondition::Until(SimTime(2_000_000)));
     let nshards = sn.nshards();
     let stats = sn.sync_stats();
-    (nshards, stats, outcome_of_sharded(sn))
+    (nshards, stats, outcome(sn.into_report()))
 }
 
 fn assert_identical(label: &str, a: &Outcome, b: &Outcome) {
@@ -287,7 +270,7 @@ fn build_faulted() -> Network {
 fn faulted_runs_are_bit_identical_across_shard_counts_and_modes() {
     let mut seq_net = build_faulted();
     seq_net.run(StopCondition::Until(SimTime(2_000_000)));
-    let seq = outcome_of_net(&mut seq_net);
+    let seq = outcome(seq_net.take_report());
     // Every fault kind actually fired in the window.
     for name in [
         "fault.link_down",
@@ -310,7 +293,7 @@ fn faulted_runs_are_bit_identical_across_shard_counts_and_modes() {
         if want > 1 {
             assert!(nshards > 1, "≥4-host topology must actually shard");
         }
-        let out = outcome_of_sharded(sn);
+        let out = outcome(sn.into_report());
         assert_identical(
             &format!("faulted, {want} shards (got {nshards})"),
             &seq,
@@ -332,9 +315,10 @@ fn span_cap_overflow_merges_bit_identically() {
     };
     let mut seq = build_capped();
     seq.run(StopCondition::Until(SimTime(2_000_000)));
-    assert!(seq.spans_dropped() > 0, "cap of 64 must overflow");
-    assert_eq!(seq.spans().len(), 64);
-    let seq_spans = named_spans(seq.spans(), seq.store());
+    let seq = seq.take_report();
+    assert!(seq.spans_dropped > 0, "cap of 64 must overflow");
+    assert_eq!(seq.spans.len(), 64);
+    let seq_spans = named_spans(&seq.spans, &seq.store);
 
     for want in [2, 8] {
         let mut sn = ShardedNetwork::new(build_capped(), want);
@@ -346,8 +330,62 @@ fn span_cap_overflow_merges_bit_identically() {
             seq_spans,
             "{want} shards: kept spans"
         );
-        assert_eq!(report.spans_dropped, seq.spans_dropped(), "{want} shards");
-        assert_eq!(report.spans_emitted, seq.spans_emitted(), "{want} shards");
+        assert_eq!(report.spans_dropped, seq.spans_dropped, "{want} shards");
+        assert_eq!(report.spans_emitted, seq.spans_emitted, "{want} shards");
+    }
+}
+
+/// The three documents every exporter writes for a run; the coordinator's
+/// own health fields (rounds, ring stalls, ring high water) are zeroed, as
+/// they describe the shard coordinator rather than the simulation.
+fn exports(report: &RunReport) -> (RunSnapshot, ChromeTrace, TelemetrySnapshot) {
+    let mut telemetry = telemetry_report(report, "exports");
+    telemetry.health.rounds = 0;
+    telemetry.health.ring_stalls = 0;
+    telemetry.health.ring_high_water = 0;
+    (
+        snapshot_report(report, "exports"),
+        chrome_trace_report(report),
+        telemetry,
+    )
+}
+
+#[test]
+fn every_export_is_identical_at_any_shard_count() {
+    // Default caps, then caps small enough that spans and journal records
+    // overflow, so the exported drop accounting is exercised too.
+    for (trace, telemetry) in [
+        (TraceConfig::full(), TelemetryConfig::full()),
+        (
+            TraceConfig::full().with_span_cap(64),
+            TelemetryConfig::full().with_journal_cap(3),
+        ),
+    ] {
+        let label = format!("span cap {}", trace.span_cap);
+        let mut net = build_faulted();
+        net.set_trace_config(trace);
+        net.set_telemetry_config(telemetry);
+        net.run(StopCondition::Until(SimTime(2_000_000)));
+        let seq = exports(&net.take_report());
+        assert!(seq.0.spans.kept > 0 && !seq.1.is_empty(), "{label}: spans");
+        assert!(seq.2.journal_count(metrics::JournalKind::FaultOpen) > 0);
+        if trace.span_cap == 64 {
+            assert!(seq.0.spans.dropped > 0, "{label}: spans must overflow");
+            assert!(seq.2.drops.journal > 0, "{label}: journal must overflow");
+        }
+        // Caps go through SimConfig: `build` overwrites the network's.
+        for shards in [1, 2, 8] {
+            let mut sn = SimConfig::new()
+                .shards(shards)
+                .trace(trace)
+                .telemetry(telemetry)
+                .build(build_faulted());
+            sn.run(StopCondition::Until(SimTime(2_000_000)));
+            let got = exports(&sn.into_report());
+            assert!(got.0 == seq.0, "{label}, {shards} shards: run snapshot");
+            assert!(got.1 == seq.1, "{label}, {shards} shards: chrome trace");
+            assert!(got.2 == seq.2, "{label}, {shards} shards: telemetry");
+        }
     }
 }
 
@@ -372,13 +410,13 @@ fn split_runs_match_single_runs() {
     // four steps must be indistinguishable from one step.
     let mut whole = ShardedNetwork::new(build(), 4);
     whole.run(StopCondition::Until(SimTime(2_000_000)));
-    let whole = outcome_of_sharded(whole);
+    let whole = outcome(whole.into_report());
 
     let mut split = ShardedNetwork::new(build(), 4);
     for step in 1..=4u64 {
         split.run(StopCondition::Until(SimTime(step * 500_000)));
     }
-    let split = outcome_of_sharded(split);
+    let split = outcome(split.into_report());
     assert_identical("split vs whole", &whole, &split);
 }
 
@@ -552,13 +590,13 @@ fn two_dense_net() -> Network {
 fn assert_two_shards_match_sequential(name: &str, build: fn() -> Network) {
     let mut seq = build();
     seq.run(StopCondition::Until(SimTime(1_000_000)));
-    let seq = outcome_of_net(&mut seq);
+    let seq = outcome(seq.take_report());
     assert!(seq.events > 1_000, "{name}: dense flow generates real load");
 
     let mut sn = ShardedNetwork::new(build(), 2);
     assert_eq!(sn.nshards(), 2, "{name}: two islands, two shards");
     sn.run(StopCondition::Until(SimTime(1_000_000)));
-    let out = outcome_of_sharded(sn);
+    let out = outcome(sn.into_report());
     assert_identical(name, &seq, &out);
 }
 
@@ -591,7 +629,7 @@ fn inline_and_threaded_backends_are_bit_identical() {
         let mut sn = ShardedNetwork::new(build(), 4);
         sn.run(StopCondition::Until(SimTime(2_000_000)));
         let stats = sn.sync_stats();
-        let out = outcome_of_sharded(sn);
+        let out = outcome(sn.into_report());
         std::env::remove_var("SIMNET_INLINE");
         (stats, out)
     };

@@ -99,6 +99,12 @@ fn load(path: &Path) -> Result<Value, String> {
     serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
 }
 
+/// Loads a baseline; a missing or corrupt file fails the gate instead of
+/// silently skipping every comparison against it.
+fn load_baseline(gate: &mut Gate, path: &Path) -> Option<Value> {
+    load(path).map_err(|e| gate.fail(e)).ok()
+}
+
 fn as_f64(v: &Value) -> Option<f64> {
     match v {
         Value::I64(n) => Some(*n as f64),
@@ -483,28 +489,28 @@ fn run_check(results: &Path, baselines: &Path) -> ExitCode {
     }
     match load(&results.join("engine_multicore.json")) {
         Ok(cur) => {
-            let base = load(&baselines.join("engine_multicore.json")).ok();
+            let base = load_baseline(&mut gate, &baselines.join("engine_multicore.json"));
             check_multicore(&mut gate, &cur, base.as_ref());
         }
         Err(e) => gate.fail(e),
     }
     match load(&results.join("engine_hybrid.json")) {
         Ok(cur) => {
-            let base = load(&baselines.join("engine_hybrid.json")).ok();
+            let base = load_baseline(&mut gate, &baselines.join("engine_hybrid.json"));
             check_hybrid(&mut gate, &cur, base.as_ref());
         }
         Err(e) => gate.fail(e),
     }
     match load(&results.join("cloudsim_hyperscale.json")) {
         Ok(cur) => {
-            let base = load(&baselines.join("cloudsim_hyperscale.json")).ok();
+            let base = load_baseline(&mut gate, &baselines.join("cloudsim_hyperscale.json"));
             check_cloudsim(&mut gate, &cur, base.as_ref());
         }
         Err(e) => gate.fail(e),
     }
     match load(&results.join("policy_churn.json")) {
         Ok(cur) => {
-            let base = load(&baselines.join("policy_churn.json")).ok();
+            let base = load_baseline(&mut gate, &baselines.join("policy_churn.json"));
             check_policy_churn(&mut gate, &cur, base.as_ref());
         }
         Err(e) => gate.fail(e),
