@@ -1,31 +1,26 @@
 //! Standalone event-throughput harness for the simnet DES engine.
 //!
-//! Two scenarios, run as a plain binary so before/after numbers can be
+//! Three scenarios, run as a plain binary so before/after numbers can be
 //! recorded without the criterion feature:
 //!
-//! * `bridge_forwarding` — the PR-1 fast-path microbenchmark: one bridge
+//! * `bridge_forwarding` — the fast-path microbenchmark: one bridge
 //!   unicasting `frames` frames into a sink, repeated `reps` times.
-//! * `multihost_sharded` — the 4-host [`build_multihost`] topology run for
-//!   a fixed slice of simulated time, sequentially and through
-//!   [`ShardedNetwork`] at 1/2/4/8 shards. Each sharded run's merged
-//!   samples, counters, and event count are checksummed against the
-//!   sequential run (the engine's bit-identical determinism contract), and
-//!   wall-clock rates land in `results/engine_parallel.json`.
-//! * `observability_overhead` — the multihost workload re-run under each
-//!   flight-recorder mode (off / counters / full); rates and the
-//!   relative cost land in `results/observability_overhead.json`.
-//! * `multicore` — an 8-host topology swept over 1/2/4/8 shards, each
-//!   checked bit-identical against the sequential run; speedups, sync
-//!   statistics and the detected core count land in
-//!   `results/engine_multicore.json` (consumed by the CI perf gate,
-//!   `tools/perfgate.rs`).
+//! * `observability_overhead` — the 4-host [`build_multihost`] workload
+//!   run under each flight-recorder mode (off / counters / full); rates
+//!   and the relative cost land in `results/observability_overhead.json`.
+//! * `multicore` — an 8-host topology swept over 1/2/4/8 shards on the
+//!   backend the core-count heuristic picks, and over 2/4/8 shards on the
+//!   pinned inline backend, each checked bit-identical against the
+//!   sequential run; speedups, sync statistics and the detected core
+//!   count land in `results/engine_multicore.json` (consumed by the CI
+//!   perf gate, `tools/perfgate.rs`).
 //!
 //! ```text
 //! cargo run --release -p nestless-bench --bin engine_throughput [reps] [frames] [scenario]
 //! ```
 //!
-//! `scenario` is `all` (default), `bridge`, `multihost`, `observability`
-//! or `multicore` — CI jobs use it to run exactly the slice they gate on.
+//! `scenario` is `all` (default), `bridge`, `observability` or
+//! `multicore` — CI jobs use it to run exactly the slice they gate on.
 
 use metrics::{CpuCategory, CpuLocation, TelemetryConfig, TraceConfig};
 use simnet::bridge::Bridge;
@@ -35,7 +30,7 @@ use simnet::engine::{LinkParams, Network, SampleStore};
 use simnet::shared::SharedStation;
 use simnet::testutil::{build_multihost, frame_between, CaptureSink, MultihostSpec};
 use simnet::StopCondition;
-use simnet::{FaultPlan, MacAddr, ShardedNetwork, SimDuration, SimTime, StallWindow};
+use simnet::{FaultPlan, MacAddr, SimConfig, SimDuration, SimTime, StallWindow};
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
@@ -141,76 +136,7 @@ fn bridge_forwarding(reps: usize, frames: u64) {
     );
 }
 
-fn multihost_sharded(reps: usize) {
-    // Sequential reference: outcome digest + wall-clock rates.
-    build_multihost_net().run(StopCondition::Until(MULTIHOST_HORIZON)); // warm-up
-    let mut rates = Vec::with_capacity(reps);
-    let mut reference = None;
-    for _ in 0..reps {
-        let mut net = build_multihost_net();
-        let start = Instant::now();
-        net.run(StopCondition::Until(MULTIHOST_HORIZON));
-        let elapsed = start.elapsed();
-        rates.push(net.events_processed() as f64 / elapsed.as_secs_f64());
-        reference = Some((
-            outcome_digest(net.store(), net.events_processed()),
-            net.events_processed(),
-        ));
-    }
-    let (seq_median, seq_peak) = summarize(rates);
-    let (ref_digest, events_per_rep) = reference.unwrap();
-
-    let mut shard_rows = Vec::new();
-    for want in [1usize, 2, 4, 8] {
-        let mut rates = Vec::with_capacity(reps);
-        let mut got = 0;
-        let mut identical = true;
-        for _ in 0..reps {
-            let mut sn = ShardedNetwork::new(build_multihost_net(), want);
-            got = sn.nshards();
-            let start = Instant::now();
-            sn.run(StopCondition::Until(MULTIHOST_HORIZON));
-            let report = sn.into_report();
-            // The merge is part of the cost of getting usable results.
-            let elapsed = start.elapsed();
-            rates.push(report.events_processed as f64 / elapsed.as_secs_f64());
-            identical &= outcome_digest(&report.store, report.events_processed) == ref_digest;
-        }
-        let (median, peak) = summarize(rates);
-        shard_rows.push(format!(
-            "{{\"shards_wanted\":{want},\"shards_got\":{got},\
-             \"events_per_sec_median\":{median:.0},\"events_per_sec_peak\":{peak:.0},\
-             \"speedup_vs_sequential_median\":{:.3},\"bit_identical\":{identical}}}",
-            median / seq_median
-        ));
-        assert!(
-            identical,
-            "sharded run ({want} shards) diverged from the sequential engine"
-        );
-    }
-
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"benchmark\": \"engine_throughput (crates/bench/src/bin/engine_throughput.rs)\",\n  \
-         \"scenario\": \"multihost_sharded\",\n  \
-         \"topology\": {{\"hosts\": 4, \"local_flows\": 4, \"uplink_latency_ns\": 20000, \"loss\": 0.0}},\n  \
-         \"sim_horizon_ns\": {},\n  \"reps\": {reps},\n  \"events_per_rep\": {events_per_rep},\n  \
-         \"host_cores\": {host_cores},\n  \
-         \"sequential\": {{\"events_per_sec_median\": {seq_median:.0}, \"events_per_sec_peak\": {seq_peak:.0}}},\n  \
-         \"sharded\": [\n    {}\n  ],\n  \
-         \"note\": \"bit_identical asserts the merged sharded outcome (samples, counters, event count) equals the sequential run's, bit for bit. Wall-clock speedup is bounded by host_cores: on a single-core host the shard workers serialize on one CPU and the numbers measure coordinator+merge overhead, not scaling.\"\n}}\n",
-        MULTIHOST_HORIZON.0,
-        shard_rows.join(",\n    ")
-    );
-    print!("{json}");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/engine_parallel.json", &json))
-    {
-        eprintln!("warning: could not write results/engine_parallel.json: {e}");
-    }
-}
-
-/// Observability overhead: the same multihost workload under each
+/// Observability overhead: the 4-host multihost workload under each
 /// flight-recorder [`TraceConfig`] mode *and* each telemetry-plane
 /// [`TelemetryConfig`] mode. `off` (both planes off) is the engine
 /// default, so its rate *is* the baseline every other benchmark in this
@@ -363,13 +289,24 @@ fn multicore(reps: usize) {
         net
     };
     build().run(StopCondition::Until(MULTIHOST_HORIZON)); // warm-up
-                                                          // Interleaved, paired design: every rep runs the sequential engine and
-                                                          // then each sharded configuration back to back, and each config's
-                                                          // speedup is the ratio against *that rep's* sequential rate. Machine
-                                                          // noise (frequency drift, a background task waking up) then lands on
-                                                          // both sides of each ratio instead of skewing whichever half of the
-                                                          // sweep it happened to overlap.
-    let configs = [1usize, 2, 4, 8];
+
+    // Interleaved, paired design: every rep runs the sequential engine and
+    // then each sharded configuration back to back, and each config's
+    // speedup is the ratio against *that rep's* sequential rate. Machine
+    // noise (frequency drift, a background task waking up) then lands on
+    // both sides of each ratio instead of skewing whichever half of the
+    // sweep it happened to overlap. `conservative` rows run on the backend
+    // the core-count heuristic picks; `inline` rows pin the inline backend,
+    // so one sweep compares the two backends on the same host.
+    let configs = [
+        ("conservative", 1usize, None),
+        ("conservative", 2, None),
+        ("inline", 2, Some(true)),
+        ("conservative", 4, None),
+        ("inline", 4, Some(true)),
+        ("conservative", 8, None),
+        ("inline", 8, Some(true)),
+    ];
     let mut seq_rates = Vec::with_capacity(reps);
     let mut cfg_rates: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); configs.len()];
     let mut cfg_ratios: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); configs.len()];
@@ -389,8 +326,8 @@ fn multicore(reps: usize) {
             net.events_processed(),
         ));
         let ref_digest = reference.as_ref().unwrap().0;
-        for (c, &want) in configs.iter().enumerate() {
-            let mut sn = ShardedNetwork::new(build(), want);
+        for (c, &(_, want, inline)) in configs.iter().enumerate() {
+            let mut sn = SimConfig::new().shards(want).inline(inline).build(build());
             cfg_got[c] = sn.nshards();
             let start = Instant::now();
             sn.run(StopCondition::Until(MULTIHOST_HORIZON));
@@ -409,12 +346,12 @@ fn multicore(reps: usize) {
     let (_, events_per_rep) = reference.unwrap();
 
     let mut rows = Vec::new();
-    for (c, &want) in configs.iter().enumerate() {
+    for (c, &(mode, want, _)) in configs.iter().enumerate() {
         let identical = cfg_identical[c];
         let (median, peak) = summarize(cfg_rates[c].clone());
         let (ratio_median, _) = summarize(cfg_ratios[c].clone());
         rows.push(format!(
-            "{{\"mode\":\"conservative\",\"shards_wanted\":{want},\"shards_got\":{},\
+            "{{\"mode\":\"{mode}\",\"shards_wanted\":{want},\"shards_got\":{},\
              \"events_per_sec_median\":{median:.0},\"events_per_sec_peak\":{peak:.0},\
              \"speedup_vs_sequential_median\":{ratio_median:.3},\
              \"speedup_vs_sequential_peak\":{:.3},\"bit_identical\":{identical},\
@@ -425,7 +362,7 @@ fn multicore(reps: usize) {
         ));
         assert!(
             identical,
-            "{want}-shard run diverged from the sequential engine"
+            "{mode} {want}-shard run diverged from the sequential engine"
         );
     }
 
@@ -438,7 +375,7 @@ fn multicore(reps: usize) {
          \"host_cores\": {host_cores},\n  \
          \"sequential\": {{\"events_per_sec_median\": {seq_median:.0}, \"events_per_sec_peak\": {seq_peak:.0}}},\n  \
          \"sweep\": [\n    {}\n  ],\n  \
-         \"note\": \"bit_identical asserts the merged sharded outcome equals the sequential run's, bit for bit. Reps interleave the sequential engine with every configuration; speedup_vs_sequential_median is the median of paired per-rep ratios and speedup_vs_sequential_peak is peak-rate over sequential peak-rate (the noise-robust statistic the perf gate asserts floors on). Wall-clock speedup is bounded by host_cores: on a single-core host the rows measure coordinator overhead, not scaling; the perf gate only asserts scaling when host_cores >= 4.\"\n}}\n",
+         \"note\": \"bit_identical asserts the merged sharded outcome equals the sequential run's, bit for bit. Reps interleave the sequential engine with every configuration; speedup_vs_sequential_median is the median of paired per-rep ratios and speedup_vs_sequential_peak is peak-rate over sequential peak-rate (the noise-robust statistic the perf gate asserts floors on). conservative rows run on the backend the core-count heuristic picks (threaded when host_cores > 1); inline rows pin the inline backend. Wall-clock speedup is bounded by host_cores: on a single-core host the rows measure coordinator overhead, not scaling; the perf gate only asserts scaling when host_cores >= 4.\"\n}}\n",
         MULTIHOST_HORIZON.0,
         rows.join(",\n    ")
     );
@@ -473,18 +410,16 @@ fn main() {
     match scenario.as_str() {
         "all" => {
             bridge_forwarding(reps, frames);
-            multihost_sharded(reps.min(10));
             observability_overhead(reps.min(10));
             multicore(reps.min(5));
         }
         "bridge" => bridge_forwarding(reps, frames),
-        "multihost" => multihost_sharded(reps.min(10)),
         "observability" => observability_overhead(reps.min(10)),
         "multicore" => multicore(reps.min(5)),
         other => {
             eprintln!(
                 "error: unknown scenario {other:?} \
-                 (expected all|bridge|multihost|observability|multicore)"
+                 (expected all|bridge|observability|multicore)"
             );
             eprintln!("usage: engine_throughput [reps] [frames] [scenario]");
             std::process::exit(2);

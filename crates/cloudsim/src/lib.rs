@@ -10,6 +10,7 @@
 //! accepts the real trace if available.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod hyper;

@@ -7,6 +7,7 @@
 //! baseline), and the boot-time pipeline model behind fig. 8.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod boot;
 pub mod container;

@@ -59,7 +59,8 @@ pub enum JournalKind {
     CoordRollback,
     /// Reserved, never emitted (a speculative result held past its round).
     CoordHold,
-    /// Reserved, never emitted (a cross-shard ring's high-water mark).
+    /// Reserved, never emitted (was a cross-shard ring's high-water mark;
+    /// the coordinator has no rings).
     RingHighWater,
     /// Flow promoted to the fast path (`a` = flow hash, `b` = hop count).
     FlowPromote,

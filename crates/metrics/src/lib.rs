@@ -16,6 +16,7 @@
 //! sits at the bottom of the workspace dependency graph.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cdf;
 pub mod cpu;

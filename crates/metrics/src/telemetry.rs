@@ -164,9 +164,11 @@ pub struct HealthSummary {
     /// Always 0.0: the coordinator is conservative and never rolls back.
     /// Kept so `nestless.telemetry.v1` documents stay byte-identical.
     pub rollback_rate: f64,
-    /// Times a cross-shard ring producer had to spin for space.
+    /// Always 0: cross-shard frames ride the coordinator's round
+    /// messages, so there is no ring to stall. Kept so
+    /// `nestless.telemetry.v1` documents stay byte-identical.
     pub ring_stalls: u64,
-    /// Peak occupancy over all cross-shard rings.
+    /// Always 0, for the same reason as `ring_stalls`.
     pub ring_high_water: u64,
     /// Fast-path frames / (fast-path + packet-path frames), when the flow
     /// table ran (0.0 otherwise).

@@ -16,6 +16,7 @@
 //!   volumes (VirtFS) and cross-VM shared memory (MemPipe).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod brfusion;
 pub mod deploy;

@@ -8,6 +8,7 @@
 //! it together.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod agent;
 pub mod api;

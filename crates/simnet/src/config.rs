@@ -13,9 +13,11 @@
 //! | Variable           | Effect                                          |
 //! |--------------------|-------------------------------------------------|
 //! | `SIMNET_SHARDS`    | shard count (default 1)                         |
-//! | `SIMNET_INLINE`    | `1` inline / `0` threaded coordinator backend    |
-//! | `SIMNET_FIDELITY`  | `packet` (default), `hybrid`, or `flowonly`      |
+//! | `SIMNET_FIDELITY`  | `packet` (default) or `hybrid`                  |
 //! | `SIMNET_TELEMETRY` | `off` (default), `counters`, or `full`          |
+//!
+//! The coordinator backend has no variable: it follows the core count
+//! unless [`SimConfig::inline`] pins it.
 //!
 //! Typical use:
 //!
@@ -43,13 +45,6 @@ pub fn shards_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// Reads the `SIMNET_INLINE` environment knob: `Some(true)` pins the
-/// inline coordinator backend, any other set value pins the threaded one,
-/// unset defers to the core-count heuristic.
-pub fn inline_from_env() -> Option<bool> {
-    std::env::var("SIMNET_INLINE").ok().map(|v| v.trim() == "1")
-}
-
 /// Reads the `SIMNET_TELEMETRY` environment knob: `off`, `counters`, or
 /// `full`. Unset or unrecognized values read as `None` (caller keeps its
 /// programmed default).
@@ -63,15 +58,14 @@ pub fn telemetry_from_env() -> Option<ObsMode> {
     }
 }
 
-/// Reads the `SIMNET_FIDELITY` environment knob: `packet`, `hybrid`, or
-/// `flowonly`/`flow-only`/`flow_only`. Unset or unrecognized values read
-/// as `None` (caller keeps its programmed default).
+/// Reads the `SIMNET_FIDELITY` environment knob: `packet` or `hybrid`.
+/// Unset or unrecognized values read as `None` (caller keeps its
+/// programmed default).
 pub fn fidelity_from_env() -> Option<Fidelity> {
     let v = std::env::var("SIMNET_FIDELITY").ok()?;
     match v.trim().to_ascii_lowercase().as_str() {
         "packet" => Some(Fidelity::Packet),
         "hybrid" => Some(Fidelity::Hybrid),
-        "flowonly" | "flow-only" | "flow_only" => Some(Fidelity::FlowOnly),
         _ => None,
     }
 }
@@ -110,9 +104,6 @@ impl SimConfig {
         if std::env::var("SIMNET_SHARDS").is_ok() {
             self.shards = Some(shards_from_env());
         }
-        if let Some(inline) = inline_from_env() {
-            self.inline = Some(inline);
-        }
         if let Some(f) = fidelity_from_env() {
             self.fidelity = f;
         }
@@ -132,7 +123,8 @@ impl SimConfig {
     }
 
     /// Pins the coordinator backend (`Some(true)` inline, `Some(false)`
-    /// threaded); `None` defers to `SIMNET_INLINE` then the core count.
+    /// threaded); `None` (the default) runs inline on one hardware thread
+    /// and threaded otherwise.
     pub fn inline(mut self, inline: Option<bool>) -> SimConfig {
         self.inline = inline;
         self
@@ -150,7 +142,7 @@ impl SimConfig {
         self
     }
 
-    /// Simulation fidelity (packet / hybrid / flow-only).
+    /// Simulation fidelity (packet / hybrid).
     pub fn fidelity(mut self, f: Fidelity) -> SimConfig {
         self.fidelity = f;
         self
@@ -216,23 +208,18 @@ mod tests {
     #[test]
     fn inline_and_fidelity_env_knobs_parse() {
         let _g = ENV_LOCK.lock().unwrap();
-        std::env::remove_var("SIMNET_INLINE");
-        assert_eq!(inline_from_env(), None);
-        std::env::set_var("SIMNET_INLINE", "1");
-        assert_eq!(inline_from_env(), Some(true));
-        std::env::set_var("SIMNET_INLINE", "0");
-        assert_eq!(inline_from_env(), Some(false));
-        std::env::remove_var("SIMNET_INLINE");
-
         std::env::remove_var("SIMNET_FIDELITY");
         assert_eq!(fidelity_from_env(), None);
         std::env::set_var("SIMNET_FIDELITY", "hybrid");
         assert_eq!(fidelity_from_env(), Some(Fidelity::Hybrid));
-        std::env::set_var("SIMNET_FIDELITY", "Flow-Only");
-        assert_eq!(fidelity_from_env(), Some(Fidelity::FlowOnly));
+        std::env::set_var("SIMNET_FIDELITY", " Packet ");
+        assert_eq!(fidelity_from_env(), Some(Fidelity::Packet));
         std::env::set_var("SIMNET_FIDELITY", "bogus");
         assert_eq!(fidelity_from_env(), None);
         std::env::remove_var("SIMNET_FIDELITY");
+
+        // The backend has no env knob: only `SimConfig::inline` pins it.
+        assert_eq!(SimConfig::from_env().inline, None);
     }
 
     #[test]
@@ -264,7 +251,6 @@ mod tests {
     fn env_overrides_apply_on_top_of_programmed_defaults() {
         let _g = ENV_LOCK.lock().unwrap();
         std::env::remove_var("SIMNET_SHARDS");
-        std::env::remove_var("SIMNET_INLINE");
         std::env::set_var("SIMNET_FIDELITY", "hybrid");
         let cfg = SimConfig::new()
             .shards(4)

@@ -413,8 +413,8 @@ pub(crate) enum RemotePayload {
 }
 
 /// An event crossing shards: the full intrinsic tag plus the destination
-/// device and payload, ferried over a ring and pushed into the destination
-/// shard's heap (see `parallel.rs`).
+/// device and payload, carried in the coordinator's round messages and
+/// pushed into the destination shard's heap (see `parallel.rs`).
 #[derive(Debug)]
 pub(crate) struct RemoteEvent {
     pub(crate) tag: EventTag,
@@ -441,7 +441,8 @@ struct PolicyRegistry {
 struct ShardCtx {
     shard_of: Arc<Vec<u32>>,
     me: u32,
-    outbox: Vec<RemoteEvent>,
+    /// `outbox[d]`: events addressed to shard `d`, in emission order.
+    outbox: Vec<Vec<RemoteEvent>>,
 }
 
 /// The simulated network: device graph + event queue + clock + accounting.
@@ -543,7 +544,7 @@ impl Network {
     }
 
     /// Selects the simulation fidelity (see [`Fidelity`]). `Packet`
-    /// removes the flow table; `Hybrid`/`FlowOnly` install a fresh one.
+    /// removes the flow table; `Hybrid` installs a fresh one.
     ///
     /// # Panics
     /// Panics if events have already been processed: fidelity is part of
@@ -555,15 +556,18 @@ impl Network {
         );
         self.flow = match f {
             Fidelity::Packet => None,
-            _ => Some(FlowTable::new(f, &mut self.store)),
+            Fidelity::Hybrid => Some(FlowTable::new(&mut self.store)),
         };
     }
 
-    /// The active simulation fidelity.
+    /// The active simulation fidelity: `Hybrid` whenever a flow table is
+    /// installed.
     pub fn fidelity(&self) -> Fidelity {
-        self.flow
-            .as_ref()
-            .map_or(Fidelity::Packet, FlowTable::fidelity)
+        if self.flow.is_some() {
+            Fidelity::Hybrid
+        } else {
+            Fidelity::Packet
+        }
     }
 
     /// Configures the flight recorder. Must be called before any event is
@@ -620,7 +624,7 @@ impl Network {
 
     /// Registers `ctl` as device `dev`'s filter table for the flow fast
     /// path's rule-change escalation check. Harnesses that mutate filter
-    /// rules while a `Hybrid`/`FlowOnly` run is live (or between runs)
+    /// rules while a `Hybrid` run is live (or between runs)
     /// must register the control, or steady flows crossing `dev` keep
     /// synthesizing deliveries until their next revalidation probe.
     /// Packet-fidelity runs ignore the registry entirely.
@@ -924,8 +928,9 @@ impl Network {
     /// is a shard and the destination lives elsewhere — into the outbox.
     fn route_frame(&mut self, tag: EventTag, dev: DeviceId, port: PortId, frame: Frame) {
         if let Some(sh) = &mut self.shard {
-            if sh.shard_of[dev.0] != sh.me {
-                sh.outbox.push(RemoteEvent {
+            let d = sh.shard_of[dev.0];
+            if d != sh.me {
+                sh.outbox[d as usize].push(RemoteEvent {
                     tag,
                     dev,
                     payload: RemotePayload::Frame { port, frame },
@@ -940,8 +945,9 @@ impl Network {
     /// (whose flow table holds the entry), or absorbs it locally.
     fn route_advert(&mut self, tag: EventTag, dev: DeviceId, update: Box<FlowUpdate>) {
         if let Some(sh) = &mut self.shard {
-            if sh.shard_of[dev.0] != sh.me {
-                sh.outbox.push(RemoteEvent {
+            let d = sh.shard_of[dev.0];
+            if d != sh.me {
+                sh.outbox[d as usize].push(RemoteEvent {
                     tag,
                     dev,
                     payload: RemotePayload::Advert(update),
@@ -969,10 +975,11 @@ impl Network {
         self.push_keyed(ev.tag, kind);
     }
 
-    /// Drains the outbox of frames addressed to other shards.
-    pub(crate) fn take_outbox(&mut self) -> Vec<RemoteEvent> {
+    /// Drains the outbox of events addressed to other shards, one batch
+    /// per destination shard.
+    pub(crate) fn take_outbox(&mut self) -> Vec<Vec<RemoteEvent>> {
         match &mut self.shard {
-            Some(sh) => std::mem::take(&mut sh.outbox),
+            Some(sh) => sh.outbox.iter_mut().map(std::mem::take).collect(),
             None => Vec::new(),
         }
     }
@@ -1082,13 +1089,10 @@ impl Network {
                 store.enable_journal();
                 let link_lost = store.metric_id("link.lost");
                 let fault_ids = self.fault.as_ref().map(|_| FaultIds::intern(&mut store));
-                // Each shard gets a fresh, empty flow table at the master's
-                // fidelity: flow state accrues from events, and every event
+                // Each shard gets a fresh, empty flow table when the master
+                // has one: flow state accrues from events, and every event
                 // touching a flow's state runs on its origin's shard.
-                let flow = self
-                    .flow
-                    .as_ref()
-                    .map(|f| FlowTable::new(f.fidelity(), &mut store));
+                let flow = self.flow.as_ref().map(|_| FlowTable::new(&mut store));
                 let mut net = Network {
                     devices,
                     links: self.links.clone(),
@@ -1107,7 +1111,7 @@ impl Network {
                     shard: Some(ShardCtx {
                         shard_of: Arc::clone(shard_of),
                         me: s as u32,
-                        outbox: Vec::new(),
+                        outbox: (0..nshards).map(|_| Vec::new()).collect(),
                     }),
                     fault: self.fault.clone(),
                     fault_ids,
@@ -1587,9 +1591,9 @@ impl<'a> DevCtx<'a> {
     /// Dropped (and counted) if the port is unlinked.
     pub fn transmit_at(&mut self, when: SimTime, port: PortId, frame: Frame) {
         debug_assert!(when >= self.net.now, "transmit in the past");
-        // Hybrid/flow-only fidelity: let the flow table classify this
-        // emission first — it may absorb it entirely (synthesized
-        // delivery) or hand it back stamped with a path probe.
+        // Hybrid fidelity: let the flow table classify this emission
+        // first — it may absorb it entirely (synthesized delivery) or
+        // hand it back stamped with a path probe.
         let frame = if self.net.flow.is_some() {
             match self.net.flow_emit(self.id, port, when, frame) {
                 Some(f) => f,

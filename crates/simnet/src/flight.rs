@@ -174,9 +174,11 @@ fn degrade_dwell_ns(journal: &[JournalRecord]) -> f64 {
 /// Unified telemetry export of a finished run: store counters, the
 /// journal with its per-kind counts and drop accounting (journal, span
 /// ring, event trace), and the derived [`HealthSummary`]. Everything but
-/// the coordinator health fields (`rounds`, `ring_stalls`,
-/// `ring_high_water`, from [`SyncStats`](crate::SyncStats); zero for
-/// sequential runs) is identical at any shard count.
+/// the coordinator's round count (`rounds`, from
+/// [`SyncStats`](crate::SyncStats); zero for sequential runs) is identical
+/// at any shard count. `rollback_rate`, `ring_stalls` and
+/// `ring_high_water` are always zero: the coordinator never rolls back
+/// and has no rings, and v1 keeps the fields.
 pub fn telemetry_report(report: &RunReport, label: &str) -> TelemetrySnapshot {
     let mut snap = TelemetrySnapshot::new(label, report.telemetry_mode.label());
     snap.counters = telemetry_counters(&report.store);
@@ -190,8 +192,8 @@ pub fn telemetry_report(report: &RunReport, label: &str) -> TelemetrySnapshot {
     snap.health = HealthSummary {
         rounds: report.sync.rounds,
         rollback_rate: 0.0,
-        ring_stalls: report.sync.ring_stalls,
-        ring_high_water: report.sync.ring_high_water,
+        ring_stalls: 0,
+        ring_high_water: 0,
         flow_hit_rate: flow_hit_rate(&report.store),
         degrade_dwell_ns: degrade_dwell_ns(&snap.journal),
     };

@@ -26,8 +26,8 @@
 //! an event *on the origin's shard* — either the origin endpoint's own
 //! emission (inside `transmit_at`) or a [`FlowUpdate`] advert event
 //! addressed to the origin device. Adverts ride the ordinary event heap
-//! (and, sharded, the round protocol's rings) with intrinsic tags, so the
-//! decision sequence is identical for any `SIMNET_SHARDS` value.
+//! (and, sharded, the coordinator's round messages) with intrinsic tags,
+//! so the decision sequence is identical for any `SIMNET_SHARDS` value.
 
 use crate::addr::{Ip4, MacAddr};
 use crate::device::{DeviceId, PortId};
@@ -48,9 +48,6 @@ pub enum Fidelity {
     /// Steady flows take the analytic fast path but are periodically
     /// re-probed at packet level so path/NAT changes are caught.
     Hybrid,
-    /// Steady flows stay on the fast path without revalidation probes;
-    /// only fault windows, idle gaps, and conflicting adverts escalate.
-    FlowOnly,
 }
 
 /// Number of consecutive consistent adverts before a flow is promoted to
@@ -63,8 +60,8 @@ const STEADY_AFTER: u32 = 3;
 /// flooding bridge, must not probe forever at full rate).
 const LEARN_CAP: u64 = 256;
 
-/// Steady-state revalidation cadence in `Hybrid` mode: one emission in
-/// this many goes packet level to re-verify the learned path.
+/// Steady-state revalidation cadence: one emission in this many goes
+/// packet level to re-verify the learned path.
 const PROBE_EVERY: u64 = 32;
 
 /// Revalidation cadence for flows whose path crosses a NAT: conntrack
@@ -405,10 +402,9 @@ pub(crate) enum FlowEvent {
     },
 }
 
-/// The per-engine flow table (present only in `Hybrid`/`FlowOnly` runs).
+/// The per-engine flow table (present only in `Hybrid` runs).
 #[derive(Debug)]
 pub(crate) struct FlowTable {
-    fidelity: Fidelity,
     flows: HashMap<FlowKey, FlowState>,
     ids: FlowIds,
     /// Pending journal-worthy decision (see [`FlowEvent`]).
@@ -416,10 +412,8 @@ pub(crate) struct FlowTable {
 }
 
 impl FlowTable {
-    pub(crate) fn new(fidelity: Fidelity, store: &mut SampleStore) -> FlowTable {
-        debug_assert_ne!(fidelity, Fidelity::Packet);
+    pub(crate) fn new(store: &mut SampleStore) -> FlowTable {
         FlowTable {
-            fidelity,
             flows: HashMap::new(),
             ids: FlowIds::intern(store),
             last_event: None,
@@ -432,10 +426,6 @@ impl FlowTable {
     #[inline]
     pub(crate) fn take_event(&mut self) -> Option<FlowEvent> {
         self.last_event.take()
-    }
-
-    pub(crate) fn fidelity(&self) -> Fidelity {
-        self.fidelity
     }
 
     /// The learned path of a steady flow (used to synthesize deliveries).
@@ -545,17 +535,15 @@ impl FlowTable {
                 return EmitAction::Probe;
             }
             st.policy_checked = when;
-            // Hybrid keeps revalidating; FlowOnly trusts the model.
-            if self.fidelity == Fidelity::Hybrid {
-                let cadence = if has_nat {
-                    NAT_PROBE_EVERY
-                } else {
-                    PROBE_EVERY
-                };
-                if st.emits.is_multiple_of(cadence) {
-                    store.add_id(self.ids.probes, 1.0);
-                    return EmitAction::Probe;
-                }
+            // Revalidate the learned path at the steady cadence.
+            let cadence = if has_nat {
+                NAT_PROBE_EVERY
+            } else {
+                PROBE_EVERY
+            };
+            if st.emits.is_multiple_of(cadence) {
+                store.add_id(self.ids.probes, 1.0);
+                return EmitAction::Probe;
             }
             return EmitAction::Fast;
         }
@@ -693,7 +681,7 @@ mod tests {
     #[test]
     fn three_consistent_adverts_promote_then_fast() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::Hybrid, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -714,7 +702,7 @@ mod tests {
     #[test]
     fn pipelined_emission_pins_flow_to_packet_level() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::Hybrid, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -751,7 +739,7 @@ mod tests {
     #[test]
     fn changed_path_demotes() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::Hybrid, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -773,7 +761,7 @@ mod tests {
     #[test]
     fn fault_window_escalates() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::Hybrid, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -792,7 +780,7 @@ mod tests {
     #[test]
     fn rule_change_escalates_steady_flow() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::FlowOnly, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -805,7 +793,7 @@ mod tests {
             EmitAction::Fast
         );
         // An epoch bump (a rule was installed/removed on a hop's table)
-        // escalates even in FlowOnly mode, which skips cadence probes.
+        // escalates at once, without waiting for a cadence probe.
         let bumped = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 1u64);
         assert_eq!(
             t.on_emit(&k, SimTime(5000), &no_fault, &bumped, &mut store),
@@ -834,7 +822,7 @@ mod tests {
     #[test]
     fn idle_gap_demotes() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::FlowOnly, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -862,7 +850,7 @@ mod tests {
     #[test]
     fn not_ok_paths_never_promote() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::Hybrid, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);

@@ -38,6 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod bridge;
@@ -57,7 +58,6 @@ mod obs;
 pub mod parallel;
 pub mod rate;
 pub mod shared;
-pub mod spsc;
 pub mod testutil;
 pub mod time;
 pub mod veth;

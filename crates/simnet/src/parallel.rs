@@ -1,6 +1,6 @@
-//! The parallel sharded engine: adaptive conservative lookahead over
-//! lock-free cross-shard rings — without losing a single bit of
-//! determinism.
+//! The parallel sharded engine: adaptive conservative lookahead, driven by
+//! one round loop whose messages also carry the cross-shard frames —
+//! without losing a single bit of determinism.
 //!
 //! # Partitioning
 //!
@@ -42,18 +42,20 @@
 //! on one core this is the difference between a round costing `2n`
 //! channel hops and costing only what the active shards need.
 //!
-//! # Cross-shard data plane
+//! # Round messages
 //!
-//! Frames cross the cut through bounded **lock-free SPSC rings**
-//! ([`crate::spsc`]), one per directed shard pair that shares at least one
-//! link. A shard flushes its outbox once per round as a handful of
-//! per-destination *batches* (`Vec<RemoteEvent>` tagged with the round
-//! number) instead of routing every frame through the coordinator: the
-//! control plane (tiny `Cmd`/`Reply` messages over `mpsc`) never touches
-//! frame payloads. Receivers drain exactly the batches tagged with an
-//! earlier round than the one they are executing — the round tag, not
-//! thread scheduling, decides visibility, which keeps every decision the
-//! coordinator makes a pure function of deterministic state.
+//! The coordinator and the shards exchange one command and one reply per
+//! dispatched shard per round, and those messages are the only transport
+//! between them. A shard groups the frames it sends to other shards by
+//! destination as it emits them, and its reply returns those batches
+//! with its progress floor. The coordinator holds each batch in
+//! `inbox[dest][src]` until `dest`'s next dispatch, then hands it over
+//! inside that round's command; the shard pushes its arrivals into its
+//! heap by source shard, then outbox order. Batches move as whole `Vec`s,
+//! so no payload is copied. A frame becomes visible exactly one round
+//! after it was sent, whichever backend runs the round — scoped worker
+//! threads or inline calls on the coordinator thread — so every decision
+//! the coordinator makes is a pure function of deterministic state.
 //!
 //! # Bit-identical determinism
 //!
@@ -87,23 +89,16 @@ use crate::device::DeviceId;
 use crate::engine::{Network, RemoteEvent, SampleStore, StopCondition, TraceEntry};
 use crate::flow::Fidelity;
 use crate::obs::{self, Recorder};
-use crate::spsc::{self, Consumer, Producer};
 use crate::time::{SimDuration, SimTime};
 use metrics::{
     CpuAccount, CpuLocation, JournalRecord, ObsMode, SpanRecord, StageTable, JOURNAL_KINDS,
 };
 use std::collections::HashMap;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
+use std::time::Duration;
 
 pub use crate::config::shards_from_env;
-
-/// Capacity of each cross-shard ring, in batches. A sender pushes at most
-/// one batch per destination per round, and a receiver with pending
-/// arrivals is dispatched in the next round, where it drains every batch
-/// of earlier rounds; so a ring holds at most two batches (last round's,
-/// until drained, and the current round's). The rest is headroom.
-const RING_CAP: usize = 16;
 
 /// Minimal union-find over device indices.
 struct UnionFind {
@@ -310,23 +305,15 @@ impl PartitionPlan {
     }
 }
 
-/// Synchronization statistics of a sharded run: how many coordinator
-/// rounds it took and how full the cross-shard rings got. Purely
-/// observational — the simulation outcome never depends on them. The
-/// round count is fully deterministic for a given topology, seed and
-/// shard count, because every dispatch decision is a function of
-/// round-tagged state only.
+/// Synchronization statistics of a sharded run. Purely observational —
+/// the simulation outcome never depends on them. The round count is
+/// fully deterministic for a given topology, seed and shard count,
+/// because every dispatch decision is a function of the replies'
+/// deterministic contents only.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SyncStats {
     /// Coordinator rounds executed.
     pub rounds: u64,
-    /// Peak occupancy observed across every cross-shard ring (gathered at
-    /// [`ShardedNetwork::into_report`]; 0 before then and for single-shard
-    /// runs).
-    pub ring_high_water: u64,
-    /// Cumulative full-ring push stalls across every cross-shard ring
-    /// (backpressure the data plane felt; gathered at `into_report`).
-    pub ring_stalls: u64,
 }
 
 /// Everything a finished run yields, and the one input every exporter
@@ -373,8 +360,8 @@ pub struct RunReport {
     pub dropped_no_link: u64,
     /// Final simulated time.
     pub now: SimTime,
-    /// Coordinator round and ring statistics (all zero for single-shard
-    /// runs, which bypass the coordinator).
+    /// Coordinator round statistics (zero for single-shard runs, which
+    /// bypass the coordinator).
     pub sync: SyncStats,
     /// Merged control-plane journal, in exact sequential emission order —
     /// bit-identical for any shard count. Empty unless telemetry ran in
@@ -389,52 +376,22 @@ pub struct RunReport {
     pub telemetry_mode: ObsMode,
 }
 
-/// A round-tagged batch of cross-shard frames traveling through an SPSC
-/// ring. The tag makes visibility deterministic: a receiver executing
-/// round `r` consumes exactly the batches tagged `< r`, regardless of how
-/// threads were scheduled.
-struct RingBatch {
-    round: u64,
-    events: Vec<RemoteEvent>,
-}
-
 /// One dispatched coordinator round for one shard.
 struct RoundCmd {
-    round: u64,
     /// Process every event strictly below this bound.
     bound: SimTime,
+    /// The frames sent to this shard since its last dispatch, one batch
+    /// per source shard, in source-shard order.
+    inbox: Vec<Vec<RemoteEvent>>,
 }
 
-enum Cmd {
-    Round(RoundCmd),
-    /// Epoch-tagged shutdown: sent only after the coordinator has
-    /// collected every reply of `round`, so no worker can be mid-push
-    /// into a ring when its peer exits. Replaces the implicit
-    /// close-by-dropping-the-sender termination, which raced the final
-    /// exchange (a shard could park on a drained channel while its last
-    /// outbox was still undelivered).
-    Terminate {
-        #[cfg_attr(not(debug_assertions), allow(dead_code))]
-        round: u64,
-    },
-}
-
+/// A shard's answer to one [`RoundCmd`].
 struct Reply {
     shard: usize,
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    round: u64,
     /// Progress floor: the shard's heap minimum after the round.
     floor: Option<SimTime>,
-    /// Per-destination minimum arrival time of batches pushed this round.
-    sent_min: Vec<Option<SimTime>>,
-}
-
-/// Ring endpoints of one shard: `incoming[s]` receives from shard `s`,
-/// `outgoing[d]` sends to shard `d`; `None` where no link crosses the
-/// pair (no traffic is possible, so no ring exists).
-struct WorkerChans {
-    incoming: Vec<Option<Consumer<RingBatch>>>,
-    outgoing: Vec<Option<Producer<RingBatch>>>,
+    /// The frames sent this round, one batch per destination shard.
+    sent: Vec<Vec<RemoteEvent>>,
 }
 
 fn omin(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
@@ -445,98 +402,22 @@ fn omin(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     }
 }
 
-/// Flushes the shard's outbox into per-destination round-tagged batches
-/// and returns each destination's minimum arrival time.
-fn flush_outbox(
-    net: &mut Network,
-    chans: &mut WorkerChans,
-    shard_of: &[u32],
-    round: u64,
-) -> Vec<Option<SimTime>> {
-    let n = chans.outgoing.len();
-    let mut sent_min = vec![None; n];
-    let out = net.take_outbox();
-    if out.is_empty() {
-        return sent_min;
-    }
-    let mut batches: Vec<Vec<RemoteEvent>> = (0..n).map(|_| Vec::new()).collect();
-    for ev in out {
-        batches[shard_of[ev.dev.0] as usize].push(ev);
-    }
-    for (d, events) in batches.into_iter().enumerate() {
-        if events.is_empty() {
-            continue;
-        }
-        sent_min[d] = events.iter().map(|e| e.tag.at).min();
-        chans.outgoing[d]
-            .as_mut()
-            .expect("cross-shard frame on a pair without a link")
-            .push(RingBatch { round, events });
-    }
-    sent_min
-}
-
-fn worker(
-    shard: usize,
-    net: &mut Network,
-    chans: &mut WorkerChans,
-    shard_of: &[u32],
-    rx: Receiver<Cmd>,
-    tx: Sender<Reply>,
-) {
-    let mut last_round = 0u64;
-    while let Ok(cmd) = rx.recv() {
-        let cmd = match cmd {
-            Cmd::Round(c) => c,
-            Cmd::Terminate { round } => {
-                debug_assert!(round >= last_round, "terminated from a stale round");
-                break;
-            }
-        };
-        debug_assert!(cmd.round > last_round, "rounds are strictly monotonic");
-        last_round = cmd.round;
-        let reply = round_step(shard, net, chans, shard_of, &cmd);
-        if tx.send(reply).is_err() {
-            break;
-        }
-    }
-}
-
-/// One shard's work for one dispatched round: drain the rings, run the
-/// window below the bound, flush the outbox. Shared verbatim by the
-/// threaded workers and the single-core inline backend, so both execute
-/// the identical protocol.
-fn round_step(
-    shard: usize,
-    net: &mut Network,
-    chans: &mut WorkerChans,
-    shard_of: &[u32],
-    cmd: &RoundCmd,
-) -> Reply {
-    // Drain every batch published before this round. The round tag —
-    // not thread scheduling — decides what is visible, so drains (and
-    // with them every coordinator decision downstream) are
-    // deterministic.
-    for cons in chans.incoming.iter_mut().flatten() {
-        while cons.peek().is_some_and(|b| b.round < cmd.round) {
-            let batch = cons.try_pop().expect("peeked batch pops");
-            for ev in batch.events {
-                net.push_remote(ev);
-            }
-        }
+/// One shard's work for one dispatched round: push the arrivals, run the
+/// window below the bound, hand back the outbox. Both backends call it,
+/// so they execute the identical protocol.
+fn round_step(shard: usize, net: &mut Network, cmd: RoundCmd) -> Reply {
+    for ev in cmd.inbox.into_iter().flatten() {
+        net.push_remote(ev);
     }
     net.run_window(cmd.bound);
-    let sent_min = flush_outbox(net, chans, shard_of, cmd.round);
     Reply {
         shard,
-        round: cmd.round,
         floor: net.peek_next_at(),
-        sent_min,
+        sent: net.take_outbox(),
     }
 }
 
-/// One round's coordinator decisions, shared by the threaded and the
-/// single-core inline backend so both dispatch the identical protocol.
+/// One round's coordinator decisions.
 struct RoundPlan {
     bound: Vec<SimTime>,
     dispatch: Vec<bool>,
@@ -614,7 +495,7 @@ fn plan_round(
             SimTime(b)
         })
         .collect();
-    // Dispatch only shards with something to do: arrivals to drain or
+    // Dispatch only shards with something to do: arrivals to push or
     // events below their bound.
     let dispatch = (0..nshards)
         .map(|d| pending_in[d].is_some() || floors[d].is_some_and(|f| f < bound[d]))
@@ -622,35 +503,65 @@ fn plan_round(
     Some(RoundPlan { bound, dispatch })
 }
 
-/// Folds one shard's round reply into the coordinator state. Folding is
-/// commutative (indexed writes and min-folds), so reply arrival order —
-/// thread scheduling in the threaded backend, shard index order inline —
-/// cannot affect the outcome.
-fn fold_reply(r: Reply, floors: &mut [Option<SimTime>], new_pending: &mut [Option<SimTime>]) {
-    floors[r.shard] = r.floor;
-    for (np, sent) in new_pending.iter_mut().zip(&r.sent_min) {
-        *np = omin(*np, *sent);
-    }
+/// The coordinator's state between rounds, persisted across run calls.
+struct Coordinator {
+    /// Progress floor per shard.
+    floors: Vec<Option<SimTime>>,
+    /// `inbox[d][s]`: the frames shard `s` sent to shard `d`, held until
+    /// `d`'s next dispatch.
+    inbox: Vec<Vec<Vec<RemoteEvent>>>,
+    /// Minimum arrival time of the frames waiting in `inbox[d]`.
+    pending_in: Vec<Option<SimTime>>,
+    stats: SyncStats,
 }
 
-/// A dispatched shard drained everything older than this round, so only
-/// this round's sends remain; an idle shard accumulates.
-fn apply_pending(
-    pending_in: &mut [Option<SimTime>],
-    new_pending: &[Option<SimTime>],
-    dispatch: &[bool],
-) {
-    for d in 0..pending_in.len() {
-        pending_in[d] = if dispatch[d] {
-            new_pending[d]
-        } else {
-            omin(pending_in[d], new_pending[d])
-        };
+impl Coordinator {
+    /// The round loop (see module docs): plan a round, hand each
+    /// dispatched shard its bound and its arrivals, and fold the replies
+    /// back in. `exec` runs one round's commands — inline or on the
+    /// worker threads — and returns every reply, in any order: folding is
+    /// commutative (indexed writes and min-folds), so the order cannot
+    /// affect the outcome.
+    fn run(
+        &mut self,
+        plan: &PartitionPlan,
+        deadline: SimTime,
+        mut exec: impl FnMut(Vec<(usize, RoundCmd)>) -> Vec<Reply>,
+    ) {
+        while let Some(rp) = plan_round(plan, deadline, &self.floors, &self.pending_in) {
+            self.stats.rounds += 1;
+            let mut cmds = Vec::new();
+            for d in (0..self.floors.len()).filter(|&d| rp.dispatch[d]) {
+                self.pending_in[d] = None;
+                let inbox = self.inbox[d].iter_mut().map(std::mem::take).collect();
+                let bound = rp.bound[d];
+                cmds.push((d, RoundCmd { bound, inbox }));
+            }
+            for r in exec(cmds) {
+                self.floors[r.shard] = r.floor;
+                for (d, batch) in r.sent.into_iter().enumerate() {
+                    let Some(at) = batch.iter().map(|e| e.tag.at).min() else {
+                        continue;
+                    };
+                    debug_assert_ne!(
+                        plan.min_lat(r.shard, d),
+                        u64::MAX,
+                        "cross-shard frame on a pair without a link"
+                    );
+                    self.pending_in[d] = omin(self.pending_in[d], Some(at));
+                    // A shard with arrivals is dispatched the next round,
+                    // which empties its inbox.
+                    debug_assert!(self.inbox[d][r.shard].is_empty());
+                    self.inbox[d][r.shard] = batch;
+                }
+            }
+        }
     }
 }
 
 /// A [`Network`] split across shards, each running its own slab/heap event
-/// loop on its own thread, synchronized by adaptive conservative bounds.
+/// loop (on a worker thread of its own, or inline on the coordinator
+/// thread), synchronized by adaptive conservative bounds.
 ///
 /// Build a topology on a plain [`Network`] (injecting initial frames and
 /// timers as usual), then hand it to [`ShardedNetwork::new`] *before
@@ -660,21 +571,10 @@ fn apply_pending(
 pub struct ShardedNetwork {
     nets: Vec<Network>,
     plan: PartitionPlan,
-    chans: Vec<WorkerChans>,
-    /// Progress floor per shard, persisted across run calls.
-    floors: Vec<Option<SimTime>>,
-    /// Minimum arrival time of undrained in-flight frames per receiving
-    /// shard, persisted across run calls (the frames themselves persist
-    /// in the rings).
-    pending_in: Vec<Option<SimTime>>,
-    /// Strictly monotonic round counter, persisted across run calls so
-    /// ring batches left over at a deadline stay older than every future
-    /// round.
-    round: u64,
+    coord: Coordinator,
     /// Backend selection: `Some` pins inline/threaded; `None` defers to
-    /// `SIMNET_INLINE`, then the core-count heuristic.
+    /// the core-count heuristic.
     inline: Option<bool>,
-    stats: SyncStats,
     now: SimTime,
     /// The master network's recorder (holding journal records emitted
     /// before the split): the merge target of `into_report`. Unused for
@@ -705,41 +605,19 @@ impl ShardedNetwork {
         } else {
             net.split(&plan.shard_of, nshards)
         };
-        // One ring per directed pair that can exchange events: pairs
-        // sharing a link, plus — after the flow-fidelity closure — any
-        // transitively connected pair. Disconnected pairs never ring.
-        let mut incoming: Vec<Vec<Option<Consumer<RingBatch>>>> = (0..nshards)
-            .map(|_| (0..nshards).map(|_| None).collect())
-            .collect();
-        let mut outgoing: Vec<Vec<Option<Producer<RingBatch>>>> = (0..nshards)
-            .map(|_| (0..nshards).map(|_| None).collect())
-            .collect();
-        if nshards > 1 {
-            for s in 0..nshards {
-                for d in 0..nshards {
-                    if s != d && plan.min_lat(s, d) != u64::MAX {
-                        let (p, c) = spsc::channel(RING_CAP);
-                        outgoing[s][d] = Some(p);
-                        incoming[d][s] = Some(c);
-                    }
-                }
-            }
-        }
-        let chans = incoming
-            .into_iter()
-            .zip(outgoing)
-            .map(|(incoming, outgoing)| WorkerChans { incoming, outgoing })
-            .collect();
-        let floors = nets.iter().map(Network::peek_next_at).collect();
+        let coord = Coordinator {
+            floors: nets.iter().map(Network::peek_next_at).collect(),
+            inbox: (0..nshards)
+                .map(|_| (0..nshards).map(|_| Vec::new()).collect())
+                .collect(),
+            pending_in: vec![None; nshards],
+            stats: SyncStats::default(),
+        };
         ShardedNetwork {
             nets,
             plan,
-            chans,
-            floors,
-            pending_in: vec![None; nshards],
-            round: 0,
+            coord,
             inline: None,
-            stats: SyncStats::default(),
             now,
             seed,
         }
@@ -763,13 +641,14 @@ impl ShardedNetwork {
 
     /// Coordinator round statistics accumulated so far.
     pub fn sync_stats(&self) -> SyncStats {
-        self.stats
+        self.coord.stats
     }
 
     /// Pins the coordinator backend: `Some(true)` inline (coordinator
     /// thread runs the shards), `Some(false)` threaded, `None` (default)
-    /// defers to `SIMNET_INLINE`, then the core-count heuristic.
-    pub fn set_inline(&mut self, inline: Option<bool>) {
+    /// defers to the core-count heuristic. Set through
+    /// [`SimConfig::inline`](crate::SimConfig::inline).
+    pub(crate) fn set_inline(&mut self, inline: Option<bool>) {
         self.inline = inline;
     }
 
@@ -801,9 +680,9 @@ impl ShardedNetwork {
         }
     }
 
-    /// The round coordinator (see module docs): compute per-shard
-    /// adaptive bounds from the floors, dispatch only the shards with
-    /// something to do, and fold replies back into the floors.
+    /// Runs the coordinator's round loop up to `deadline` on one of two
+    /// backends: scoped worker threads, one per shard, or inline
+    /// `round_step` calls on the coordinator thread.
     fn run_epochs(&mut self, deadline: SimTime) {
         if self.nets.len() == 1 {
             let net = &mut self.nets[0];
@@ -815,111 +694,70 @@ impl ShardedNetwork {
             return;
         }
         // On a single hardware thread, worker threads buy no parallelism
-        // and every round pays futex wakeups + context switches both ways.
-        // The inline backend runs the identical protocol (same plan_round,
-        // same round_step, same rings) on the coordinator thread instead.
-        // `set_inline` (usually via `SimConfig`) pins a backend; otherwise
-        // `SIMNET_INLINE=1`/`=0` overrides the core-count heuristic so
-        // either backend can be selected for testing.
+        // and every round pays futex wakeups + context switches both ways,
+        // so the coordinator thread runs the shards itself.
+        // `SimConfig::inline` pins either backend.
         let inline = self
             .inline
-            .or_else(crate::config::inline_from_env)
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()) == 1);
+        let ShardedNetwork {
+            nets, plan, coord, ..
+        } = self;
         if inline {
-            self.run_epochs_inline(deadline);
-        } else {
-            self.run_epochs_threaded(deadline);
+            coord.run(plan, deadline, |cmds| {
+                cmds.into_iter()
+                    .map(|(d, cmd)| round_step(d, &mut nets[d], cmd))
+                    .collect()
+            });
+            return;
         }
-    }
-
-    fn run_epochs_threaded(&mut self, deadline: SimTime) {
-        let nshards = self.nets.len();
-        let shard_of = Arc::clone(&self.plan.shard_of);
-        let plan = &self.plan;
-        let floors = &mut self.floors;
-        let pending_in = &mut self.pending_in;
-        let round = &mut self.round;
-        let stats = &mut self.stats;
         std::thread::scope(|scope| {
-            let (reply_tx, reply_rx) = std::sync::mpsc::channel::<Reply>();
-            let mut cmd_txs = Vec::with_capacity(nshards);
-            for (i, (net, ch)) in self.nets.iter_mut().zip(self.chans.iter_mut()).enumerate() {
-                let (tx, rx) = std::sync::mpsc::channel::<Cmd>();
-                let rtx = reply_tx.clone();
-                let so = Arc::clone(&shard_of);
-                scope.spawn(move || worker(i, net, ch, &so, rx, rtx));
-                cmd_txs.push(tx);
-            }
+            let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+            let cmd_txs: Vec<Sender<RoundCmd>> = nets
+                .iter_mut()
+                .enumerate()
+                .map(|(d, net)| {
+                    let (tx, rx) = mpsc::channel::<RoundCmd>();
+                    let reply_tx = reply_tx.clone();
+                    scope.spawn(move || {
+                        for cmd in rx {
+                            if reply_tx.send(round_step(d, net, cmd)).is_err() {
+                                break;
+                            }
+                        }
+                    });
+                    tx
+                })
+                .collect();
             drop(reply_tx);
-            while let Some(rp) = plan_round(plan, deadline, floors, pending_in) {
-                *round += 1;
-                stats.rounds += 1;
-                let ndisp = rp.dispatch.iter().filter(|&&b| b).count();
-                for (d, tx) in cmd_txs.iter().enumerate() {
-                    if !rp.dispatch[d] {
-                        continue;
-                    }
-                    let cmd = RoundCmd {
-                        round: *round,
-                        bound: rp.bound[d],
-                    };
-                    tx.send(Cmd::Round(cmd)).expect("shard worker exited early");
+            coord.run(plan, deadline, |cmds| {
+                let n = cmds.len();
+                for (d, cmd) in cmds {
+                    cmd_txs[d].send(cmd).expect("shard worker exited early");
                 }
-                let mut new_pending: Vec<Option<SimTime>> = vec![None; nshards];
-                for _ in 0..ndisp {
-                    // A panicked worker drops only its own sender clone, so
-                    // a plain recv() would block forever on the survivors;
-                    // the timeout turns a dead shard into a loud failure.
-                    let r = reply_rx
-                        .recv_timeout(std::time::Duration::from_secs(120))
-                        .expect("shard worker died or stalled");
-                    debug_assert_eq!(r.round, *round, "reply from a stale round");
-                    fold_reply(r, floors, &mut new_pending);
-                }
-                apply_pending(pending_in, &new_pending, &rp.dispatch);
-            }
-            for tx in &cmd_txs {
-                let _ = tx.send(Cmd::Terminate { round: *round });
-            }
+                // A panicked worker drops only its own sender clone, so a
+                // plain recv() would block forever on the survivors; the
+                // timeout turns a dead shard into a loud failure.
+                (0..n)
+                    .map(|_| {
+                        reply_rx
+                            .recv_timeout(Duration::from_secs(120))
+                            .expect("shard worker died or stalled")
+                    })
+                    .collect()
+            });
+            // Every reply is folded, so no frame is left with a worker:
+            // dropping the command senders ends every worker before the
+            // scope joins them.
+            drop(cmd_txs);
         });
-    }
-
-    fn run_epochs_inline(&mut self, deadline: SimTime) {
-        let nshards = self.nets.len();
-        let shard_of = Arc::clone(&self.plan.shard_of);
-        while let Some(rp) = plan_round(&self.plan, deadline, &self.floors, &self.pending_in) {
-            self.round += 1;
-            self.stats.rounds += 1;
-            let mut new_pending: Vec<Option<SimTime>> = vec![None; nshards];
-            for (d, (net, ch)) in self.nets.iter_mut().zip(&mut self.chans).enumerate() {
-                if !rp.dispatch[d] {
-                    continue;
-                }
-                let cmd = RoundCmd {
-                    round: self.round,
-                    bound: rp.bound[d],
-                };
-                let r = round_step(d, net, ch, &shard_of, &cmd);
-                fold_reply(r, &mut self.floors, &mut new_pending);
-            }
-            apply_pending(&mut self.pending_in, &new_pending, &rp.dispatch);
-        }
     }
 
     /// Merges the shards back into one [`RunReport`]: `obs::merge`
     /// replays every shard's recorded streams in exact sequential order
-    /// (see module docs), and ring statistics fold into
-    /// [`SyncStats`].
+    /// (see module docs).
     pub fn into_report(mut self) -> RunReport {
-        let mut sync = self.stats;
-        for p in self
-            .chans
-            .iter()
-            .flat_map(|ch| ch.outgoing.iter().flatten())
-        {
-            sync.ring_high_water = sync.ring_high_water.max(p.high_water() as u64);
-            sync.ring_stalls += p.stalls();
-        }
+        let sync = self.coord.stats;
         if self.nets.len() == 1 {
             return RunReport {
                 now: self.now,

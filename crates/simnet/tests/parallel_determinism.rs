@@ -336,13 +336,11 @@ fn span_cap_overflow_merges_bit_identically() {
 }
 
 /// The three documents every exporter writes for a run; the coordinator's
-/// own health fields (rounds, ring stalls, ring high water) are zeroed, as
-/// they describe the shard coordinator rather than the simulation.
+/// round count is zeroed, as it describes the shard coordinator rather
+/// than the simulation.
 fn exports(report: &RunReport) -> (RunSnapshot, ChromeTrace, TelemetrySnapshot) {
     let mut telemetry = telemetry_report(report, "exports");
     telemetry.health.rounds = 0;
-    telemetry.health.ring_stalls = 0;
-    telemetry.health.ring_high_water = 0;
     (
         snapshot_report(report, "exports"),
         chrome_trace_report(report),
@@ -618,20 +616,18 @@ fn independent_islands_commit_speculation_and_stay_bit_identical() {
 fn inline_and_threaded_backends_are_bit_identical() {
     // The coordinator picks its execution backend (scoped worker threads
     // vs inline round_step calls on the coordinator thread) from the host
-    // core count; SIMNET_INLINE pins it either way. Both must produce
+    // core count; SimConfig::inline pins it either way. Both must produce
     // identical outcomes *and* identical SyncStats — reply folding is
     // commutative, so backend choice may never show up in results.
-    // (Serialize: no other test in this binary touches SIMNET_INLINE;
-    // a concurrent reader would merely pick a backend explicitly, which
-    // this very test proves equivalent.)
     let run = |inline: bool| {
-        std::env::set_var("SIMNET_INLINE", if inline { "1" } else { "0" });
-        let mut sn = ShardedNetwork::new(build(), 4);
+        let mut sn = SimConfig::new()
+            .shards(4)
+            .inline(Some(inline))
+            .trace(TraceConfig::full())
+            .build(build());
         sn.run(StopCondition::Until(SimTime(2_000_000)));
         let stats = sn.sync_stats();
-        let out = outcome(sn.into_report());
-        std::env::remove_var("SIMNET_INLINE");
-        (stats, out)
+        (stats, outcome(sn.into_report()))
     };
     let (inline_stats, inline_out) = run(true);
     let (threaded_stats, threaded_out) = run(false);

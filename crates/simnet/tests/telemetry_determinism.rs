@@ -162,9 +162,9 @@ fn off_mode_journals_nothing() {
 }
 
 /// Coordinator statistics of an 8-host multihost run driven in four `run`
-/// calls: rounds accumulate across the calls, ring occupancy stays within
-/// the protocol's two-batch bound on either backend, and the telemetry
-/// export's health fields report both.
+/// calls: rounds accumulate across the calls to the same count on either
+/// backend, and the telemetry export's health fields report them, with
+/// the ring fields a constant 0 (frames ride the round messages).
 #[test]
 fn coordinator_lane_records_every_round_and_bounded_rings() {
     let build = || {
@@ -206,16 +206,13 @@ fn coordinator_lane_records_every_round_and_bounded_rings() {
             let (nshards, report) = run(shards, inline);
             assert_eq!(nshards, shards, "{label}: 9 islands split as asked");
             let sync = report.sync;
-            assert!(sync.rounds > 4, "{label}: coordinator ran");
-            assert!(
-                (1..=2).contains(&sync.ring_high_water),
-                "{label}: high water {} outside 1..=2",
-                sync.ring_high_water
-            );
+            // The exact count pins when cross-shard frames become
+            // visible: one round after they were sent.
+            assert_eq!(sync.rounds, 100, "{label}: coordinator rounds");
             let health = telemetry_report(&report, "coord").health;
             assert_eq!(health.rounds, sync.rounds, "{label}");
-            assert_eq!(health.ring_stalls, sync.ring_stalls, "{label}");
-            assert_eq!(health.ring_high_water, sync.ring_high_water, "{label}");
+            assert_eq!(health.ring_stalls, 0, "{label}");
+            assert_eq!(health.ring_high_water, 0, "{label}");
             assert_eq!(health.rollback_rate, 0.0, "{label}");
         }
     }

@@ -13,6 +13,7 @@
 //!   8192 B batches (figs. 5, 6).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod kafka;
 pub mod memcached;

@@ -10,10 +10,12 @@
 //!   are additionally gated absolutely: `telemetry_off` (config-identical
 //!   to `off`, separately measured) must stay ≥ 0.95x of `off`, and
 //!   `telemetry_full` must have journaled records (a live branch).
-//! * `engine_multicore.json` — every sweep row must be `bit_identical`;
-//!   the conservative 4-shard row's `speedup_vs_sequential_peak` (the
-//!   noise-robust paired statistic: peak rate over the sequential peak
-//!   from the same interleaved run) must stay ≥ 0.85 (the
+//! * `engine_multicore.json` — every sweep row (the heuristic-backend
+//!   `conservative` rows and the pinned `inline` rows) must be
+//!   `bit_identical`; the conservative 4-shard row's
+//!   `speedup_vs_sequential_peak` (the noise-robust paired statistic:
+//!   peak rate over the sequential peak from the same interleaved run)
+//!   must stay ≥ 0.85 (the
 //!   coordinator-overhead floor on a single core) and ≥ 2.0 when the
 //!   runner actually has ≥ 4 cores; and when the baseline was recorded on
 //!   a runner with the same core count, per-row peak speedups may not
