@@ -134,10 +134,14 @@ impl BootPipeline {
     }
 }
 
-/// The fig. 8 experiment: 100 boots of each mode with paired seeds.
+/// The fig. 8 experiment: `runs` boots of each mode, both drawn from
+/// `seed`. The two pipelines consume the same draws in every phase (both
+/// `network_setup` phases draw a stall, no other phase does), so the
+/// phases they share take common random numbers and the modes differ only
+/// where their `network_setup` phases do.
 pub fn fig8_experiment(runs: usize, seed: u64) -> (Cdf, Cdf) {
     let nat = Cdf::from_samples(BootPipeline::nat().run(runs, seed));
-    let brfusion = Cdf::from_samples(BootPipeline::brfusion().run(runs, seed ^ 0x5eed));
+    let brfusion = Cdf::from_samples(BootPipeline::brfusion().run(runs, seed));
     (nat, brfusion)
 }
 
@@ -177,6 +181,23 @@ mod tests {
         assert!(
             (0.60..=0.90).contains(&frac),
             "BrFusion better fraction {frac} outside [0.60, 0.90]"
+        );
+    }
+
+    #[test]
+    fn brfusion_wins_the_majority_at_almost_every_seed() {
+        // The published cell's scale (100 boots per mode) over 200 seeds:
+        // the paper's majority claim must hold at 95 % of them, so no one
+        // seed decides it.
+        let holds = (0..200u64)
+            .filter(|&seed| {
+                let (nat, brf) = fig8_experiment(100, seed);
+                brf.frac_below(&nat).unwrap() > 0.5
+            })
+            .count();
+        assert!(
+            holds >= 190,
+            "BrFusion won the majority at {holds}/200 seeds"
         );
     }
 

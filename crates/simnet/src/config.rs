@@ -2,10 +2,10 @@
 //!
 //! [`SimConfig`] is the unified front door for every engine knob that used
 //! to be scattered across constructors and ad-hoc `std::env` reads: shard
-//! count, coordinator backend, flight recorder, telemetry journal, the
-//! fault plan, and the simulation [`Fidelity`]. (The debugging event trace
-//! is switched on the [`Network`] itself, with
-//! [`Network::set_tracing`], and survives `build`.)
+//! count, flight recorder, telemetry journal, the fault plan, and the
+//! simulation [`Fidelity`]. (The debugging event trace is switched on the
+//! [`Network`] itself, with [`Network::set_tracing`], and survives
+//! `build`.)
 //!
 //! The `SIMNET_*` environment variables still work, but they are demoted
 //! to *overrides parsed here and nowhere else*:
@@ -15,9 +15,6 @@
 //! | `SIMNET_SHARDS`    | shard count (default 1)                         |
 //! | `SIMNET_FIDELITY`  | `packet` (default) or `hybrid`                  |
 //! | `SIMNET_TELEMETRY` | `off` (default), `counters`, or `full`          |
-//!
-//! The coordinator backend has no variable: it follows the core count
-//! unless [`SimConfig::inline`] pins it.
 //!
 //! Typical use:
 //!
@@ -73,12 +70,10 @@ pub fn fidelity_from_env() -> Option<Fidelity> {
 /// Builder for a fully configured simulation (see module docs).
 ///
 /// Defaults match a plain `ShardedNetwork::new(net, 1)`: one shard,
-/// backend by core-count heuristic, flight recorder and journal off, no
-/// fault plan, packet fidelity.
+/// flight recorder and journal off, no fault plan, packet fidelity.
 #[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     shards: Option<usize>,
-    inline: Option<bool>,
     trace: TraceConfig,
     fault: Option<FaultPlan>,
     fidelity: Fidelity,
@@ -119,14 +114,6 @@ impl SimConfig {
     /// Shard-count target (the partitioner may produce fewer).
     pub fn shards(mut self, n: usize) -> SimConfig {
         self.shards = Some(n.max(1));
-        self
-    }
-
-    /// Pins the coordinator backend (`Some(true)` inline, `Some(false)`
-    /// threaded); `None` (the default) runs inline on one hardware thread
-    /// and threaded otherwise.
-    pub fn inline(mut self, inline: Option<bool>) -> SimConfig {
-        self.inline = inline;
         self
     }
 
@@ -178,9 +165,7 @@ impl SimConfig {
         }
         net.set_fidelity(self.fidelity);
         net.set_telemetry_config(self.telemetry);
-        let mut sharded = ShardedNetwork::new(net, self.shards.unwrap_or(1));
-        sharded.set_inline(self.inline);
-        sharded
+        ShardedNetwork::new(net, self.shards.unwrap_or(1))
     }
 }
 
@@ -217,9 +202,6 @@ mod tests {
         std::env::set_var("SIMNET_FIDELITY", "bogus");
         assert_eq!(fidelity_from_env(), None);
         std::env::remove_var("SIMNET_FIDELITY");
-
-        // The backend has no env knob: only `SimConfig::inline` pins it.
-        assert_eq!(SimConfig::from_env().inline, None);
     }
 
     #[test]
@@ -266,10 +248,7 @@ mod tests {
         let _g = ENV_LOCK.lock().unwrap();
         std::env::remove_var("SIMNET_SHARDS");
         let net = Network::new(7);
-        let sim = SimConfig::new()
-            .inline(Some(true))
-            .fidelity(Fidelity::Hybrid)
-            .build(net);
+        let sim = SimConfig::new().fidelity(Fidelity::Hybrid).build(net);
         assert_eq!(sim.nshards(), 1, "empty topology is one shard");
     }
 }

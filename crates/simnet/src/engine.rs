@@ -7,7 +7,7 @@
 //! from the network seed, so a given (topology, workload, seed) reproduces
 //! bit-identical results — independently of how the event heap happens to
 //! interleave unrelated devices, and therefore independently of how the
-//! network is later sharded across threads (see `parallel.rs`).
+//! network is later sharded (see `parallel.rs`).
 //!
 //! # Fast path
 //!
@@ -413,7 +413,7 @@ pub(crate) enum RemotePayload {
 }
 
 /// An event crossing shards: the full intrinsic tag plus the destination
-/// device and payload, carried in the coordinator's round messages and
+/// device and payload, held in the coordinator's inboxes and
 /// pushed into the destination shard's heap (see `parallel.rs`).
 #[derive(Debug)]
 pub(crate) struct RemoteEvent {

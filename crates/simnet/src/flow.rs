@@ -26,7 +26,7 @@
 //! an event *on the origin's shard* — either the origin endpoint's own
 //! emission (inside `transmit_at`) or a [`FlowUpdate`] advert event
 //! addressed to the origin device. Adverts ride the ordinary event heap
-//! (and, sharded, the coordinator's round messages) with intrinsic tags,
+//! (and, sharded, the coordinator's inboxes) with intrinsic tags,
 //! so the decision sequence is identical for any `SIMNET_SHARDS` value.
 
 use crate::addr::{Ip4, MacAddr};

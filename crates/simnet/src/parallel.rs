@@ -1,6 +1,6 @@
-//! The parallel sharded engine: adaptive conservative lookahead, driven by
-//! one round loop whose messages also carry the cross-shard frames —
-//! without losing a single bit of determinism.
+//! The sharded engine: adaptive conservative lookahead, driven by one
+//! round loop on the calling thread that also carries the cross-shard
+//! frames — without losing a single bit of determinism.
 //!
 //! # Partitioning
 //!
@@ -38,24 +38,21 @@
 //! strictly dominates the fixed global window `[t, t+E)` of the earlier
 //! coordinator: a shard is only throttled by the shards that can actually
 //! reach it, at the latency of the links that reach it. Shards with no
-//! processable events and no pending arrivals are not dispatched at all —
-//! on one core this is the difference between a round costing `2n`
-//! channel hops and costing only what the active shards need.
+//! processable events and no pending arrivals are not dispatched at all,
+//! so a round costs only what the active shards need.
 //!
-//! # Round messages
+//! # Rounds
 //!
-//! The coordinator and the shards exchange one command and one reply per
-//! dispatched shard per round, and those messages are the only transport
-//! between them. A shard groups the frames it sends to other shards by
-//! destination as it emits them, and its reply returns those batches
-//! with its progress floor. The coordinator holds each batch in
-//! `inbox[dest][src]` until `dest`'s next dispatch, then hands it over
-//! inside that round's command; the shard pushes its arrivals into its
-//! heap by source shard, then outbox order. Batches move as whole `Vec`s,
-//! so no payload is copied. A frame becomes visible exactly one round
-//! after it was sent, whichever backend runs the round — scoped worker
-//! threads or inline calls on the coordinator thread — so every decision
-//! the coordinator makes is a pure function of deterministic state.
+//! The coordinator runs each round on the calling thread. A shard groups
+//! the frames it sends to other shards by destination as it emits them;
+//! after its window the coordinator files those batches in
+//! `inbox[dest][src]` and holds them until `dest`'s next dispatch, when
+//! the shard pushes its arrivals into its heap by source shard, then
+//! outbox order. Batches move as whole `Vec`s, so no payload is copied.
+//! Every dispatched shard's inbox is emptied before any shard of the round
+//! runs, so a frame becomes visible exactly one round after it was sent,
+//! and every decision the coordinator makes is a pure function of
+//! deterministic state.
 //!
 //! # Bit-identical determinism
 //!
@@ -94,9 +91,7 @@ use metrics::{
     CpuAccount, CpuLocation, JournalRecord, ObsMode, SpanRecord, StageTable, JOURNAL_KINDS,
 };
 use std::collections::HashMap;
-use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
-use std::time::Duration;
 
 pub use crate::config::shards_from_env;
 
@@ -308,8 +303,8 @@ impl PartitionPlan {
 /// Synchronization statistics of a sharded run. Purely observational —
 /// the simulation outcome never depends on them. The round count is
 /// fully deterministic for a given topology, seed and shard count,
-/// because every dispatch decision is a function of the replies'
-/// deterministic contents only.
+/// because every dispatch decision is a function of the shards'
+/// deterministic floors and sends only.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SyncStats {
     /// Coordinator rounds executed.
@@ -376,44 +371,11 @@ pub struct RunReport {
     pub telemetry_mode: ObsMode,
 }
 
-/// One dispatched coordinator round for one shard.
-struct RoundCmd {
-    /// Process every event strictly below this bound.
-    bound: SimTime,
-    /// The frames sent to this shard since its last dispatch, one batch
-    /// per source shard, in source-shard order.
-    inbox: Vec<Vec<RemoteEvent>>,
-}
-
-/// A shard's answer to one [`RoundCmd`].
-struct Reply {
-    shard: usize,
-    /// Progress floor: the shard's heap minimum after the round.
-    floor: Option<SimTime>,
-    /// The frames sent this round, one batch per destination shard.
-    sent: Vec<Vec<RemoteEvent>>,
-}
-
 fn omin(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     match (a, b) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (x, None) => x,
         (None, y) => y,
-    }
-}
-
-/// One shard's work for one dispatched round: push the arrivals, run the
-/// window below the bound, hand back the outbox. Both backends call it,
-/// so they execute the identical protocol.
-fn round_step(shard: usize, net: &mut Network, cmd: RoundCmd) -> Reply {
-    for ev in cmd.inbox.into_iter().flatten() {
-        net.push_remote(ev);
-    }
-    net.run_window(cmd.bound);
-    Reply {
-        shard,
-        floor: net.peek_next_at(),
-        sent: net.take_outbox(),
     }
 }
 
@@ -505,7 +467,7 @@ fn plan_round(
 
 /// The coordinator's state between rounds, persisted across run calls.
 struct Coordinator {
-    /// Progress floor per shard.
+    /// Progress floor per shard: its heap minimum after its last round.
     floors: Vec<Option<SimTime>>,
     /// `inbox[d][s]`: the frames shard `s` sent to shard `d`, held until
     /// `d`'s next dispatch.
@@ -517,51 +479,48 @@ struct Coordinator {
 
 impl Coordinator {
     /// The round loop (see module docs): plan a round, hand each
-    /// dispatched shard its bound and its arrivals, and fold the replies
-    /// back in. `exec` runs one round's commands — inline or on the
-    /// worker threads — and returns every reply, in any order: folding is
-    /// commutative (indexed writes and min-folds), so the order cannot
-    /// affect the outcome.
-    fn run(
-        &mut self,
-        plan: &PartitionPlan,
-        deadline: SimTime,
-        mut exec: impl FnMut(Vec<(usize, RoundCmd)>) -> Vec<Reply>,
-    ) {
+    /// dispatched shard its arrivals, then run the dispatched shards in
+    /// shard order, filing the frames each one sends for its
+    /// destination's next dispatch.
+    fn run(&mut self, plan: &PartitionPlan, nets: &mut [Network], deadline: SimTime) {
         while let Some(rp) = plan_round(plan, deadline, &self.floors, &self.pending_in) {
             self.stats.rounds += 1;
-            let mut cmds = Vec::new();
-            for d in (0..self.floors.len()).filter(|&d| rp.dispatch[d]) {
+            let n = nets.len();
+            // Every inbox is emptied before any shard runs, so a frame
+            // sent this round waits for the next one.
+            for d in (0..n).filter(|&d| rp.dispatch[d]) {
                 self.pending_in[d] = None;
-                let inbox = self.inbox[d].iter_mut().map(std::mem::take).collect();
-                let bound = rp.bound[d];
-                cmds.push((d, RoundCmd { bound, inbox }));
+                for ev in self.inbox[d].iter_mut().flat_map(std::mem::take) {
+                    nets[d].push_remote(ev);
+                }
             }
-            for r in exec(cmds) {
-                self.floors[r.shard] = r.floor;
-                for (d, batch) in r.sent.into_iter().enumerate() {
+            for s in (0..n).filter(|&s| rp.dispatch[s]) {
+                let net = &mut nets[s];
+                net.run_window(rp.bound[s]);
+                self.floors[s] = net.peek_next_at();
+                for (d, batch) in net.take_outbox().into_iter().enumerate() {
                     let Some(at) = batch.iter().map(|e| e.tag.at).min() else {
                         continue;
                     };
                     debug_assert_ne!(
-                        plan.min_lat(r.shard, d),
+                        plan.min_lat(s, d),
                         u64::MAX,
                         "cross-shard frame on a pair without a link"
                     );
                     self.pending_in[d] = omin(self.pending_in[d], Some(at));
                     // A shard with arrivals is dispatched the next round,
                     // which empties its inbox.
-                    debug_assert!(self.inbox[d][r.shard].is_empty());
-                    self.inbox[d][r.shard] = batch;
+                    debug_assert!(self.inbox[d][s].is_empty());
+                    self.inbox[d][s] = batch;
                 }
             }
         }
     }
 }
 
-/// A [`Network`] split across shards, each running its own slab/heap event
-/// loop (on a worker thread of its own, or inline on the coordinator
-/// thread), synchronized by adaptive conservative bounds.
+/// A [`Network`] split across shards, each with its own slab/heap event
+/// loop, run round by round on the calling thread and synchronized by
+/// adaptive conservative bounds.
 ///
 /// Build a topology on a plain [`Network`] (injecting initial frames and
 /// timers as usual), then hand it to [`ShardedNetwork::new`] *before
@@ -572,9 +531,6 @@ pub struct ShardedNetwork {
     nets: Vec<Network>,
     plan: PartitionPlan,
     coord: Coordinator,
-    /// Backend selection: `Some` pins inline/threaded; `None` defers to
-    /// the core-count heuristic.
-    inline: Option<bool>,
     now: SimTime,
     /// The master network's recorder (holding journal records emitted
     /// before the split): the merge target of `into_report`. Unused for
@@ -617,7 +573,6 @@ impl ShardedNetwork {
             nets,
             plan,
             coord,
-            inline: None,
             now,
             seed,
         }
@@ -642,14 +597,6 @@ impl ShardedNetwork {
     /// Coordinator round statistics accumulated so far.
     pub fn sync_stats(&self) -> SyncStats {
         self.coord.stats
-    }
-
-    /// Pins the coordinator backend: `Some(true)` inline (coordinator
-    /// thread runs the shards), `Some(false)` threaded, `None` (default)
-    /// defers to the core-count heuristic. Set through
-    /// [`SimConfig::inline`](crate::SimConfig::inline).
-    pub(crate) fn set_inline(&mut self, inline: Option<bool>) {
-        self.inline = inline;
     }
 
     /// Runs the sharded network until `stop` (see [`StopCondition`]).
@@ -680,9 +627,7 @@ impl ShardedNetwork {
         }
     }
 
-    /// Runs the coordinator's round loop up to `deadline` on one of two
-    /// backends: scoped worker threads, one per shard, or inline
-    /// `round_step` calls on the coordinator thread.
+    /// Runs the coordinator's round loop up to `deadline`.
     fn run_epochs(&mut self, deadline: SimTime) {
         if self.nets.len() == 1 {
             let net = &mut self.nets[0];
@@ -693,64 +638,7 @@ impl ShardedNetwork {
             }
             return;
         }
-        // On a single hardware thread, worker threads buy no parallelism
-        // and every round pays futex wakeups + context switches both ways,
-        // so the coordinator thread runs the shards itself.
-        // `SimConfig::inline` pins either backend.
-        let inline = self
-            .inline
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()) == 1);
-        let ShardedNetwork {
-            nets, plan, coord, ..
-        } = self;
-        if inline {
-            coord.run(plan, deadline, |cmds| {
-                cmds.into_iter()
-                    .map(|(d, cmd)| round_step(d, &mut nets[d], cmd))
-                    .collect()
-            });
-            return;
-        }
-        std::thread::scope(|scope| {
-            let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-            let cmd_txs: Vec<Sender<RoundCmd>> = nets
-                .iter_mut()
-                .enumerate()
-                .map(|(d, net)| {
-                    let (tx, rx) = mpsc::channel::<RoundCmd>();
-                    let reply_tx = reply_tx.clone();
-                    scope.spawn(move || {
-                        for cmd in rx {
-                            if reply_tx.send(round_step(d, net, cmd)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                    tx
-                })
-                .collect();
-            drop(reply_tx);
-            coord.run(plan, deadline, |cmds| {
-                let n = cmds.len();
-                for (d, cmd) in cmds {
-                    cmd_txs[d].send(cmd).expect("shard worker exited early");
-                }
-                // A panicked worker drops only its own sender clone, so a
-                // plain recv() would block forever on the survivors; the
-                // timeout turns a dead shard into a loud failure.
-                (0..n)
-                    .map(|_| {
-                        reply_rx
-                            .recv_timeout(Duration::from_secs(120))
-                            .expect("shard worker died or stalled")
-                    })
-                    .collect()
-            });
-            // Every reply is folded, so no frame is left with a worker:
-            // dropping the command senders ends every worker before the
-            // scope joins them.
-            drop(cmd_txs);
-        });
+        self.coord.run(&self.plan, &mut self.nets, deadline);
     }
 
     /// Merges the shards back into one [`RunReport`]: `obs::merge`

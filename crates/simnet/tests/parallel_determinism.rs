@@ -611,29 +611,3 @@ fn forced_straggler_rolls_back_and_stays_bit_identical() {
 fn independent_islands_commit_speculation_and_stay_bit_identical() {
     assert_two_shards_match_sequential("two dense", two_dense_net);
 }
-
-#[test]
-fn inline_and_threaded_backends_are_bit_identical() {
-    // The coordinator picks its execution backend (scoped worker threads
-    // vs inline round_step calls on the coordinator thread) from the host
-    // core count; SimConfig::inline pins it either way. Both must produce
-    // identical outcomes *and* identical SyncStats — reply folding is
-    // commutative, so backend choice may never show up in results.
-    let run = |inline: bool| {
-        let mut sn = SimConfig::new()
-            .shards(4)
-            .inline(Some(inline))
-            .trace(TraceConfig::full())
-            .build(build());
-        sn.run(StopCondition::Until(SimTime(2_000_000)));
-        let stats = sn.sync_stats();
-        (stats, outcome(sn.into_report()))
-    };
-    let (inline_stats, inline_out) = run(true);
-    let (threaded_stats, threaded_out) = run(false);
-    assert_eq!(
-        inline_stats, threaded_stats,
-        "sync stats must not depend on the backend"
-    );
-    assert_identical("inline vs threaded", &inline_out, &threaded_out);
-}
