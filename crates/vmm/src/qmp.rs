@@ -316,6 +316,31 @@ mod tests {
     }
 
     #[test]
+    fn json_wire_rejects_out_of_range_ids() {
+        let mut vmm = vmm_with_vm();
+        vmm.qmp(QmpCommand::NetdevAdd {
+            vm: 0,
+            bridge: "br0".into(),
+            coalesce: false,
+        });
+        // Neither id fits a u32, so neither may be clamped into one.
+        for line in [
+            r#"{"DeviceDel":{"vm":-1.0,"nic":0}}"#,
+            r#"{"DeviceDel":{"vm":1e10,"nic":0}}"#,
+        ] {
+            let resp: QmpResponse = serde_json::from_str(&vmm.qmp_json(line)).unwrap();
+            assert!(
+                matches!(&resp, QmpResponse::Error { desc } if desc.starts_with("malformed command")),
+                "{line} -> {resp:?}"
+            );
+        }
+        let QmpResponse::Nics(nics) = vmm.qmp(QmpCommand::QueryNics { vm: 0 }) else {
+            panic!("expected Nics")
+        };
+        assert_eq!(nics.iter().map(|n| n.nic).collect::<Vec<_>>(), [0]);
+    }
+
+    #[test]
     fn injected_outage_rejects_commands_by_sim_time() {
         use simnet::{SimDuration, SimTime};
         let mut vmm = vmm_with_vm();
