@@ -1,7 +1,6 @@
 //! Standalone event-throughput harness for the simnet DES engine.
 //!
-//! Three scenarios, run as a plain binary so before/after numbers can be
-//! recorded without the criterion feature:
+//! Three scenarios, run as a plain binary:
 //!
 //! * `bridge_forwarding` — the fast-path microbenchmark: one bridge
 //!   unicasting `frames` frames into a sink, repeated `reps` times.

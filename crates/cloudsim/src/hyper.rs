@@ -19,7 +19,7 @@
 //! the fast path changed throughput, not placements).
 
 use crate::catalog::cheapest_fitting;
-use crate::index::{FreeCapIndex, PlacePolicy, TieBreak};
+use crate::index::{FreeCapIndex, PlacePolicy};
 use crate::resources::Res;
 use crate::trace::TraceStream;
 use metrics::{HistSummary, Log2Hist, TelemetrySnapshot, TickSeries, DEFAULT_SERIES_CAP};
@@ -424,9 +424,9 @@ impl Engine {
     /// id and folds the decision into the digest.
     fn place(&mut self, req: Res) -> u32 {
         let picked = if self.naive {
-            self.idx.pick_naive(req, self.policy, TieBreak::SmallestId)
+            self.idx.pick_naive(req, self.policy)
         } else {
-            self.idx.pick(req, self.policy, TieBreak::SmallestId)
+            self.idx.pick(req, self.policy)
         };
         let vm = match picked {
             Some(vm) => {

@@ -29,13 +29,8 @@
 //! reference full scan [`FreeCapIndex::pick_naive`] — the property tests
 //! exercise this under random churn. Coordinates and capacities must stay
 //! below `2^31` per axis (2.1M vCPU / 2 PiB — far above any real node) so
-//! the cross-products fit in `u128`.
-//!
-//! A separate query, [`FreeCapIndex::pick_most_requested_f64`], reproduces
-//! the *orchestrator's* legacy floating-point scoring (mean requested
-//! fraction, last-wins tie-break) with a conservatively slacked pruning
-//! bound, so the control plane can adopt the index without a single
-//! placement changing on the seed topology.
+//! the cross-products fit in `u128`. Equal scores go to the smallest
+//! node id.
 
 use crate::resources::Res;
 use std::cmp::Ordering;
@@ -61,16 +56,6 @@ pub enum PlacePolicy {
     /// Maximize the post-placement sum of free shares: pick the emptiest
     /// node (the `LeastAllocated` spread bias).
     Spread,
-}
-
-/// How score ties between nodes are resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TieBreak {
-    /// Prefer the smallest node id (first-wins; the hyperscale engine).
-    SmallestId,
-    /// Prefer the largest node id (last-wins; matches the orchestrator's
-    /// historical `Iterator::max_by`, which keeps the *last* maximum).
-    LargestId,
 }
 
 /// Exact rational score with `u128` cross-multiplied comparison.
@@ -321,37 +306,20 @@ impl FreeCapIndex {
         self.update_used(id, used);
     }
 
-    /// Re-registers node `id` with a new capacity and usage (e.g. a
-    /// drained node whose capacity drops to zero).
-    ///
-    /// # Panics
-    /// Panics if `id` is not live, axes exceed the bound, or `used`
-    /// exceeds `cap`.
-    pub fn reset(&mut self, id: u32, cap: Res, used: Res) {
-        assert!(self.entries[id as usize].live, "node {id} is not live");
-        assert!(
-            cap.cpu_m < MAX_DIM && cap.mem_mib < MAX_DIM,
-            "capacity axis exceeds the index bound"
-        );
-        assert!(used.fits_in(cap), "used {used:?} exceeds capacity {cap:?}");
-        self.detach(id);
-        let class = self.class_for(cap);
-        self.attach(id, class, used);
-    }
-
     /// Picks the best feasible node for `req` under `policy`, or `None`
-    /// when nothing fits. Bit-identical to [`pick_naive`](Self::pick_naive).
-    pub fn pick(&self, req: Res, policy: PlacePolicy, tie: TieBreak) -> Option<u32> {
+    /// when nothing fits; equal scores go to the smallest id.
+    /// Bit-identical to [`pick_naive`](Self::pick_naive).
+    pub fn pick(&self, req: Res, policy: PlacePolicy) -> Option<u32> {
         let minimize = !matches!(policy, PlacePolicy::Spread);
         let mut best: Option<(Frac, u32)> = None;
         for k in &self.classes {
             let cand = match policy {
-                PlacePolicy::MostRequested => self.scan_sum(k, req, tie, false),
-                PlacePolicy::Spread => self.scan_sum(k, req, tie, true),
-                PlacePolicy::BinPack => self.scan_binpack(k, req, tie),
+                PlacePolicy::MostRequested => self.scan_sum(k, req, false),
+                PlacePolicy::Spread => self.scan_sum(k, req, true),
+                PlacePolicy::BinPack => self.scan_binpack(k, req),
             };
             if let Some((f, id)) = cand {
-                take_better(&mut best, f, id, minimize, tie);
+                take_better(&mut best, f, id, minimize);
             }
         }
         best.map(|(_, id)| id)
@@ -359,7 +327,7 @@ impl FreeCapIndex {
 
     /// Reference implementation of [`pick`](Self::pick): an exhaustive
     /// scan over every live node with the same exact-rational scoring.
-    pub fn pick_naive(&self, req: Res, policy: PlacePolicy, tie: TieBreak) -> Option<u32> {
+    pub fn pick_naive(&self, req: Res, policy: PlacePolicy) -> Option<u32> {
         let minimize = !matches!(policy, PlacePolicy::Spread);
         let mut best: Option<(Frac, u32)> = None;
         for (i, e) in self.entries.iter().enumerate() {
@@ -372,14 +340,14 @@ impl FreeCapIndex {
                 continue;
             }
             let f = score(cap, free, req, policy);
-            take_better(&mut best, f, i as u32, minimize, tie);
+            take_better(&mut best, f, i as u32, minimize);
         }
         best.map(|(_, id)| id)
     }
 
     /// Diagonal walk for the sum-of-free-shares policies. Ascending levels
     /// minimize (most-requested); descending levels maximize (spread).
-    fn scan_sum(&self, k: &CapClass, req: Res, tie: TieBreak, spread: bool) -> Option<(Frac, u32)> {
+    fn scan_sum(&self, k: &CapClass, req: Res, spread: bool) -> Option<(Frac, u32)> {
         if k.len == 0 || !req.fits_in(k.cap) {
             return None;
         }
@@ -428,7 +396,7 @@ impl FreeCapIndex {
                         num: fa_c * cm + fa_m * cc,
                         den,
                     };
-                    take_better(&mut best, f, id, !spread, tie);
+                    take_better(&mut best, f, id, !spread);
                 }
             }
         }
@@ -438,7 +406,7 @@ impl FreeCapIndex {
     /// L-shell walk for dominant-resource bin-packing: ascending shells
     /// `max(ci, cj) = S`, minimizing the post-placement dominant free
     /// share.
-    fn scan_binpack(&self, k: &CapClass, req: Res, tie: TieBreak) -> Option<(Frac, u32)> {
+    fn scan_binpack(&self, k: &CapClass, req: Res) -> Option<(Frac, u32)> {
         if k.len == 0 || !req.fits_in(k.cap) {
             return None;
         }
@@ -470,7 +438,7 @@ impl FreeCapIndex {
                         num: (fa_c * cm).max(fa_m * cc),
                         den,
                     };
-                    take_better(best, f, id, true, tie);
+                    take_better(best, f, id, true);
                 }
             };
             // Column ci = s (cj in fj..=s), then row cj = s (ci in fi..s);
@@ -484,96 +452,6 @@ impl FreeCapIndex {
         }
         best
     }
-
-    /// Picks the node maximizing the orchestrator's legacy float score —
-    /// the mean requested fraction `((used+req)/cap)` over both axes with
-    /// `max(1)` divisors — breaking ties toward the *largest* id exactly
-    /// like `Iterator::max_by` over an ascending node scan. Bit-identical
-    /// to [`pick_most_requested_f64_naive`](Self::pick_most_requested_f64_naive).
-    pub fn pick_most_requested_f64(&self, req: Res) -> Option<u32> {
-        let mut best: Option<(f64, u32)> = None;
-        for k in &self.classes {
-            if k.len == 0 || !req.fits_in(k.cap) {
-                continue;
-            }
-            let prune = k.cap.cpu_m > 0 && k.cap.mem_mib > 0;
-            let r_share = req.cpu_m as f64 / k.cap.cpu_m.max(1) as f64
-                + req.mem_mib as f64 / k.cap.mem_mib.max(1) as f64;
-            let fi = axis_cell(req.cpu_m, k.cap.cpu_m);
-            let fj = axis_cell(req.mem_mib, k.cap.mem_mib);
-            for level in (fi + fj)..=(2 * (GRID - 1)) {
-                if prune {
-                    if let Some((b, _)) = best {
-                        // score = 1 - (free-share sum after)/2 and the sum
-                        // is >= level/G - r_share, so members of this and
-                        // later levels score at most `ub`. The 1e-9 slack
-                        // swamps f64 rounding in the bound itself, keeping
-                        // the cut conservative (never drops a true winner
-                        // or an exact tie).
-                        let ub = 1.0 - (level as f64 / GRID as f64 - r_share) / 2.0;
-                        if b > ub + 1e-9 {
-                            break;
-                        }
-                    }
-                }
-                let lo = fi.max(level.saturating_sub(GRID - 1));
-                let hi = (GRID - 1).min(level - fj);
-                for ci in lo..=hi {
-                    let cj = level - ci;
-                    for &id in &k.cells[ci * GRID + cj] {
-                        let e = &self.entries[id as usize];
-                        let free = k.cap.saturating_sub(e.used);
-                        if !req.fits_in(free) {
-                            continue;
-                        }
-                        let s = legacy_score(k.cap, e.used, req);
-                        let better = match best {
-                            None => true,
-                            Some((b, bid)) => s > b || (s == b && id > bid),
-                        };
-                        if better {
-                            best = Some((s, id));
-                        }
-                    }
-                }
-            }
-        }
-        best.map(|(_, id)| id)
-    }
-
-    /// Reference full scan for [`pick_most_requested_f64`](Self::pick_most_requested_f64):
-    /// mirrors the orchestrator's historical `filter(fits).max_by(score)`.
-    pub fn pick_most_requested_f64_naive(&self, req: Res) -> Option<u32> {
-        let mut best: Option<(f64, u32)> = None;
-        for (i, e) in self.entries.iter().enumerate() {
-            if !e.live {
-                continue;
-            }
-            let cap = self.classes[e.class as usize].cap;
-            let free = cap.saturating_sub(e.used);
-            if !req.fits_in(free) {
-                continue;
-            }
-            let s = legacy_score(cap, e.used, req);
-            let better = match best {
-                None => true,
-                // `max_by` keeps the last maximum: >= on an ascending scan.
-                Some((b, _)) => s >= b,
-            };
-            if better {
-                best = Some((s, i as u32));
-            }
-        }
-        best.map(|(_, id)| id)
-    }
-}
-
-/// The orchestrator's scoring function, reproduced operation-for-operation
-/// so the float results are bit-equal.
-fn legacy_score(cap: Res, used: Res, req: Res) -> f64 {
-    let cpu = (used.cpu_m + req.cpu_m) as f64 / cap.cpu_m.max(1) as f64;
-    let mem = (used.mem_mib + req.mem_mib) as f64 / cap.mem_mib.max(1) as f64;
-    (cpu + mem) / 2.0
 }
 
 /// Exact post-placement score of one node under `policy`.
@@ -589,17 +467,14 @@ fn score(cap: Res, free: Res, req: Res, policy: PlacePolicy) -> Frac {
 }
 
 /// Replaces `best` with `(f, id)` when strictly better under the policy
-/// direction, or equal and preferred by the tie-break.
-fn take_better(best: &mut Option<(Frac, u32)>, f: Frac, id: u32, minimize: bool, tie: TieBreak) {
+/// direction, or equal with a smaller id.
+fn take_better(best: &mut Option<(Frac, u32)>, f: Frac, id: u32, minimize: bool) {
     let better = match *best {
         None => true,
         Some((b, bid)) => match (f.cmp(b), minimize) {
             (Ordering::Less, true) | (Ordering::Greater, false) => true,
             (Ordering::Less, false) | (Ordering::Greater, true) => false,
-            (Ordering::Equal, _) => match tie {
-                TieBreak::SmallestId => id < bid,
-                TieBreak::LargestId => id > bid,
-            },
+            (Ordering::Equal, _) => id < bid,
         },
     };
     if better {
@@ -619,15 +494,13 @@ mod tests {
         PlacePolicy::BinPack,
         PlacePolicy::Spread,
     ];
-    const TIES: [TieBreak; 2] = [TieBreak::SmallestId, TieBreak::LargestId];
 
     #[test]
     fn empty_index_picks_nothing() {
         let idx = FreeCapIndex::new();
         for p in POLICIES {
-            assert_eq!(idx.pick(Res::new(1, 1), p, TieBreak::SmallestId), None);
+            assert_eq!(idx.pick(Res::new(1, 1), p), None);
         }
-        assert_eq!(idx.pick_most_requested_f64(Res::new(1, 1)), None);
     }
 
     #[test]
@@ -638,20 +511,11 @@ mod tests {
         let b = idx.insert(cap, Res::new(6_000, 24_576));
         let c = idx.insert(cap, Res::ZERO);
         let req = Res::new(1_000, 4_096);
-        assert_eq!(
-            idx.pick(req, PlacePolicy::MostRequested, TieBreak::SmallestId),
-            Some(b)
-        );
-        assert_eq!(
-            idx.pick(req, PlacePolicy::Spread, TieBreak::SmallestId),
-            Some(c)
-        );
+        assert_eq!(idx.pick(req, PlacePolicy::MostRequested), Some(b));
+        assert_eq!(idx.pick(req, PlacePolicy::Spread), Some(c));
         // Fill b so the request no longer fits there.
         idx.commit(b, Res::new(2_000, 8_000));
-        assert_eq!(
-            idx.pick(req, PlacePolicy::MostRequested, TieBreak::SmallestId),
-            Some(a)
-        );
+        assert_eq!(idx.pick(req, PlacePolicy::MostRequested), Some(a));
     }
 
     #[test]
@@ -662,11 +526,7 @@ mod tests {
         let _a = idx.insert(cap, Res::new(1_000, 500));
         let b = idx.insert(cap, Res::new(6_000, 4_000));
         assert_eq!(
-            idx.pick(
-                Res::new(1_000, 1_000),
-                PlacePolicy::BinPack,
-                TieBreak::SmallestId
-            ),
+            idx.pick(Res::new(1_000, 1_000), PlacePolicy::BinPack),
             Some(b)
         );
     }
@@ -676,39 +536,29 @@ mod tests {
         let mut idx = FreeCapIndex::new();
         idx.insert(Res::new(1_000, 1_000), Res::new(900, 900));
         for p in POLICIES {
-            assert_eq!(idx.pick(Res::new(200, 10), p, TieBreak::SmallestId), None);
+            assert_eq!(idx.pick(Res::new(200, 10), p), None);
         }
-        assert_eq!(idx.pick_most_requested_f64(Res::new(200, 10)), None);
     }
 
     #[test]
-    fn tie_break_direction_is_respected() {
+    fn equal_scores_pick_the_smallest_id() {
         let mut idx = FreeCapIndex::new();
         let cap = Res::new(4_000, 4_000);
         let a = idx.insert(cap, Res::ZERO);
-        let b = idx.insert(cap, Res::ZERO);
+        let _b = idx.insert(cap, Res::ZERO);
         let req = Res::new(100, 100);
         for p in POLICIES {
-            assert_eq!(idx.pick(req, p, TieBreak::SmallestId), Some(a));
-            assert_eq!(idx.pick(req, p, TieBreak::LargestId), Some(b));
+            assert_eq!(idx.pick(req, p), Some(a));
         }
-        assert_eq!(idx.pick_most_requested_f64(req), Some(b));
     }
 
     #[test]
     fn zero_capacity_nodes_only_accept_zero_requests() {
         let mut idx = FreeCapIndex::new();
         let drained = idx.insert(Res::ZERO, Res::ZERO);
+        assert_eq!(idx.pick(Res::new(1, 0), PlacePolicy::MostRequested), None);
         assert_eq!(
-            idx.pick(
-                Res::new(1, 0),
-                PlacePolicy::MostRequested,
-                TieBreak::SmallestId
-            ),
-            None
-        );
-        assert_eq!(
-            idx.pick(Res::ZERO, PlacePolicy::MostRequested, TieBreak::SmallestId),
+            idx.pick(Res::ZERO, PlacePolicy::MostRequested),
             Some(drained)
         );
     }
@@ -727,8 +577,8 @@ mod tests {
     }
 
     /// Exhaustive equivalence under random churn: after every mutation the
-    /// indexed pick must equal the naive full scan for every policy, every
-    /// tie-break, and the legacy f64 query — and any pick must be feasible.
+    /// indexed pick must equal the naive full scan for every policy, and
+    /// any pick must be feasible.
     #[test]
     fn pick_matches_naive_under_random_churn() {
         let mut rng = StdRng::seed_from_u64(0x1d5eed);
@@ -763,24 +613,16 @@ mod tests {
                 _ => Res::new(rng.gen_range(0u64..500), rng.gen_range(0u64..100_000)),
             };
             for p in POLICIES {
-                for t in TIES {
-                    let fast = idx.pick(req, p, t);
-                    let slow = idx.pick_naive(req, p, t);
-                    assert_eq!(fast, slow, "step {step} policy {p:?} tie {t:?} req {req:?}");
-                    if let Some(id) = fast {
-                        assert!(
-                            req.fits_in(idx.cap(id).saturating_sub(idx.used(id))),
-                            "infeasible pick at step {step}"
-                        );
-                    }
+                let fast = idx.pick(req, p);
+                let slow = idx.pick_naive(req, p);
+                assert_eq!(fast, slow, "step {step} policy {p:?} req {req:?}");
+                if let Some(id) = fast {
+                    assert!(
+                        req.fits_in(idx.cap(id).saturating_sub(idx.used(id))),
+                        "infeasible pick at step {step}"
+                    );
                 }
             }
-            let fast = idx.pick_most_requested_f64(req);
-            let slow = idx.pick_most_requested_f64_naive(req);
-            assert_eq!(
-                fast, slow,
-                "legacy f64 divergence at step {step} req {req:?}"
-            );
         }
     }
 }

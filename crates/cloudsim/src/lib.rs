@@ -26,7 +26,7 @@ pub use hyper::{
     run_hyperscale, run_hyperscale_with_telemetry, CurvePoint, HyperConfig, HyperReport,
     ScenarioEvent, ScenarioStream,
 };
-pub use index::{FreeCapIndex, PlacePolicy, TieBreak};
+pub use index::{FreeCapIndex, PlacePolicy};
 pub use online::{
     run_online, synthetic_online_trace, OnlineEvent, OnlineMode, OnlineReport, OnlineTrace,
 };

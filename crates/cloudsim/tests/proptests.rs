@@ -7,7 +7,7 @@ extern crate nestless_cloudsim as cloudsim;
 use cloudsim::trace::TraceStream;
 use cloudsim::{
     cheapest_fitting, hostlo_improve, kube_schedule, parse_csv, synthetic_trace, FreeCapIndex,
-    PlacePolicy, Res, TieBreak, Trace, TraceContainer, TracePod, TraceUser, LARGEST, M5_CATALOG,
+    PlacePolicy, Res, Trace, TraceContainer, TracePod, TraceUser, LARGEST, M5_CATALOG,
 };
 use proptest::prelude::*;
 
@@ -102,8 +102,7 @@ proptest! {
 
     /// Under arbitrary insert/remove/update churn the incremental index
     /// (a) picks exactly what the exhaustive scan picks for every policy
-    /// and tie-break, (b) never yields an infeasible placement, and
-    /// (c) reproduces the orchestrator's legacy f64 query bit-exactly.
+    /// and (b) never yields an infeasible placement.
     #[test]
     fn index_matches_naive_under_churn(
         ops in prop::collection::vec((0u8..4, 0u64..8_000, 0u64..32_000), 1..80),
@@ -112,7 +111,6 @@ proptest! {
     ) {
         const POLICIES: [PlacePolicy; 3] =
             [PlacePolicy::MostRequested, PlacePolicy::BinPack, PlacePolicy::Spread];
-        const TIES: [TieBreak; 2] = [TieBreak::SmallestId, TieBreak::LargestId];
         let mut idx = FreeCapIndex::new();
         let mut live: Vec<u32> = Vec::new();
         for (step, &(op, a, b)) in ops.iter().enumerate() {
@@ -133,23 +131,16 @@ proptest! {
             // Vary the probe per step so queries hit many regimes.
             let req = Res::new(req_cpu.rotate_left(step as u32) % 10_000, req_mem % (b + 1));
             for p in POLICIES {
-                for t in TIES {
-                    let fast = idx.pick(req, p, t);
-                    let slow = idx.pick_naive(req, p, t);
-                    prop_assert_eq!(fast, slow, "step {} policy {:?} tie {:?}", step, p, t);
-                    if let Some(id) = fast {
-                        prop_assert!(
-                            req.fits_in(idx.cap(id).saturating_sub(idx.used(id))),
-                            "infeasible pick at step {}", step
-                        );
-                    }
+                let fast = idx.pick(req, p);
+                let slow = idx.pick_naive(req, p);
+                prop_assert_eq!(fast, slow, "step {} policy {:?}", step, p);
+                if let Some(id) = fast {
+                    prop_assert!(
+                        req.fits_in(idx.cap(id).saturating_sub(idx.used(id))),
+                        "infeasible pick at step {}", step
+                    );
                 }
             }
-            prop_assert_eq!(
-                idx.pick_most_requested_f64(req),
-                idx.pick_most_requested_f64_naive(req),
-                "legacy f64 divergence at step {}", step
-            );
         }
     }
 

@@ -8,7 +8,6 @@ use crate::node::{Node, NodeId};
 use crate::pod::{PodId, PodSpec};
 use crate::policy::NetworkPolicy;
 use crate::scheduler::{Placement, SchedError, Scheduler};
-use cloudsim::{FreeCapIndex, Res};
 use contd::{Image, NetworkMode};
 use simnet::StopCondition;
 use std::fmt;
@@ -60,10 +59,6 @@ pub struct ControlPlane {
     pods: Vec<PodRecord>,
     scheduler: Box<dyn Scheduler>,
     cni: Box<dyn CniPlugin>,
-    /// Incremental free-capacity index mirroring `nodes` (node `i` is
-    /// index id `i`), kept in sync at every allocation change so
-    /// schedulers can skip the full-node rescan.
-    index: FreeCapIndex,
     /// Stored NetworkPolicy objects; enforced on matching live pods and
     /// auto-applied to matching pods deployed later.
     policies: Vec<NetworkPolicy>,
@@ -84,33 +79,14 @@ impl ControlPlane {
             pods: Vec::new(),
             scheduler,
             cni,
-            index: FreeCapIndex::new(),
             policies: Vec::new(),
         }
     }
 
     /// Registers a VM as a schedulable node.
     pub fn register_node(&mut self, vmm: &Vmm, vm: VmId) -> NodeId {
-        let node = Node::from_vm(vm, &vmm.vm(vm).spec);
-        let cap = Res::new(node.capacity.cpu_millis, node.capacity.memory_mib);
-        self.nodes.push(node);
-        let id = self.index.insert(cap, Res::ZERO);
-        debug_assert_eq!(id as usize, self.nodes.len() - 1, "index mirrors registry");
+        self.nodes.push(Node::from_vm(vm, &vmm.vm(vm).spec));
         NodeId(self.nodes.len() - 1)
-    }
-
-    /// The free-capacity index over the registry (node `i` is id `i`).
-    pub fn index(&self) -> &FreeCapIndex {
-        &self.index
-    }
-
-    /// Re-syncs one node's allocation total into the index.
-    fn sync_index(&mut self, node: NodeId) {
-        let n = &self.nodes[node.0];
-        self.index.update_used(
-            node.0 as u32,
-            Res::new(n.allocated.cpu_millis, n.allocated.memory_mib),
-        );
     }
 
     /// Registered nodes.
@@ -149,10 +125,6 @@ impl ControlPlane {
                     .saturating_sub(c.resources.memory_mib),
             );
         }
-        let touched = self.pods[id.0 as usize].placement.assignments.clone();
-        for node in touched {
-            self.sync_index(node);
-        }
     }
 
     /// Live (non-deleted) pods.
@@ -177,7 +149,6 @@ impl ControlPlane {
         let drained_vm = self.nodes[node.0].vm;
         self.nodes[node.0].capacity = contd::ResourceRequest::default();
         self.nodes[node.0].allocated = contd::ResourceRequest::default();
-        self.index.reset(node.0 as u32, Res::ZERO, Res::ZERO);
 
         let victims: Vec<PodId> = self
             .pods
@@ -223,7 +194,7 @@ impl ControlPlane {
     ) -> Result<PodId, DeployError> {
         let placement = self
             .scheduler
-            .place_indexed(&spec, &self.nodes, &self.index)
+            .place(&spec, &self.nodes)
             .map_err(DeployError::Unschedulable)?;
         assert_eq!(
             placement.assignments.len(),
@@ -234,9 +205,6 @@ impl ControlPlane {
         // Commit resource allocations.
         for (c, &node) in spec.containers.iter().zip(&placement.assignments) {
             self.nodes[node.0].allocate(c.resources);
-        }
-        for &node in &placement.assignments {
-            self.sync_index(node);
         }
 
         // Resolve node -> VM for the CNI plugin.
@@ -270,9 +238,6 @@ impl ControlPlane {
                                 .memory_mib
                                 .saturating_sub(c.resources.memory_mib),
                         );
-                    }
-                    for &node in &placement.assignments {
-                        self.sync_index(node);
                     }
                     return Err(DeployError::Network(e));
                 }
@@ -642,37 +607,48 @@ mod tests {
         assert_eq!(cp.nodes()[0].allocated, ResourceRequest::default());
     }
 
-    /// Regression for the index-backed control plane: on the seed
-    /// topology, every placement across deploy/delete/drain churn is
-    /// exactly what the legacy full-node scan would have chosen.
+    /// Pins the placements on the seed topology across deploy/delete/drain
+    /// churn. Each pod's two containers share one node. On an empty
+    /// cluster every node scores the same and `max_by` keeps the last
+    /// maximum, so the first pod lands on node 2.
     #[test]
-    fn indexed_placements_unchanged_on_seed_topology() {
+    fn placements_on_seed_topology_are_pinned() {
         let (mut vmm, mut engines, mut cp) = cluster(3);
         let mut ctx = ClusterCtx {
             vmm: &mut vmm,
             engines: &mut engines,
         };
         let mut ids = Vec::new();
-        for (name, cpu) in [("a", 500), ("b", 1200), ("c", 700), ("d", 300), ("e", 900)] {
-            let spec = pod(name, cpu);
-            let expect = MostRequestedScheduler.place(&spec, cp.nodes()).unwrap();
-            let id = cp.deploy_pod(&mut ctx, spec).unwrap();
-            assert_eq!(cp.pod(id).placement, expect, "pod {name}");
+        for (name, cpu, node) in [
+            ("a", 500, 2),
+            ("b", 1200, 2),
+            ("c", 700, 2),
+            ("d", 300, 1),
+            ("e", 900, 1),
+        ] {
+            let id = cp.deploy_pod(&mut ctx, pod(name, cpu)).unwrap();
+            assert_eq!(
+                cp.pod(id).placement.assignments,
+                vec![NodeId(node); 2],
+                "pod {name}"
+            );
             ids.push(id);
         }
-        // Free capacity and verify the next decision still matches.
         cp.delete_pod(ids[1]);
-        let spec = pod("f", 800);
-        let expect = MostRequestedScheduler.place(&spec, cp.nodes()).unwrap();
-        let id = cp.deploy_pod(&mut ctx, spec).unwrap();
-        assert_eq!(cp.pod(id).placement, expect, "pod f after delete");
-        // Drain (capacity drops to zero) and verify again.
+        let id = cp.deploy_pod(&mut ctx, pod("f", 800)).unwrap();
+        assert_eq!(
+            cp.pod(id).placement.assignments,
+            vec![NodeId(2); 2],
+            "pod f after delete"
+        );
         let drained = cp.pod(ids[0]).placement.assignments[0];
         cp.drain_node(&mut ctx, drained);
-        let spec = pod("g", 400);
-        let expect = MostRequestedScheduler.place(&spec, cp.nodes()).unwrap();
-        let id = cp.deploy_pod(&mut ctx, spec).unwrap();
-        assert_eq!(cp.pod(id).placement, expect, "pod g after drain");
+        let id = cp.deploy_pod(&mut ctx, pod("g", 400)).unwrap();
+        assert_eq!(
+            cp.pod(id).placement.assignments,
+            vec![NodeId(0); 2],
+            "pod g after drain"
+        );
         assert_ne!(cp.pod(id).placement.assignments[0], drained);
     }
 

@@ -9,7 +9,6 @@
 
 use crate::node::{Node, NodeId};
 use crate::pod::PodSpec;
-use cloudsim::{FreeCapIndex, Res};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -59,21 +58,6 @@ pub trait Scheduler {
     /// Chooses nodes for a pod's containers. Must not mutate the nodes;
     /// the control plane commits allocations after a successful placement.
     fn place(&self, pod: &PodSpec, nodes: &[Node]) -> Result<Placement, SchedError>;
-
-    /// Like [`place`](Scheduler::place), but with access to the control
-    /// plane's incremental free-capacity index (node `i` is index id `i`).
-    /// Schedulers that can exploit it override this to avoid the full-node
-    /// rescan; the default simply delegates to `place`. Implementations
-    /// must return exactly what `place` would — the index is an
-    /// accelerator, never a semantic change.
-    fn place_indexed(
-        &self,
-        pod: &PodSpec,
-        nodes: &[Node],
-        _index: &FreeCapIndex,
-    ) -> Result<Placement, SchedError> {
-        self.place(pod, nodes)
-    }
 }
 
 /// Whole-pod scheduling with Kubernetes's "most requested" priority: among
@@ -81,18 +65,6 @@ pub trait Scheduler {
 /// a grouping strategy (§5.3.1).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MostRequestedScheduler;
-
-impl MostRequestedScheduler {
-    fn unschedulable(pod: &PodSpec) -> SchedError {
-        let total = pod.total_resources();
-        SchedError {
-            reason: format!(
-                "no node fits pod {} ({} mCPU, {} MiB)",
-                pod.name, total.cpu_millis, total.memory_mib
-            ),
-        }
-    }
-}
 
 impl Scheduler for MostRequestedScheduler {
     fn place(&self, pod: &PodSpec, nodes: &[Node]) -> Result<Placement, SchedError> {
@@ -110,26 +82,12 @@ impl Scheduler for MostRequestedScheduler {
             Some((idx, _)) => Ok(Placement {
                 assignments: vec![NodeId(idx); pod.containers.len()],
             }),
-            None => Err(Self::unschedulable(pod)),
-        }
-    }
-
-    /// Index-backed placement: `pick_most_requested_f64` reproduces the
-    /// exact float scoring and last-wins tie-break of the scan above, so
-    /// the chosen node is bit-identical — only the rescan cost is gone.
-    fn place_indexed(
-        &self,
-        pod: &PodSpec,
-        nodes: &[Node],
-        index: &FreeCapIndex,
-    ) -> Result<Placement, SchedError> {
-        let total = pod.total_resources();
-        debug_assert_eq!(index.len(), nodes.len(), "index must mirror the registry");
-        match index.pick_most_requested_f64(Res::new(total.cpu_millis, total.memory_mib)) {
-            Some(id) => Ok(Placement {
-                assignments: vec![NodeId(id as usize); pod.containers.len()],
+            None => Err(SchedError {
+                reason: format!(
+                    "no node fits pod {} ({} mCPU, {} MiB)",
+                    pod.name, total.cpu_millis, total.memory_mib
+                ),
             }),
-            None => Err(Self::unschedulable(pod)),
         }
     }
 }
@@ -183,52 +141,6 @@ mod tests {
     fn empty_cluster_unschedulable() {
         let p = pod(100, 100);
         assert!(MostRequestedScheduler.place(&p, &[]).is_err());
-    }
-
-    /// The index-backed path must reproduce the legacy full scan exactly:
-    /// same node (including float-tie last-wins) or same failure, over
-    /// randomized registries with heterogeneous, loaded, and drained
-    /// (zero-capacity) nodes.
-    #[test]
-    fn indexed_placement_matches_legacy_scan() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let caps = [
-            (5_000u64, 4_096u64), // paper_eval node
-            (8_000, 16_384),
-            (2_000, 2_048),
-            (5_000, 4_096), // duplicate class: exercises float ties
-            (0, 0),         // drained
-        ];
-        let mut rng = StdRng::seed_from_u64(77);
-        for case in 0..400 {
-            let n = rng.gen_range(0usize..12);
-            let mut ns = Vec::new();
-            let mut index = FreeCapIndex::new();
-            for _ in 0..n {
-                let (cc, cm) = caps[rng.gen_range(0..caps.len())];
-                let allocated =
-                    contd::ResourceRequest::new(rng.gen_range(0..=cc), rng.gen_range(0..=cm));
-                let node = Node {
-                    vm: vmm::VmId(0),
-                    capacity: contd::ResourceRequest::new(cc, cm),
-                    allocated,
-                };
-                index.insert(
-                    Res::new(cc, cm),
-                    Res::new(allocated.cpu_millis, allocated.memory_mib),
-                );
-                ns.push(node);
-            }
-            let p = pod(rng.gen_range(0..4_000), rng.gen_range(0..3_000));
-            let legacy = MostRequestedScheduler.place(&p, &ns);
-            let fast = MostRequestedScheduler.place_indexed(&p, &ns, &index);
-            match (legacy, fast) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "case {case}"),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("case {case}: legacy {a:?} vs indexed {b:?}"),
-            }
-        }
     }
 
     #[test]

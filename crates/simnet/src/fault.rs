@@ -7,8 +7,8 @@
 //! probabilistic fault draws from the emitting device's own RNG stream
 //! inside that device's own event handling. Because window membership is a
 //! pure function of the emission time and draws advance only with the
-//! device's own event sequence, a faulted scenario is bit-identical across
-//! any `SIMNET_SHARDS` count — the same property the healthy engine
+//! device's own event sequence, a faulted scenario is bit-identical at
+//! any shard count — the same property the healthy engine
 //! guarantees (see `parallel.rs`).
 //!
 //! Fault kinds:

@@ -27,7 +27,7 @@
 //! emission (inside `transmit_at`) or a [`FlowUpdate`] advert event
 //! addressed to the origin device. Adverts ride the ordinary event heap
 //! (and, sharded, the coordinator's inboxes) with intrinsic tags,
-//! so the decision sequence is identical for any `SIMNET_SHARDS` value.
+//! so the decision sequence is identical at any shard count.
 
 use crate::addr::{Ip4, MacAddr};
 use crate::device::{DeviceId, PortId};

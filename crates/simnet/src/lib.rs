@@ -63,7 +63,7 @@ pub mod time;
 pub mod veth;
 
 pub use addr::{Ip4, Ip4Net, MacAddr, SockAddr};
-pub use config::{telemetry_from_env, SimConfig};
+pub use config::SimConfig;
 pub use costs::{CostModel, StageCost};
 pub use device::{Device, DeviceId, DeviceKind, PortId, Station};
 pub use endpoint::{AppApi, Application, Endpoint, IfaceConf, Incoming, START_TOKEN};
@@ -76,7 +76,7 @@ pub use filter::{
 pub use flight::{chrome_counter_tracks, chrome_trace_report, snapshot_report, telemetry_report};
 pub use flow::Fidelity;
 pub use frame::{Frame, Payload, TcpKind, Transport};
-pub use parallel::{shards_from_env, PartitionPlan, RunReport, ShardedNetwork, SyncStats};
+pub use parallel::{PartitionPlan, RunReport, ShardedNetwork, SyncStats};
 pub use shared::SharedStation;
 pub use time::{SimDuration, SimTime};
 

@@ -93,8 +93,6 @@ use metrics::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-pub use crate::config::shards_from_env;
-
 /// Minimal union-find over device indices.
 struct UnionFind {
     parent: Vec<usize>,

@@ -2,7 +2,7 @@
 //! RELATED in both directions through a NAT router, REJECT vs DROP
 //! observability at the endpoint (the REJECT_TAG notification), scheduled
 //! install/remove windows as mid-run control events, and bit-identical
-//! outcomes across SIMNET_SHARDS=1/2/8.
+//! outcomes at 1, 2 and 8 shards.
 
 extern crate nestless_simnet as simnet;
 

@@ -2,9 +2,8 @@
 //! analytically modeled (synthesized deliveries, promotion counters), a
 //! `FaultPlan` link flap overlapping its learned path mid-run must force
 //! it back to packet level (escalation + packet-level fault accounting),
-//! and the whole faulted hybrid run must stay bit-identical across
-//! `SIMNET_SHARDS` = 1 / 2 / 8 — configured explicitly through
-//! [`SimConfig`], not env vars.
+//! and the whole faulted hybrid run must stay bit-identical at 1, 2 and 8
+//! shards, configured through [`SimConfig`].
 
 use metrics::CpuAccount;
 use nestless_simnet::device::{DeviceId, PortId};

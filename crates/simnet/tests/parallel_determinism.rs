@@ -419,10 +419,9 @@ fn split_runs_match_single_runs() {
 }
 
 #[test]
-fn run_to_idle_and_env_knob_match_sequential() {
+fn run_to_idle_matches_sequential() {
     // A finite workload (no local flows; loss kills every cross chain
-    // eventually): an idle run across shards equals sequential, and the
-    // SIMNET_SHARDS knob is honored by SimConfig::from_env.
+    // eventually): an idle run across shards equals sequential.
     let finite = MultihostSpec {
         hosts: 4,
         local_flows: 0,
@@ -446,13 +445,6 @@ fn run_to_idle_and_env_knob_match_sequential() {
     assert_eq!(seq_samples, samples);
     assert_eq!(seq_counters, counters);
     assert_eq!(seq.events_processed(), report.events_processed);
-
-    // SimConfig::from_env honors SIMNET_SHARDS (serialize: tests may run in
-    // parallel but no other test in this binary touches the variable).
-    std::env::set_var("SIMNET_SHARDS", "3");
-    let sn = SimConfig::from_env().build(build_finite());
-    assert_eq!(sn.nshards(), 3);
-    std::env::remove_var("SIMNET_SHARDS");
 }
 
 // ---------------------------------------------------------------------------

@@ -137,14 +137,13 @@ fn engine_store_and_trace_bit_identical() {
     assert_ne!(run(18).1, a.1, "a different seed must lose differently");
 }
 
-/// The sharded engine honors `SIMNET_SHARDS` (CI runs this file unset and
-/// again with `SIMNET_SHARDS=4`) and produces bit-identical samples,
-/// counters, and event counts for whatever shard count is in effect.
+/// The sharded engine produces bit-identical samples, counters, events
+/// and CPU at 1, 2, 4 and 8 shards.
 #[test]
-fn sharded_engine_matches_sequential_under_env_knob() {
+fn sharded_engine_matches_sequential_at_every_shard_count() {
     use simnet::engine::Network;
     use simnet::testutil::{build_multihost, MultihostSpec};
-    use simnet::{shards_from_env, SimConfig, SimTime};
+    use simnet::{SimConfig, SimTime};
     use std::collections::BTreeMap;
 
     let spec = MultihostSpec {
@@ -174,25 +173,28 @@ fn sharded_engine_matches_sequential_under_env_knob() {
     seq.run(StopCondition::Until(SimTime(1_000_000)));
     let expected = snapshot(seq.store());
 
-    let mut sn = SimConfig::from_env().build(build());
-    sn.run(StopCondition::Until(SimTime(1_000_000)));
-    let shards = sn.nshards();
-    let report = sn.into_report();
-    assert_eq!(
-        snapshot(&report.store),
-        expected,
-        "{shards}-shard run (SIMNET_SHARDS={:?}) diverged from sequential",
-        std::env::var("SIMNET_SHARDS").ok()
-    );
-    assert_eq!(seq.events_processed(), report.events_processed);
-    assert_eq!(seq.cpu(), &report.cpu);
-    // Sanity on the knob plumbing itself (unset defaults to 1 shard; the
-    // partitioner caps the request at the island count).
-    assert_eq!(
-        shards,
-        shards_from_env().min(5),
-        "4 host islands + core = 5 max shards"
-    );
+    for n in [1, 2, 4, 8] {
+        let mut sn = SimConfig::new().shards(n).build(build());
+        sn.run(StopCondition::Until(SimTime(1_000_000)));
+        // The partitioner caps the request at the island count.
+        assert_eq!(
+            sn.nshards(),
+            n.min(5),
+            "4 host islands + core = 5 max shards"
+        );
+        let report = sn.into_report();
+        assert_eq!(
+            snapshot(&report.store),
+            expected,
+            "{n}-shard run diverged from sequential"
+        );
+        assert_eq!(
+            seq.events_processed(),
+            report.events_processed,
+            "{n} shards"
+        );
+        assert_eq!(seq.cpu(), &report.cpu, "{n} shards");
+    }
 }
 
 #[test]
