@@ -8,16 +8,18 @@
 //! communications" — the encapsulation bytes, the extra softirq work and
 //! the coalesced underlay NICs are all modeled here.
 
+use metrics::MetricId;
 use simnet::bridge::Bridge;
 use simnet::costs::StageCost;
 use simnet::device::{Device, DeviceId, DeviceKind, PortId};
 use simnet::endpoint::IfaceConf;
 use simnet::engine::{DevCtx, LinkParams};
 use simnet::frame::Frame;
+use simnet::hash::FxHashMap;
 use simnet::shared::SharedStation;
+use simnet::time::SimTime;
 use simnet::veth::VethPair;
 use simnet::{Ip4, Ip4Net, MacAddr};
-use std::collections::HashMap;
 use vmm::{NicInfo, VmId, Vmm};
 
 /// The overlay (inner) subnet Docker assigns to the network.
@@ -36,9 +38,21 @@ pub struct Vtep {
     local_mac: MacAddr,
     /// Inner destination MAC -> (remote VTEP IP, remote underlay MAC).
     /// Docker fills this from its KV store; we configure it statically.
-    fdb: HashMap<MacAddr, (Ip4, MacAddr)>,
+    fdb: FxHashMap<MacAddr, (Ip4, MacAddr)>,
     cost: StageCost,
     station: SharedStation,
+    /// Interned counter ids, set on the first frame.
+    ids: Option<VtepIds>,
+}
+
+/// The VTEP's counters, interned once.
+#[derive(Clone, Copy)]
+struct VtepIds {
+    encapsulated: MetricId,
+    decapsulated: MetricId,
+    drop_unknown_dst: MetricId,
+    drop_wrong_vni: MetricId,
+    drop_not_vxlan: MetricId,
 }
 
 impl Vtep {
@@ -47,7 +61,7 @@ impl Vtep {
         vni: u32,
         local_ip: Ip4,
         local_mac: MacAddr,
-        fdb: HashMap<MacAddr, (Ip4, MacAddr)>,
+        fdb: FxHashMap<MacAddr, (Ip4, MacAddr)>,
         cost: StageCost,
         station: SharedStation,
     ) -> Vtep {
@@ -58,7 +72,29 @@ impl Vtep {
             fdb,
             cost,
             station,
+            ids: None,
         }
+    }
+
+    /// Encapsulates `frame` towards one remote VTEP and sends it down the
+    /// underlay.
+    fn encap(
+        &self,
+        frame: Frame,
+        (remote_ip, remote_mac): (Ip4, MacAddr),
+        done: SimTime,
+        counted: MetricId,
+        ctx: &mut DevCtx<'_>,
+    ) {
+        let outer = frame.vxlan_encap(
+            self.vni,
+            self.local_mac,
+            remote_mac,
+            self.local_ip,
+            remote_ip,
+        );
+        ctx.count_id(counted, 1.0);
+        ctx.transmit_at(done, PortId::P1, outer);
     }
 }
 
@@ -68,44 +104,37 @@ impl Device for Vtep {
     }
 
     fn on_frame(&mut self, port: PortId, frame: Frame, ctx: &mut DevCtx<'_>) {
+        let ids = *self.ids.get_or_insert_with(|| VtepIds {
+            encapsulated: ctx.metric("vtep.encapsulated"),
+            decapsulated: ctx.metric("vtep.decapsulated"),
+            drop_unknown_dst: ctx.metric("vtep.drop_unknown_dst"),
+            drop_wrong_vni: ctx.metric("vtep.drop_wrong_vni"),
+            drop_not_vxlan: ctx.metric("vtep.drop_not_vxlan"),
+        });
         let done = self.station.serve(&self.cost, frame.wire_len(), ctx);
         match port {
-            // Overlay -> underlay: encapsulate.
-            PortId::P0 => {
-                let targets: Vec<(Ip4, MacAddr)> = if frame.dst_mac.is_multicast() {
-                    let mut t: Vec<_> = self.fdb.values().copied().collect();
-                    t.sort();
-                    t.dedup();
-                    t
-                } else {
-                    match self.fdb.get(&frame.dst_mac) {
-                        Some(&t) => vec![t],
-                        None => {
-                            ctx.count("vtep.drop_unknown_dst", 1.0);
-                            return;
-                        }
-                    }
-                };
-                for (remote_ip, remote_mac) in targets {
-                    let outer = frame.clone().vxlan_encap(
-                        self.vni,
-                        self.local_mac,
-                        remote_mac,
-                        self.local_ip,
-                        remote_ip,
-                    );
-                    ctx.count("vtep.encapsulated", 1.0);
-                    ctx.transmit_at(done, PortId::P1, outer);
+            // Overlay -> underlay: encapsulate, once per remote VTEP for
+            // multicast (in address order), else to the FDB's one entry.
+            PortId::P0 if frame.dst_mac.is_multicast() => {
+                let mut targets: Vec<_> = self.fdb.values().copied().collect();
+                targets.sort();
+                targets.dedup();
+                for t in targets {
+                    self.encap(frame.clone(), t, done, ids.encapsulated, ctx);
                 }
             }
+            PortId::P0 => match self.fdb.get(&frame.dst_mac) {
+                Some(&t) => self.encap(frame, t, done, ids.encapsulated, ctx),
+                None => ctx.count_id(ids.drop_unknown_dst, 1.0),
+            },
             // Underlay -> overlay: decapsulate.
             PortId::P1 => match frame.vxlan_decap() {
                 Ok((vni, inner)) if vni == self.vni => {
-                    ctx.count("vtep.decapsulated", 1.0);
+                    ctx.count_id(ids.decapsulated, 1.0);
                     ctx.transmit_at(done, PortId::P0, inner);
                 }
-                Ok(_) => ctx.count("vtep.drop_wrong_vni", 1.0),
-                Err(_) => ctx.count("vtep.drop_not_vxlan", 1.0),
+                Ok(_) => ctx.count_id(ids.drop_wrong_vni, 1.0),
+                Err(_) => ctx.count_id(ids.drop_not_vxlan, 1.0),
             },
             _ => panic!("VTEP has two ports"),
         }
@@ -164,7 +193,7 @@ pub fn build_two_node_overlay_with(
         let my_inner_mac = MacAddr::local(0x00D1_0000 + my_idx);
         let my_ip = OVERLAY_SUBNET.host(2 + my_idx);
 
-        let mut fdb = HashMap::new();
+        let mut fdb = FxHashMap::default();
         fdb.insert(peer_inner_mac, (peer_underlay_ip, peer_underlay_mac));
         let vtep = vmm.network_mut().add_device(
             format!("{vm_name}/vtep"),
@@ -257,7 +286,7 @@ mod tests {
         let b_ip = Ip4::new(192, 168, 0, 11);
         let cost = StageCost::fixed(1_000, 0.0, CpuCategory::Soft);
 
-        let mut fdb_a = HashMap::new();
+        let mut fdb_a = FxHashMap::default();
         fdb_a.insert(b_mac, (b_ip, MacAddr::local(12)));
         let vtep_a = net.add_device(
             "vtep-a",
@@ -278,7 +307,7 @@ mod tests {
                 42,
                 b_ip,
                 MacAddr::local(12),
-                HashMap::new(),
+                FxHashMap::default(),
                 cost,
                 SharedStation::new(),
             )),
@@ -321,7 +350,7 @@ mod tests {
                 42,
                 Ip4::new(1, 1, 1, 1),
                 MacAddr::local(1),
-                HashMap::new(),
+                FxHashMap::default(),
                 cost,
                 SharedStation::new(),
             )),
@@ -350,7 +379,7 @@ mod tests {
                 42,
                 Ip4::new(1, 1, 1, 1),
                 MacAddr::local(1),
-                HashMap::new(),
+                FxHashMap::default(),
                 cost,
                 SharedStation::new(),
             )),
@@ -376,7 +405,7 @@ mod tests {
                 42,
                 Ip4::new(1, 1, 1, 1),
                 MacAddr::local(1),
-                HashMap::new(),
+                FxHashMap::default(),
                 cost,
                 SharedStation::new(),
             )),

@@ -15,7 +15,6 @@
 //! the unit of the paper's bar charts.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Where CPU time is spent.
@@ -72,9 +71,25 @@ impl fmt::Display for CpuCategory {
 }
 
 /// Accumulator of CPU nanoseconds per (location, category).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// One row per charged location, kept sorted by location, with one cell
+/// per category. A run charges a handful of locations, so a short scan
+/// finds a row faster than a tree walk; the engine charges on nearly
+/// every event. A cell exists once anything touched it, even with 0 ns:
+/// `==` and [`locations`](CpuAccount::locations) both see it.
+#[derive(Clone, Default, PartialEq)]
 pub struct CpuAccount {
-    ns: BTreeMap<(CpuLocation, CpuCategory), u64>,
+    rows: Vec<Row>,
+}
+
+/// The cells of one location, indexed by `CpuCategory as usize`.
+/// Untouched cells hold 0, so derived equality compares cell sets.
+#[derive(Clone, Copy, PartialEq)]
+struct Row {
+    loc: CpuLocation,
+    /// Bit `c` is set once cell `c` exists.
+    touched: u8,
+    ns: [u64; 4],
 }
 
 impl CpuAccount {
@@ -83,43 +98,75 @@ impl CpuAccount {
         Self::default()
     }
 
+    /// The cell of (location, category), created (at 0) if missing.
+    #[inline]
+    fn cell(&mut self, loc: CpuLocation, cat: CpuCategory) -> &mut u64 {
+        let i = match self.rows.iter().position(|r| r.loc == loc) {
+            Some(i) => i,
+            None => {
+                let i = self.rows.partition_point(|r| r.loc < loc);
+                let row = Row {
+                    loc,
+                    touched: 0,
+                    ns: [0; 4],
+                };
+                self.rows.insert(i, row);
+                i
+            }
+        };
+        let row = &mut self.rows[i];
+        row.touched |= 1 << cat as u8;
+        &mut row.ns[cat as usize]
+    }
+
+    /// Every existing cell, ordered by (location, category).
+    fn cells(&self) -> impl Iterator<Item = (CpuLocation, CpuCategory, u64)> + '_ {
+        self.rows.iter().flat_map(|r| {
+            CpuCategory::ALL
+                .into_iter()
+                .filter(|&c| r.touched & (1 << c as u8) != 0)
+                .map(|c| (r.loc, c, r.ns[c as usize]))
+        })
+    }
+
     /// Charges `ns` nanoseconds of CPU time.
+    #[inline]
     pub fn charge(&mut self, loc: CpuLocation, cat: CpuCategory, ns: u64) {
-        *self.ns.entry((loc, cat)).or_insert(0) += ns;
+        *self.cell(loc, cat) += ns;
     }
 
     /// Total nanoseconds charged to (location, category).
     pub fn get(&self, loc: CpuLocation, cat: CpuCategory) -> u64 {
-        self.ns.get(&(loc, cat)).copied().unwrap_or(0)
+        self.rows
+            .iter()
+            .find(|r| r.loc == loc)
+            .map_or(0, |r| r.ns[cat as usize])
     }
 
     /// Total nanoseconds charged at a location across all categories.
     pub fn total_at(&self, loc: CpuLocation) -> u64 {
-        self.ns
+        self.rows
             .iter()
-            .filter(|((l, _), _)| *l == loc)
-            .map(|(_, v)| *v)
-            .sum()
+            .find(|r| r.loc == loc)
+            .map_or(0, |r| r.ns.iter().sum())
     }
 
     /// Total nanoseconds over everything.
     pub fn total(&self) -> u64 {
-        self.ns.values().sum()
+        self.rows.iter().flat_map(|r| r.ns).sum()
     }
 
     /// All locations that received any charge, in order.
     pub fn locations(&self) -> Vec<CpuLocation> {
-        let mut locs: Vec<_> = self.ns.keys().map(|(l, _)| *l).collect();
-        locs.dedup();
-        locs
+        self.rows.iter().map(|r| r.loc).collect()
     }
 
     /// Merges another account into this one. Cell-wise integer addition,
     /// so merging is exact, commutative and associative — shard-local
     /// accounts fold to the same total in any order.
     pub fn merge(&mut self, other: &CpuAccount) {
-        for (&k, &v) in &other.ns {
-            *self.ns.entry(k).or_insert(0) += v;
+        for (loc, cat, v) in other.cells() {
+            *self.cell(loc, cat) += v;
         }
     }
 
@@ -137,8 +184,8 @@ impl CpuAccount {
     /// isolate the CPU cost of one benchmark phase.
     pub fn saturating_sub(&self, other: &CpuAccount) -> CpuAccount {
         let mut out = self.clone();
-        for (&k, &v) in &other.ns {
-            let e = out.ns.entry(k).or_insert(0);
+        for (loc, cat, v) in other.cells() {
+            let e = out.cell(loc, cat);
             *e = e.saturating_sub(v);
         }
         out
@@ -159,6 +206,14 @@ impl CpuAccount {
             soft: cores(CpuCategory::Soft),
             guest: cores(CpuCategory::Guest),
         }
+    }
+}
+
+/// Prints the existing cells as a map keyed by (location, category).
+impl fmt::Debug for CpuAccount {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let cells = self.cells().map(|(l, c, v)| ((l, c), v));
+        f.debug_map().entries(cells).finish()
     }
 }
 
@@ -278,6 +333,60 @@ mod tests {
         a.charge(CpuLocation::Vm(1), CpuCategory::Sys, 1);
         a.charge(CpuLocation::Host, CpuCategory::Sys, 1);
         assert_eq!(a.locations(), vec![CpuLocation::Host, CpuLocation::Vm(1)]);
+    }
+
+    /// Pins which cells exist, not only what they hold: `==` across shard
+    /// counts and `locations()` in exports both see a cell charged with
+    /// 0 ns, so every operation must create exactly the cells it touches.
+    #[test]
+    fn cells_exist_once_touched_even_at_zero() {
+        use CpuCategory::{Guest, Soft, Sys, Usr};
+        use CpuLocation::{Host, Vm};
+
+        let mut zero = CpuAccount::new();
+        zero.charge(Vm(3), Soft, 0);
+        assert_eq!(zero.locations(), vec![Vm(3)]);
+        assert_ne!(zero, CpuAccount::new());
+        assert_eq!(zero.total(), 0);
+
+        let mut a = CpuAccount::new();
+        a.charge(Vm(10), Usr, 1);
+        a.charge(Host, Sys, 2);
+        a.charge(Vm(2), Guest, 3);
+        assert_eq!(a.locations(), vec![Host, Vm(2), Vm(10)]);
+
+        // merge and fold keep the zero cell next to the charged ones.
+        let mut merged = a.clone();
+        merged.merge(&zero);
+        let mut want = CpuAccount::new();
+        want.charge(Vm(3), Soft, 0);
+        want.charge(Vm(2), Guest, 3);
+        want.charge(Host, Sys, 2);
+        want.charge(Vm(10), Usr, 1);
+        assert_eq!(merged, want);
+        assert_eq!(merged.locations(), vec![Host, Vm(2), Vm(3), Vm(10)]);
+        assert_ne!(merged, a, "the merged zero cell must be visible");
+        assert_eq!(CpuAccount::fold([&zero, &a]), want);
+        assert_eq!(CpuAccount::fold([&zero]), zero);
+
+        // saturating_sub keeps every cell of `self`, floors at 0 and adds
+        // a zero cell for each cell only `other` has.
+        let mut other = CpuAccount::new();
+        other.charge(Vm(2), Guest, 9);
+        other.charge(Host, Usr, 5);
+        other.charge(Vm(7), Sys, 0);
+        let d = a.saturating_sub(&other);
+        let mut want = CpuAccount::new();
+        want.charge(Vm(10), Usr, 1);
+        want.charge(Host, Sys, 2);
+        want.charge(Vm(2), Guest, 0);
+        want.charge(Host, Usr, 0);
+        want.charge(Vm(7), Sys, 0);
+        assert_eq!(d, want);
+        assert_eq!(d.locations(), vec![Host, Vm(2), Vm(7), Vm(10)]);
+        assert_eq!(d.total_at(Host), 2);
+        assert_eq!(d.total(), 3);
+        assert_eq!(a.saturating_sub(&CpuAccount::new()), a);
     }
 
     #[test]

@@ -13,11 +13,11 @@ use crate::device::{Device, DeviceKind, PortId};
 use crate::engine::DevCtx;
 use crate::filter::{Chain, FilterControl, HookIds, StateTracker, Verdict, REJECT_TAG};
 use crate::frame::{Frame, Payload};
+use crate::hash::FxHashMap;
 use crate::nat::Proto;
 use crate::shared::SharedStation;
 use crate::time::{SimDuration, SimTime};
 use metrics::{JournalKind, MetricId};
-use std::collections::HashMap;
 
 /// Default FDB entry lifetime (Linux default is 300 s).
 pub const DEFAULT_AGEING: SimDuration = SimDuration::secs(300);
@@ -53,7 +53,7 @@ pub struct Bridge {
     station: SharedStation,
     ageing: SimDuration,
     fdb_cap: usize,
-    fdb: HashMap<MacAddr, (PortId, SimTime)>,
+    fdb: FxHashMap<MacAddr, (PortId, SimTime)>,
     ids: Option<BridgeIds>,
     /// FORWARD filter table (NetworkPolicy chains land here when the CNI
     /// targets the bridge, e.g. BrFusion's fused host bridge). Never-
@@ -76,7 +76,7 @@ impl Bridge {
             station,
             ageing: DEFAULT_AGEING,
             fdb_cap: DEFAULT_FDB_CAP,
-            fdb: HashMap::new(),
+            fdb: FxHashMap::default(),
             ids: None,
             filter: FilterControl::default(),
             tracker: StateTracker::default(),

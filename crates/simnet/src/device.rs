@@ -85,7 +85,7 @@ pub trait Device: Send {
 /// paper's figures.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Station {
-    busy_until: SimTime,
+    pub(crate) busy_until: SimTime,
 }
 
 impl Station {

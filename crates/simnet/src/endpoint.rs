@@ -12,12 +12,12 @@ use crate::device::{Device, DeviceKind, PortId};
 use crate::engine::DevCtx;
 use crate::filter::{Chain, FilterControl, HookIds, StateTracker, Verdict, REJECT_TAG};
 use crate::frame::{Frame, Payload, TcpKind};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::nat::Proto;
 use crate::shared::SharedStation;
 use crate::time::{SimDuration, SimTime};
 use metrics::{CpuCategory, JournalKind, MetricId};
 use rand::rngs::StdRng;
-use std::collections::{HashMap, HashSet};
 
 /// Timer token reserved for application start-up.
 pub const START_TOKEN: u64 = u64::MAX;
@@ -32,7 +32,7 @@ pub struct IfaceConf {
     /// On-link subnet.
     pub net: Ip4Net,
     /// Static neighbor table.
-    pub neigh: HashMap<Ip4, MacAddr>,
+    pub neigh: FxHashMap<Ip4, MacAddr>,
     /// Default gateway reachable through this interface, if any.
     pub gateway: Option<(Ip4, MacAddr)>,
     /// When set, frames to unresolved on-link neighbors are sent to the
@@ -48,7 +48,7 @@ impl IfaceConf {
             mac,
             ip,
             net,
-            neigh: HashMap::new(),
+            neigh: FxHashMap::default(),
             gateway: None,
             broadcast_unresolved: false,
         }
@@ -260,7 +260,7 @@ impl AppApi<'_, '_> {
 pub struct Endpoint {
     name: String,
     ifaces: Vec<IfaceConf>,
-    bound: HashSet<u16>,
+    bound: FxHashSet<u16>,
     app: Option<Box<dyn Application>>,
     sock_cost: StageCost,
     station: SharedStation,

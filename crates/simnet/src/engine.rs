@@ -1380,15 +1380,15 @@ impl Network {
             return Some(frame);
         };
         let bypass = slot.bypass;
-        let fault = self.fault.clone();
-        let fault_active = move |hops: &[(DeviceId, PortId)], from: SimTime, lat: u64| {
-            fault.as_deref().is_some_and(|p| {
+        let fault = self.fault.as_deref();
+        let fault_active = |hops: &[(DeviceId, PortId)], from: SimTime, lat: u64| {
+            fault.is_some_and(|p| {
                 let until = SimTime(from.0.saturating_add(lat).saturating_add(1));
                 p.any_active(hops, from, until)
             })
         };
-        let pol = Arc::clone(&self.policies);
-        let policy = move |hops: &[(DeviceId, PortId)], after: SimTime, upto: SimTime| {
+        let pol = &*self.policies;
+        let policy = |hops: &[(DeviceId, PortId)], after: SimTime, upto: SimTime| {
             if pol.filters.is_empty() && pol.nats.is_empty() {
                 return (false, 0u64);
             }
@@ -1438,7 +1438,6 @@ impl Network {
                 let dst_port = path.dst_port;
                 let frames_id = flow.fastpath_frames_id();
                 let bytes_id = flow.fastpath_bytes_id();
-                let cpu_replay = path.cpu.clone();
                 let mut synth = path.template.clone();
                 // The live payload (and TCP stream state) rides the
                 // synthesized delivery so endpoint semantics survive.
@@ -1471,7 +1470,7 @@ impl Network {
                 // stays comparable to packet runs. No RNG is consulted:
                 // the fast path makes no draws, which is what keeps a
                 // hybrid scenario bit-identical across shard counts.
-                for (loc, cat, ns) in cpu_replay {
+                for &(loc, cat, ns) in &path.cpu {
                     self.cpu.charge(loc, cat, ns);
                     if let CpuLocation::Vm(_) = loc {
                         self.cpu.charge(CpuLocation::Host, CpuCategory::Guest, ns);

@@ -34,10 +34,11 @@
 //! relaxed-atomic fast path and cost one branch per frame.
 
 use crate::addr::{Ip4, Ip4Net, SockAddr};
+use crate::hash::FxHashMap;
 use crate::nat::Proto;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -584,9 +585,9 @@ const TRACK_GC_EVERY: u32 = 256;
 /// resolution stays bit-deterministic.
 #[derive(Debug, Default)]
 pub struct StateTracker {
-    conns: HashMap<(Proto, SockAddr, SockAddr), SimTime>,
+    conns: FxHashMap<(Proto, SockAddr, SockAddr), SimTime>,
     /// Unordered ip-pair index for RELATED lookups (canonical low/high).
-    pairs: HashMap<(Proto, Ip4, Ip4), SimTime>,
+    pairs: FxHashMap<(Proto, Ip4, Ip4), SimTime>,
     lookups: u32,
 }
 

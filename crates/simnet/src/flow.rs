@@ -33,9 +33,9 @@ use crate::addr::{Ip4, MacAddr};
 use crate::device::{DeviceId, PortId};
 use crate::engine::SampleStore;
 use crate::frame::{Frame, Transport};
+use crate::hash::FxHashMap;
 use crate::time::SimTime;
 use metrics::{CpuCategory, CpuLocation, FlowEscalateReason, MetricId};
-use std::collections::HashMap;
 
 /// How faithfully the engine simulates traffic (selected through
 /// [`SimConfig::fidelity`](crate::SimConfig::fidelity)).
@@ -405,7 +405,7 @@ pub(crate) enum FlowEvent {
 /// The per-engine flow table (present only in `Hybrid` runs).
 #[derive(Debug)]
 pub(crate) struct FlowTable {
-    flows: HashMap<FlowKey, FlowState>,
+    flows: FxHashMap<FlowKey, FlowState>,
     ids: FlowIds,
     /// Pending journal-worthy decision (see [`FlowEvent`]).
     last_event: Option<FlowEvent>,
@@ -414,7 +414,7 @@ pub(crate) struct FlowTable {
 impl FlowTable {
     pub(crate) fn new(store: &mut SampleStore) -> FlowTable {
         FlowTable {
-            flows: HashMap::new(),
+            flows: FxHashMap::default(),
             ids: FlowIds::intern(store),
             last_event: None,
         }

@@ -52,6 +52,7 @@ pub mod filter;
 pub mod flight;
 pub mod flow;
 pub mod frame;
+pub mod hash;
 pub mod nat;
 pub mod nic;
 mod obs;

@@ -13,11 +13,11 @@ use crate::device::{Device, DeviceKind, PortId};
 use crate::engine::DevCtx;
 use crate::filter::{Chain, ConnState, FilterControl, HookIds, Verdict, REJECT_TAG};
 use crate::frame::{Frame, Payload, Transport};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::shared::SharedStation;
 use crate::time::SimTime;
 use metrics::{JournalKind, MetricId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Transport protocol selector for NAT rules and conntrack keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,7 +49,7 @@ pub struct Interface {
     /// Directly-connected subnet.
     pub net: Ip4Net,
     /// Static neighbor (ARP) table for this interface.
-    pub neigh: HashMap<Ip4, MacAddr>,
+    pub neigh: FxHashMap<Ip4, MacAddr>,
 }
 
 impl Interface {
@@ -59,7 +59,7 @@ impl Interface {
             mac,
             ip,
             net,
-            neigh: HashMap::new(),
+            neigh: FxHashMap::default(),
         }
     }
 
@@ -132,14 +132,14 @@ struct ConnEntry {
 #[derive(Debug)]
 struct PortIndex {
     local: Vec<Ip4>,
-    holders: HashMap<(Proto, SockAddr), Vec<ConnKey>>,
+    holders: FxHashMap<(Proto, SockAddr), Vec<ConnKey>>,
 }
 
 impl PortIndex {
     fn new(local: Vec<Ip4>) -> PortIndex {
         PortIndex {
             local,
-            holders: HashMap::new(),
+            holders: FxHashMap::default(),
         }
     }
 
@@ -186,7 +186,7 @@ struct NatConfig {
     ifaces: Vec<Interface>,
     dnat: Vec<DnatRule>,
     lb: Vec<(LbRule, usize)>,
-    masquerade: HashSet<PortId>,
+    masquerade: FxHashSet<PortId>,
     routes: Vec<Route>,
     /// Conntrack flush requests queued by [`NatControl::remove_dnat`]. The
     /// router drains them on its next frame, and every read path filters
@@ -322,11 +322,11 @@ pub struct NatRouter {
     cfg: NatControl,
     /// Written only through `ct_insert` and `ct_retain`, which keep
     /// `ports` in step.
-    conntrack: HashMap<ConnKey, ConnEntry>,
+    conntrack: FxHashMap<ConnKey, ConnEntry>,
     ports: PortIndex,
     /// Unordered address-pair index over live conntrack entries, for the
     /// filter table's RELATED state match (canonical low/high ip order).
-    pair_last: HashMap<(Proto, Ip4, Ip4), SimTime>,
+    pair_last: FxHashMap<(Proto, Ip4, Ip4), SimTime>,
     conntrack_timeout: crate::time::SimDuration,
     frames_since_gc: u32,
     next_nat_port: u16,
@@ -392,9 +392,9 @@ impl NatRouter {
         cfg.0.lock().ifaces = ifaces;
         NatRouter {
             cfg,
-            conntrack: HashMap::new(),
+            conntrack: FxHashMap::default(),
             ports,
-            pair_last: HashMap::new(),
+            pair_last: FxHashMap::default(),
             conntrack_timeout: Self::DEFAULT_CONNTRACK_TIMEOUT,
             frames_since_gc: 0,
             next_nat_port: Self::NAT_PORT_BASE,
@@ -596,7 +596,7 @@ impl NatRouter {
     #[cfg(test)]
     fn alloc_nat_port_scan(&mut self, ip: Ip4, proto: Proto, now: SimTime) -> Option<u16> {
         let timeout = self.conntrack_timeout;
-        let in_use: HashSet<u16> = self
+        let in_use: std::collections::HashSet<u16> = self
             .conntrack
             .iter()
             .filter(|(k, e)| k.proto == proto && now.since(e.last_used) <= timeout)

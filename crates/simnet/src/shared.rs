@@ -13,13 +13,17 @@ use crate::costs::StageCost;
 use crate::device::Station;
 use crate::engine::DevCtx;
 use crate::time::SimTime;
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A cloneable handle to a single-server FIFO station, shareable between the
 /// devices of one (guest or host) kernel.
+///
+/// All clones share one `busy_until` cell. `Relaxed` loads and stores
+/// suffice: the value publishes no other data, and the devices sharing a
+/// station are bound to one shard, which runs on one thread.
 #[derive(Clone, Default)]
-pub struct SharedStation(Arc<Mutex<Station>>);
+pub struct SharedStation(Arc<AtomicU64>);
 
 impl SharedStation {
     /// Creates a fresh, idle station.
@@ -29,12 +33,17 @@ impl SharedStation {
 
     /// Serves one frame; see [`Station::serve`].
     pub fn serve(&self, cost: &StageCost, wire_len: u32, ctx: &mut DevCtx<'_>) -> SimTime {
-        self.0.lock().serve(cost, wire_len, ctx)
+        let mut station = Station {
+            busy_until: self.busy_until(),
+        };
+        let done = station.serve(cost, wire_len, ctx);
+        self.0.store(station.busy_until().0, Ordering::Relaxed);
+        done
     }
 
     /// When the station next becomes idle.
     pub fn busy_until(&self) -> SimTime {
-        self.0.lock().busy_until()
+        SimTime(self.0.load(Ordering::Relaxed))
     }
 
     /// True if both handles refer to the same underlying station.
@@ -46,7 +55,7 @@ impl SharedStation {
 impl std::fmt::Debug for SharedStation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedStation")
-            .field("busy_until", &self.0.lock().busy_until())
+            .field("busy_until", &self.busy_until())
             .finish()
     }
 }
