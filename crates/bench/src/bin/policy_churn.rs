@@ -36,7 +36,7 @@ use simnet::bridge::Bridge;
 use simnet::costs::StageCost;
 use simnet::device::PortId;
 use simnet::engine::{LinkParams, Network, SampleStore};
-use simnet::filter::{Chain, ConnState, FilterControl, FilterRule, StateMask, Verdict, NO_RULE};
+use simnet::filter::{ConnState, FilterControl, FilterRule, StateMask, Verdict, NO_RULE};
 use simnet::nat::Proto;
 use simnet::shared::SharedStation;
 use simnet::testutil::{frame_between, MacBouncer};
@@ -122,7 +122,7 @@ struct RuleSpec {
 
 impl RuleSpec {
     fn to_rule(&self) -> FilterRule {
-        let mut r = FilterRule::any(Chain::Forward, self.verdict)
+        let mut r = FilterRule::any(self.verdict)
             .ports(self.ports.0, self.ports.1)
             .states(self.states);
         if let Some(p) = self.proto {
@@ -304,7 +304,7 @@ const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 fn compiled_digest(ctl: &FilterControl, queries: &[Query]) -> u64 {
     let mut h = FNV_SEED;
     for (i, q) in queries.iter().enumerate() {
-        let (v, id) = ctl.eval(Chain::Forward, q.proto, q.src, q.dst, q.state, q.now);
+        let (v, id) = ctl.eval(q.proto, q.src, q.dst, q.state, q.now);
         h = fnv(fnv(fnv(h, i as u64), v.code()), id);
     }
     h
@@ -324,7 +324,7 @@ fn time_eval(ctl: &FilterControl, queries: &[Query]) -> f64 {
     let mut sink = 0u64;
     let start = Instant::now();
     for q in queries {
-        let (v, id) = ctl.eval(Chain::Forward, q.proto, q.src, q.dst, q.state, q.now);
+        let (v, id) = ctl.eval(q.proto, q.src, q.dst, q.state, q.now);
         sink = sink.wrapping_add(v.code() ^ id);
     }
     let elapsed = start.elapsed().as_secs_f64();
@@ -388,7 +388,6 @@ fn frames_delivered(store: &SampleStore) -> f64 {
 /// probe.
 fn warm_compile(ctl: &FilterControl, now: SimTime) {
     std::hint::black_box(ctl.eval(
-        Chain::Forward,
         Proto::Udp,
         SockAddr::new(Ip4::new(10, 0, 0, 1), 40_000),
         SockAddr::new(Ip4::new(10, 0, 0, 2), 50_000),
@@ -450,7 +449,7 @@ fn run_churn(specs: &[RuleSpec]) -> ChurnOut {
         prev_batch.clear();
         for _ in 0..CHURN_BATCH {
             let port = (1_000 + rng.below(30_000)) as u16;
-            let rule = FilterRule::any(Chain::Forward, Verdict::Drop)
+            let rule = FilterRule::any(Verdict::Drop)
                 .from_net(src_nets()[rng.below(4) as usize])
                 .port(port);
             let t0 = Instant::now();
@@ -513,7 +512,7 @@ fn build_islands() -> Network {
         install_specs(&ctl, &specs);
         if c % 3 == 0 {
             let id = ctl.install_at(
-                FilterRule::any(Chain::Forward, Verdict::Drop).port(50_000),
+                FilterRule::any(Verdict::Drop).port(50_000),
                 SimTime(HORIZON.0 / 4),
             );
             ctl.remove_at(id, SimTime(HORIZON.0 / 2));

@@ -25,7 +25,7 @@ use orchestrator::{
     RepairedPod, VmAgent,
 };
 use simnet::device::{DeviceId, PortId};
-use simnet::filter::{Chain, FilterControl};
+use simnet::filter::FilterControl;
 use simnet::nat::{DnatRule, NatControl};
 use simnet::{Ip4, Ip4Net, JournalKind, SimDuration, SimTime, SockAddr};
 use std::collections::BTreeMap;
@@ -422,7 +422,7 @@ impl BrFusionCni {
         let now = ctx.vmm.network().now();
         let mut ids = Vec::new();
         for &ip in ips {
-            for rule in policy.compile(Chain::Forward, ip) {
+            for rule in policy.compile(ip) {
                 ids.push(ctx.vmm.network_mut().install_filter(dev, ctl, rule, now));
             }
         }

@@ -16,7 +16,6 @@ use orchestrator::{
     ClusterCtx, CniError, CniOutcome, CniPlugin, NetworkPolicy, Node, Placement, PodAttachment,
     PodSpec, QueueBinding, SchedError, Scheduler, VmAgent,
 };
-use simnet::filter::Chain;
 use simnet::veth::Loopback;
 use simnet::{Ip4, Ip4Net};
 use std::collections::BTreeMap;
@@ -169,7 +168,7 @@ impl CniPlugin for HostloCni {
         let now = ctx.vmm.network().now();
         let mut installed = 0;
         // Every fraction answers on the shared pod-localhost address.
-        for rule in policy.compile(Chain::Forward, POD_LOCALHOST) {
+        for rule in policy.compile(POD_LOCALHOST) {
             ctx.vmm.network_mut().install_filter(dev, &ctl, rule, now);
             installed += 1;
         }

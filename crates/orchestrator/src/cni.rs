@@ -11,7 +11,6 @@ use crate::pod::PodSpec;
 use crate::policy::NetworkPolicy;
 use contd::{ContainerEngine, ContainerNet};
 use simnet::device::{DeviceId, PortId};
-use simnet::filter::Chain;
 use std::collections::BTreeMap;
 use std::fmt;
 use vmm::{VmId, Vmm};
@@ -298,7 +297,7 @@ impl CniPlugin for DefaultCni {
                 .dataplane()
                 .ok_or_else(|| CniError::fatal(format!("no default dataplane on {:?}", att.vm)))?;
             let (dev, ctl) = (dp.nat, dp.nat_filter.clone());
-            for rule in policy.compile(Chain::Forward, att.net.ip) {
+            for rule in policy.compile(att.net.ip) {
                 ctx.vmm.network_mut().install_filter(dev, &ctl, rule, now);
                 installed += 1;
             }

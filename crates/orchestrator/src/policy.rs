@@ -23,7 +23,7 @@
 //! 3. a trailing catch-all DROP (or REJECT) for the pod's address.
 
 use crate::pod::PodSpec;
-use simnet::filter::{Chain, FilterRule, StateMask, Verdict};
+use simnet::filter::{FilterRule, StateMask, Verdict};
 use simnet::nat::Proto;
 use simnet::{Ip4, Ip4Net};
 
@@ -119,18 +119,19 @@ impl NetworkPolicy {
     }
 
     /// Compiles the policy for one pod address into an ordered rule list
-    /// for `chain` (install in order; the engine is first-match-wins).
-    pub fn compile(&self, chain: Chain, pod_ip: Ip4) -> Vec<FilterRule> {
+    /// for a FORWARD table (install in order; the engine is
+    /// first-match-wins).
+    pub fn compile(&self, pod_ip: Ip4) -> Vec<FilterRule> {
         let mut rules = Vec::with_capacity(self.ingress.len() + 2);
         // Conntrack preamble: replies and related flows of connections the
         // enforcement point already admitted always pass.
         rules.push(
-            FilterRule::any(chain, Verdict::Accept)
+            FilterRule::any(Verdict::Accept)
                 .to_ip(pod_ip)
                 .states(StateMask::ESTABLISHED.or(StateMask::RELATED)),
         );
         for ing in &self.ingress {
-            let mut r = FilterRule::any(chain, Verdict::Accept).to_ip(pod_ip);
+            let mut r = FilterRule::any(Verdict::Accept).to_ip(pod_ip);
             if let Some(net) = ing.from {
                 r = r.from_net(net);
             }
@@ -147,7 +148,7 @@ impl NetworkPolicy {
         } else {
             Verdict::Drop
         };
-        rules.push(FilterRule::any(chain, deny).to_ip(pod_ip));
+        rules.push(FilterRule::any(deny).to_ip(pod_ip));
         rules
     }
 }
@@ -168,7 +169,7 @@ mod tests {
             )
             .allow(IngressRule::any().ports(9000, 9100));
         let ip = Ip4::new(192, 168, 0, 50);
-        let rules = pol.compile(Chain::Forward, ip);
+        let rules = pol.compile(ip);
         assert_eq!(rules.len(), 4);
         // Conntrack preamble first: state-matched accept, no NEW.
         assert_eq!(rules[0].verdict, Verdict::Accept);
@@ -189,7 +190,7 @@ mod tests {
     #[test]
     fn reject_flag_switches_the_trailing_deny() {
         let pol = NetworkPolicy::deny_all("p", "w").with_reject();
-        let rules = pol.compile(Chain::Input, Ip4::new(1, 2, 3, 4));
+        let rules = pol.compile(Ip4::new(1, 2, 3, 4));
         assert_eq!(rules.last().unwrap().verdict, Verdict::Reject);
     }
 

@@ -11,13 +11,12 @@ use crate::addr::MacAddr;
 use crate::costs::StageCost;
 use crate::device::{Device, DeviceKind, PortId};
 use crate::engine::DevCtx;
-use crate::filter::{Chain, FilterControl, HookIds, StateTracker, Verdict, REJECT_TAG};
-use crate::frame::{Frame, Payload};
+use crate::filter::{FilterControl, FilterHook, Verdict};
+use crate::frame::Frame;
 use crate::hash::FxHashMap;
-use crate::nat::Proto;
 use crate::shared::SharedStation;
 use crate::time::{SimDuration, SimTime};
-use metrics::{JournalKind, MetricId};
+use metrics::MetricId;
 
 /// Default FDB entry lifetime (Linux default is 300 s).
 pub const DEFAULT_AGEING: SimDuration = SimDuration::secs(300);
@@ -55,14 +54,11 @@ pub struct Bridge {
     fdb_cap: usize,
     fdb: FxHashMap<MacAddr, (PortId, SimTime)>,
     ids: Option<BridgeIds>,
-    /// FORWARD filter table (NetworkPolicy chains land here when the CNI
-    /// targets the bridge, e.g. BrFusion's fused host bridge). Never-
-    /// configured tables cost one atomic load per frame.
-    filter: FilterControl,
-    /// Device-local conntrack feeding the filter's state-match (the
-    /// bridge has no NAT conntrack to consult).
-    tracker: StateTracker,
-    filter_ids: Option<HookIds>,
+    /// FORWARD filter hook (NetworkPolicy chains land here when the CNI
+    /// targets the bridge, e.g. BrFusion's fused host bridge), with its own
+    /// state tracker: the bridge has no NAT conntrack to consult.
+    /// Never-configured tables cost one atomic load per frame.
+    filter: FilterHook,
 }
 
 impl Bridge {
@@ -78,16 +74,14 @@ impl Bridge {
             fdb_cap: DEFAULT_FDB_CAP,
             fdb: FxHashMap::default(),
             ids: None,
-            filter: FilterControl::default(),
-            tracker: StateTracker::default(),
-            filter_ids: None,
+            filter: FilterHook::default(),
         }
     }
 
     /// The bridge's FORWARD filter table handle (clone it out before
     /// boxing the device into a network).
     pub fn filter(&self) -> FilterControl {
-        self.filter.clone()
+        self.filter.control()
     }
 
     /// Overrides the FDB ageing time.
@@ -182,47 +176,14 @@ impl Device for Bridge {
 
         // FORWARD filter on transiting unicast transport frames (the
         // br_netfilter path: bridged traffic traverses the filter table).
-        // One atomic load when no rule was ever installed.
-        if !self.filter.is_empty() {
-            if let (Some(proto), Some(src), Some(dst)) = (
-                Proto::of(&frame.ip.transport),
-                frame.ip.src_sock(),
-                frame.ip.dst_sock(),
-            ) {
-                let fids = *self
-                    .filter_ids
-                    .get_or_insert_with(|| HookIds::resolve(Chain::Forward, ctx));
-                let now = ctx.now();
-                let state = self.tracker.state_of(proto, src, dst, now);
-                let (verdict, rule_id) =
-                    self.filter
-                        .eval(Chain::Forward, proto, src, dst, state, now);
-                let dev = ctx.self_id().0 as u64;
-                match verdict {
-                    Verdict::Accept => {
-                        ctx.count_id(fids.accept, 1.0);
-                        self.tracker.note(proto, src, dst, now);
-                    }
-                    Verdict::Drop => {
-                        ctx.count_id(fids.drop, 1.0);
-                        ctx.journal(JournalKind::FilterDrop, dev, rule_id, Verdict::Drop.code());
-                        return;
-                    }
-                    Verdict::Reject => {
-                        ctx.count_id(fids.reject, 1.0);
-                        ctx.journal(
-                            JournalKind::FilterDrop,
-                            dev,
-                            rule_id,
-                            Verdict::Reject.code(),
-                        );
-                        let mut p = Payload::sized(8);
-                        p.tag = REJECT_TAG;
-                        let notif = Frame::udp(frame.dst_mac, frame.src_mac, dst, src, p);
-                        ctx.transmit_at(done, port, notif);
-                        return;
-                    }
-                }
+        // A refused frame's notice leaves when the bridge's stage completes.
+        match self.filter.judge_frame(&frame, ctx) {
+            Verdict::Accept => {}
+            Verdict::Drop => return,
+            Verdict::Reject => {
+                let notice = FilterHook::notice(&frame, frame.dst_mac, frame.ip.dst);
+                ctx.transmit_at(done, port, notice);
+                return;
             }
         }
 

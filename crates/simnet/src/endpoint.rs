@@ -10,13 +10,11 @@ use crate::addr::{Ip4, Ip4Net, MacAddr, SockAddr};
 use crate::costs::StageCost;
 use crate::device::{Device, DeviceKind, PortId};
 use crate::engine::DevCtx;
-use crate::filter::{Chain, FilterControl, HookIds, StateTracker, Verdict, REJECT_TAG};
 use crate::frame::{Frame, Payload, TcpKind};
 use crate::hash::{FxHashMap, FxHashSet};
-use crate::nat::Proto;
 use crate::shared::SharedStation;
 use crate::time::{SimDuration, SimTime};
-use metrics::{CpuCategory, JournalKind, MetricId};
+use metrics::{CpuCategory, MetricId};
 use rand::rngs::StdRng;
 
 /// Timer token reserved for application start-up.
@@ -131,10 +129,6 @@ pub struct AppApi<'a, 'b> {
     sock_cost: &'a StageCost,
     station: &'a SharedStation,
     ids: EndpointIds,
-    /// The endpoint's conntrack; outbound sends are recorded (when the
-    /// INPUT filter is engaged) so replies state-match as ESTABLISHED.
-    tracker: &'a mut StateTracker,
-    track: bool,
 }
 
 impl AppApi<'_, '_> {
@@ -236,14 +230,6 @@ impl AppApi<'_, '_> {
             return;
         };
         let src = SockAddr::new(iface.ip, src_port);
-        if self.track {
-            let proto = if tcp.is_some() {
-                Proto::Tcp
-            } else {
-                Proto::Udp
-            };
-            self.tracker.note(proto, src, dst, self.ctx.now());
-        }
         let frame = match tcp {
             None => Frame::udp(iface.mac, dst_mac, src, dst, payload),
             Some((seq, kind)) => Frame::tcp(iface.mac, dst_mac, src, dst, seq, kind, payload),
@@ -265,13 +251,6 @@ pub struct Endpoint {
     sock_cost: StageCost,
     station: SharedStation,
     ids: Option<EndpointIds>,
-    /// INPUT filter table (NetworkPolicy ingress chains land here when
-    /// the CNI targets the pod's own delivery point). Never-configured
-    /// tables cost one atomic load per frame.
-    filter: FilterControl,
-    /// Device-local conntrack feeding the filter's state-match.
-    tracker: StateTracker,
-    filter_ids: Option<HookIds>,
 }
 
 impl Endpoint {
@@ -298,16 +277,7 @@ impl Endpoint {
             sock_cost,
             station,
             ids: None,
-            filter: FilterControl::default(),
-            tracker: StateTracker::default(),
-            filter_ids: None,
         }
-    }
-
-    /// The endpoint's INPUT filter table handle (clone it out before
-    /// boxing the device into a network).
-    pub fn filter(&self) -> FilterControl {
-        self.filter.clone()
     }
 
     fn ids(&mut self, ctx: &mut DevCtx<'_>) -> EndpointIds {
@@ -323,7 +293,6 @@ impl Endpoint {
         f: impl FnOnce(&mut dyn Application, &mut AppApi<'_, '_>) -> R,
     ) -> R {
         let ids = self.ids(ctx);
-        let track = !self.filter.is_empty();
         let mut app = self.app.take().expect("application re-entered");
         let mut api = AppApi {
             ctx,
@@ -331,8 +300,6 @@ impl Endpoint {
             sock_cost: &self.sock_cost,
             station: &self.station,
             ids,
-            tracker: &mut self.tracker,
-            track,
         };
         let r = f(app.as_mut(), &mut api);
         self.app = Some(app);
@@ -371,52 +338,6 @@ impl Device for Endpoint {
             ctx.count_id(ids.filtered_l3, 1.0);
             return;
         };
-
-        // INPUT filter, between the transport demux and the socket (the
-        // kernel's LOCAL_IN hook). State-match runs against the endpoint's
-        // own conntrack, which also records outbound sends, so
-        // ESTABLISHED admits replies to this endpoint's requests. One
-        // atomic load when no rule was ever installed.
-        if !self.filter.is_empty() {
-            if let Some(proto) = Proto::of(&frame.ip.transport) {
-                let fids = *self
-                    .filter_ids
-                    .get_or_insert_with(|| HookIds::resolve(Chain::Input, ctx));
-                let now = ctx.now();
-                let state = self.tracker.state_of(proto, src, dst, now);
-                let (verdict, rule_id) =
-                    self.filter.eval(Chain::Input, proto, src, dst, state, now);
-                let dev = ctx.self_id().0 as u64;
-                match verdict {
-                    Verdict::Accept => {
-                        ctx.count_id(fids.accept, 1.0);
-                        self.tracker.note(proto, src, dst, now);
-                    }
-                    Verdict::Drop => {
-                        ctx.count_id(fids.drop, 1.0);
-                        ctx.journal(JournalKind::FilterDrop, dev, rule_id, Verdict::Drop.code());
-                        return;
-                    }
-                    Verdict::Reject => {
-                        ctx.count_id(fids.reject, 1.0);
-                        ctx.journal(
-                            JournalKind::FilterDrop,
-                            dev,
-                            rule_id,
-                            Verdict::Reject.code(),
-                        );
-                        // Port-unreachable analogue back to the sender;
-                        // the kernel still does softirq work to refuse.
-                        let done = self.station.serve(&self.sock_cost, frame.wire_len(), ctx);
-                        let mut p = Payload::sized(8);
-                        p.tag = REJECT_TAG;
-                        let notif = Frame::udp(iface.mac, frame.src_mac, dst, src, p);
-                        ctx.transmit_at(done, port, notif);
-                        return;
-                    }
-                }
-            }
-        }
 
         // Receive syscall cost. The span closes the frame's flight path at
         // its delivery point.

@@ -1,10 +1,14 @@
-//! Netfilter-style filter chains with a compiled interval-index matcher.
+//! A Netfilter-style FORWARD filter table with a compiled interval-index
+//! matcher, and the one hook through which devices consult it.
 //!
 //! The NAT module models the PREROUTING/POSTROUTING translation chains;
-//! this module adds the *filter* table — INPUT and FORWARD chains with
+//! this module adds the *filter* table — a FORWARD chain with
 //! ACCEPT/DROP/REJECT verdicts and conntrack state-match — so the CNIs can
 //! enforce NetworkPolicy-style isolation at whichever device actually
-//! carries a pod's traffic (guest NAT, host bridge, hostlo queues).
+//! carries a pod's traffic (guest NAT, host bridge, hostlo queues). Each of
+//! those devices owns a [`FilterHook`]: it judges a frame (evaluate, count,
+//! journal) and builds the REJECT notice, so the verdict routine exists
+//! once.
 //!
 //! Two design constraints shape the implementation:
 //!
@@ -33,33 +37,17 @@
 //! Tables that never had a rule installed stay on a single
 //! relaxed-atomic fast path and cost one branch per frame.
 
-use crate::addr::{Ip4, Ip4Net, SockAddr};
+use crate::addr::{Ip4, Ip4Net, MacAddr, SockAddr};
+use crate::engine::DevCtx;
+use crate::frame::{Frame, Payload};
 use crate::hash::FxHashMap;
 use crate::nat::Proto;
 use crate::time::{SimDuration, SimTime};
+use metrics::{JournalKind, MetricId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Which filter chain a rule lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Chain {
-    /// Traffic delivered to the device itself (endpoint delivery).
-    Input,
-    /// Traffic transiting the device (router, bridge, hostlo queues).
-    Forward,
-}
-
-impl Chain {
-    /// Stable lowercase label (counter names, journal exports).
-    pub fn label(self) -> &'static str {
-        match self {
-            Chain::Input => "input",
-            Chain::Forward => "forward",
-        }
-    }
-}
 
 /// What happens to a matched frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -125,13 +113,11 @@ impl StateMask {
     }
 }
 
-/// One filter rule. First match wins, in install order; an empty chain
+/// One filter rule. First match wins, in install order; an empty table
 /// (or no matching rule) ACCEPTs, like an iptables chain with policy
 /// ACCEPT — default-deny is expressed as a trailing catch-all DROP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FilterRule {
-    /// Chain the rule belongs to.
-    pub chain: Chain,
     /// Protocol to match; `None` matches both.
     pub proto: Option<Proto>,
     /// Source subnet to match; `None` matches any.
@@ -147,11 +133,10 @@ pub struct FilterRule {
 }
 
 impl FilterRule {
-    /// A catch-all rule for `chain` with the given verdict (any proto,
-    /// any address, any port, any state).
-    pub fn any(chain: Chain, verdict: Verdict) -> FilterRule {
+    /// A catch-all rule with the given verdict (any proto, any address,
+    /// any port, any state).
+    pub fn any(verdict: Verdict) -> FilterRule {
         FilterRule {
-            chain,
             proto: None,
             src: None,
             dst: None,
@@ -216,7 +201,7 @@ impl FilterRule {
 pub const NO_RULE: u64 = u64::MAX;
 
 /// Port ranges wider than this skip the interval index and go to the
-/// per-chain wide list (catch-alls; merged at match time in id order).
+/// wide list (catch-alls; merged at match time in id order).
 const WIDE_SPAN: u32 = 1024;
 
 /// Largest batch of installs an eval patches into the compiled index; a
@@ -241,7 +226,7 @@ impl Installed {
     }
 }
 
-/// Compiled form of one chain: elementary destination-port intervals with
+/// Compiled form of the table: elementary destination-port intervals with
 /// per-interval candidate lists (indices into the installed-rule vec,
 /// ascending = priority order) plus the wide-range list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -256,22 +241,12 @@ struct CompiledChain {
 }
 
 impl CompiledChain {
-    fn build(rules: &[Installed], chain: Chain) -> CompiledChain {
+    fn build(rules: &[Installed]) -> CompiledChain {
         let mut starts: BTreeSet<u16> = BTreeSet::new();
-        let chain_rules: Vec<u32> = rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.rule.chain == chain)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let narrow: Vec<u32> = chain_rules
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let (lo, hi) = rules[i as usize].rule.dst_ports;
-                u32::from(hi) - u32::from(lo) <= WIDE_SPAN
-            })
-            .collect();
+        let (narrow, wide): (Vec<u32>, Vec<u32>) = (0..rules.len() as u32).partition(|&i| {
+            let (lo, hi) = rules[i as usize].rule.dst_ports;
+            u32::from(hi) - u32::from(lo) <= WIDE_SPAN
+        });
         for &i in &narrow {
             let (lo, hi) = rules[i as usize].rule.dst_ports;
             if lo > 0 {
@@ -293,13 +268,6 @@ impl CompiledChain {
                 bucket.push(i);
             }
         }
-        let wide: Vec<u32> = chain_rules
-            .into_iter()
-            .filter(|&i| {
-                let (lo, hi) = rules[i as usize].rule.dst_ports;
-                u32::from(hi) - u32::from(lo) > WIDE_SPAN
-            })
-            .collect();
         CompiledChain {
             bounds,
             buckets,
@@ -394,10 +362,10 @@ struct FilterState {
     /// Activation/deactivation instants of every mutation, for the flow
     /// fast path's overlap check (`u64::MAX` sentinels are not recorded).
     changes: BTreeSet<u64>,
-    /// The INPUT and FORWARD indexes over `rules[..n]`, tagged with `n`.
-    /// Installs since then are patched in by the next eval; `None` (no
-    /// eval yet, or a purge shifted the indices) rebuilds.
-    compiled: Option<(usize, CompiledChain, CompiledChain)>,
+    /// The index over `rules[..n]`, tagged with `n`. Installs since then
+    /// are patched in by the next eval; `None` (no eval yet, or a purge
+    /// shifted the indices) rebuilds.
+    compiled: Option<(usize, CompiledChain)>,
 }
 
 impl FilterState {
@@ -413,31 +381,21 @@ impl FilterState {
     fn compile(&mut self) {
         let n = self.rules.len();
         match &mut self.compiled {
-            Some((done, ..)) if *done == n => {}
-            Some((done, input, forward)) if n - *done <= PATCH_MAX => {
+            Some((done, _)) if *done == n => {}
+            Some((done, index)) if n - *done <= PATCH_MAX => {
                 for (i, r) in self.rules.iter().enumerate().skip(*done) {
-                    let chain = match r.rule.chain {
-                        Chain::Input => &mut *input,
-                        Chain::Forward => &mut *forward,
-                    };
-                    chain.push(i as u32, r.rule.dst_ports);
+                    index.push(i as u32, r.rule.dst_ports);
                 }
                 *done = n;
             }
-            _ => {
-                self.compiled = Some((
-                    n,
-                    CompiledChain::build(&self.rules, Chain::Input),
-                    CompiledChain::build(&self.rules, Chain::Forward),
-                ));
-            }
+            _ => self.compiled = Some((n, CompiledChain::build(&self.rules))),
         }
     }
 }
 
 /// A cloneable handle to one device's filter table — the `iptables -t
 /// filter` administration surface. Created by the devices that host a
-/// table (NAT router, bridge, hostlo TAP, endpoint) and handed to CNIs.
+/// table (NAT router, bridge, hostlo TAP) and handed to CNIs.
 #[derive(Debug, Clone, Default)]
 pub struct FilterControl {
     state: Arc<parking_lot::Mutex<FilterState>>,
@@ -545,13 +503,12 @@ impl FilterControl {
             .is_some()
     }
 
-    /// Evaluates `chain` for a frame. Never-configured tables return
+    /// Evaluates the table for a frame. Never-configured tables return
     /// ACCEPT after one atomic load; configured tables take the lock,
     /// patch or rebuild the interval index if installs or a purge left it
     /// behind, and walk it.
     pub fn eval(
         &self,
-        chain: Chain,
         proto: Proto,
         src: SockAddr,
         dst: SockAddr,
@@ -563,28 +520,24 @@ impl FilterControl {
         }
         let mut s = self.state.lock();
         s.compile();
-        let (_, input, forward) = s.compiled.as_ref().expect("compiled above");
-        let c = match chain {
-            Chain::Input => input,
-            Chain::Forward => forward,
-        };
-        c.lookup(&s.rules, proto, src, dst, state, now)
+        let (_, index) = s.compiled.as_ref().expect("compiled above");
+        index.lookup(&s.rules, proto, src, dst, state, now)
     }
 }
 
-/// Default lifetime of a [`StateTracker`] entry (matches the NAT
-/// conntrack default).
-pub const TRACK_TIMEOUT: SimDuration = SimDuration::secs(120);
+/// Lifetime of a [`StateTracker`] entry (matches the NAT conntrack
+/// default).
+const TRACK_TIMEOUT: SimDuration = SimDuration::secs(120);
 
 /// Frames between expiry sweeps of a [`StateTracker`].
 const TRACK_GC_EVERY: u32 = 256;
 
 /// A device-local conntrack table for filter attach points that have no
-/// NAT conntrack to consult (bridges, hostlo queues, endpoints). Lives
-/// inside the device, so it moves to the device's shard and state
-/// resolution stays bit-deterministic.
+/// NAT conntrack to consult (bridges, hostlo queues). Lives inside the
+/// device's hook, so it moves to the device's shard and state resolution
+/// stays bit-deterministic.
 #[derive(Debug, Default)]
-pub struct StateTracker {
+struct StateTracker {
     conns: FxHashMap<(Proto, SockAddr, SockAddr), SimTime>,
     /// Unordered ip-pair index for RELATED lookups (canonical low/high).
     pairs: FxHashMap<(Proto, Ip4, Ip4), SimTime>,
@@ -601,13 +554,7 @@ impl StateTracker {
     }
 
     /// Resolves the conntrack state of a frame *without* recording it.
-    pub fn state_of(
-        &mut self,
-        proto: Proto,
-        src: SockAddr,
-        dst: SockAddr,
-        now: SimTime,
-    ) -> ConnState {
+    fn state_of(&mut self, proto: Proto, src: SockAddr, dst: SockAddr, now: SimTime) -> ConnState {
         self.lookups += 1;
         if self.lookups >= TRACK_GC_EVERY {
             self.lookups = 0;
@@ -630,7 +577,7 @@ impl StateTracker {
 
     /// Records an accepted frame: both directions become ESTABLISHED and
     /// the address pair feeds future RELATED matches.
-    pub fn note(&mut self, proto: Proto, src: SockAddr, dst: SockAddr, now: SimTime) {
+    fn note(&mut self, proto: Proto, src: SockAddr, dst: SockAddr, now: SimTime) {
         self.conns.insert((proto, src, dst), now);
         self.conns.insert((proto, dst, src), now);
         self.pairs
@@ -638,7 +585,8 @@ impl StateTracker {
     }
 
     /// Number of tracked flow directions still alive at `now`.
-    pub fn live_len(&self, now: SimTime) -> usize {
+    #[cfg(test)]
+    fn live_len(&self, now: SimTime) -> usize {
         self.conns
             .values()
             .filter(|t| now.since(**t) <= TRACK_TIMEOUT)
@@ -651,30 +599,115 @@ impl StateTracker {
 /// tests tell an active refusal from silence.
 pub const REJECT_TAG: u64 = 0x7265_6a65_6374; // "reject"
 
-/// Interned per-chain verdict counters (`filter.<chain>.accept` / `.drop`
-/// / `.reject`), shared by every device hosting a filter hook. Resolved
-/// lazily on the first frame that reaches an *engaged* table, so
-/// policy-free runs never intern filter metrics.
+/// Interned verdict counters (`filter.forward.accept` / `.drop` /
+/// `.reject`).
 #[derive(Debug, Clone, Copy)]
-pub struct HookIds {
-    /// Counter bumped on every ACCEPT verdict.
-    pub accept: metrics::MetricId,
-    /// Counter bumped on every DROP verdict.
-    pub drop: metrics::MetricId,
-    /// Counter bumped on every REJECT verdict.
-    pub reject: metrics::MetricId,
+struct HookIds {
+    accept: MetricId,
+    drop: MetricId,
+    reject: MetricId,
 }
 
-impl HookIds {
-    /// Interns the three verdict counters for `chain` in the device's
-    /// metric namespace (call once per device, on first engaged frame).
-    pub fn resolve(chain: Chain, ctx: &mut crate::engine::DevCtx<'_>) -> HookIds {
-        let l = chain.label();
-        HookIds {
-            accept: ctx.metric(&format!("filter.{l}.accept")),
-            drop: ctx.metric(&format!("filter.{l}.drop")),
-            reject: ctx.metric(&format!("filter.{l}.reject")),
+/// One device's filter attach point: its FORWARD table, the verdict
+/// counters (interned on the first frame that reaches an *engaged* table,
+/// so policy-free runs never intern filter metrics), and a device-local
+/// state tracker for devices with no NAT conntrack to consult.
+///
+/// The hook judges; the device acts on the verdict: it stops a DROP or
+/// REJECT frame, and sends the REJECT [`notice`](FilterHook::notice) when
+/// and from where its own model says (the bridge at its stage completion,
+/// the hostlo TAP after serving its station, the NAT router from its
+/// ingress interface's address).
+#[derive(Debug, Default)]
+pub struct FilterHook {
+    control: FilterControl,
+    ids: Option<HookIds>,
+    tracker: StateTracker,
+}
+
+impl FilterHook {
+    /// The table's administration handle (clone it out before boxing the
+    /// device into a network).
+    pub fn control(&self) -> FilterControl {
+        self.control.clone()
+    }
+
+    /// Judges a frame from `src` to `dst` in conntrack `state`: evaluates
+    /// the table, bumps the verdict's counter and journals a DROP or REJECT
+    /// as `FilterDrop` (device, rule id, verdict code). A never-configured
+    /// table returns ACCEPT after one atomic load, counting nothing.
+    pub(crate) fn judge(
+        &mut self,
+        proto: Proto,
+        src: SockAddr,
+        dst: SockAddr,
+        state: ConnState,
+        ctx: &mut DevCtx<'_>,
+    ) -> Verdict {
+        if self.control.is_empty() {
+            return Verdict::Accept;
         }
+        let ids = *self.ids.get_or_insert_with(|| HookIds {
+            accept: ctx.metric("filter.forward.accept"),
+            drop: ctx.metric("filter.forward.drop"),
+            reject: ctx.metric("filter.forward.reject"),
+        });
+        let (verdict, rule_id) = self.control.eval(proto, src, dst, state, ctx.now());
+        let counter = match verdict {
+            Verdict::Accept => ids.accept,
+            Verdict::Drop => ids.drop,
+            Verdict::Reject => ids.reject,
+        };
+        ctx.count_id(counter, 1.0);
+        if verdict != Verdict::Accept {
+            let dev = ctx.self_id().0 as u64;
+            ctx.journal(JournalKind::FilterDrop, dev, rule_id, verdict.code());
+        }
+        verdict
+    }
+
+    /// [`judge`](FilterHook::judge) for a device with no conntrack of its
+    /// own (a bridge, a hostlo TAP): the hook's tracker resolves the
+    /// frame's state and records every accepted flow, so replies match
+    /// ESTABLISHED. Port-less frames (VXLAN) are not filtered.
+    pub fn judge_frame(&mut self, frame: &Frame, ctx: &mut DevCtx<'_>) -> Verdict {
+        if self.control.is_empty() {
+            return Verdict::Accept;
+        }
+        let (Some(proto), Some(src), Some(dst)) = (
+            Proto::of(&frame.ip.transport),
+            frame.ip.src_sock(),
+            frame.ip.dst_sock(),
+        ) else {
+            return Verdict::Accept;
+        };
+        let now = ctx.now();
+        let state = self.tracker.state_of(proto, src, dst, now);
+        let verdict = self.judge(proto, src, dst, state, ctx);
+        if verdict == Verdict::Accept {
+            self.tracker.note(proto, src, dst, now);
+        }
+        verdict
+    }
+
+    /// The REJECT notification (the port-unreachable analogue) answering
+    /// `refused`: an 8-byte UDP datagram tagged [`REJECT_TAG`], sent from
+    /// `from_mac` and `from_ip` at the refused destination port back to
+    /// the refused frame's sender.
+    pub fn notice(refused: &Frame, from_mac: MacAddr, from_ip: Ip4) -> Frame {
+        let (Some(to), Some(port)) = (refused.ip.src_sock(), refused.ip.transport.dst_port())
+        else {
+            panic!("only transport frames are refused");
+        };
+        let mut p = Payload::sized(8);
+        p.tag = REJECT_TAG;
+        Frame::udp(
+            from_mac,
+            refused.src_mac,
+            SockAddr::new(from_ip, port),
+            to,
+            p,
+        )
     }
 }
 
@@ -691,7 +724,6 @@ mod tests {
     /// Reference matcher: linear first-match walk over the rule list.
     fn linear_eval(
         ctl: &FilterControl,
-        chain: Chain,
         proto: Proto,
         src: SockAddr,
         dst: SockAddr,
@@ -700,7 +732,7 @@ mod tests {
     ) -> (Verdict, u64) {
         let s = ctl.state.lock();
         for r in &s.rules {
-            if r.rule.chain == chain && r.live_at(now) && r.rule.matches(proto, src, dst, state) {
+            if r.live_at(now) && r.rule.matches(proto, src, dst, state) {
                 return (r.rule.verdict, r.id);
             }
         }
@@ -711,24 +743,16 @@ mod tests {
     fn empty_table_accepts_cheaply() {
         let ctl = FilterControl::default();
         assert!(ctl.is_empty());
-        let (v, id) = ctl.eval(
-            Chain::Forward,
-            Proto::Udp,
-            sock(1, 1),
-            sock(2, 2),
-            ANY_STATE,
-            SimTime::ZERO,
-        );
+        let (v, id) = ctl.eval(Proto::Udp, sock(1, 1), sock(2, 2), ANY_STATE, SimTime::ZERO);
         assert_eq!((v, id), (Verdict::Accept, NO_RULE));
     }
 
     #[test]
     fn first_match_wins_in_install_order() {
         let ctl = FilterControl::default();
-        let allow = ctl.install(FilterRule::any(Chain::Forward, Verdict::Accept).port(80));
-        let deny = ctl.install(FilterRule::any(Chain::Forward, Verdict::Drop));
+        let allow = ctl.install(FilterRule::any(Verdict::Accept).port(80));
+        let deny = ctl.install(FilterRule::any(Verdict::Drop));
         let (v, id) = ctl.eval(
-            Chain::Forward,
             Proto::Tcp,
             sock(1, 999),
             sock(2, 80),
@@ -737,7 +761,6 @@ mod tests {
         );
         assert_eq!((v, id), (Verdict::Accept, allow));
         let (v, id) = ctl.eval(
-            Chain::Forward,
             Proto::Tcp,
             sock(1, 999),
             sock(2, 81),
@@ -748,46 +771,12 @@ mod tests {
     }
 
     #[test]
-    fn chains_are_independent() {
-        let ctl = FilterControl::default();
-        ctl.install(FilterRule::any(Chain::Input, Verdict::Drop));
-        let (v, _) = ctl.eval(
-            Chain::Forward,
-            Proto::Udp,
-            sock(1, 1),
-            sock(2, 2),
-            ANY_STATE,
-            SimTime::ZERO,
-        );
-        assert_eq!(v, Verdict::Accept);
-        let (v, _) = ctl.eval(
-            Chain::Input,
-            Proto::Udp,
-            sock(1, 1),
-            sock(2, 2),
-            ANY_STATE,
-            SimTime::ZERO,
-        );
-        assert_eq!(v, Verdict::Drop);
-    }
-
-    #[test]
     fn windows_gate_activity() {
         let ctl = FilterControl::default();
-        let id = ctl.install_at(
-            FilterRule::any(Chain::Forward, Verdict::Drop),
-            SimTime(1_000),
-        );
+        let id = ctl.install_at(FilterRule::any(Verdict::Drop), SimTime(1_000));
         let at = |t: u64| {
-            ctl.eval(
-                Chain::Forward,
-                Proto::Udp,
-                sock(1, 1),
-                sock(2, 2),
-                ANY_STATE,
-                SimTime(t),
-            )
-            .0
+            ctl.eval(Proto::Udp, sock(1, 1), sock(2, 2), ANY_STATE, SimTime(t))
+                .0
         };
         assert_eq!(at(999), Verdict::Accept, "not yet active");
         assert_eq!(at(1_000), Verdict::Drop, "active from the boundary");
@@ -802,10 +791,7 @@ mod tests {
     fn change_instants_feed_the_flow_overlap_check() {
         let ctl = FilterControl::default();
         assert!(!ctl.changed_in(SimTime::ZERO, SimTime(u64::MAX - 1)));
-        let id = ctl.install_at(
-            FilterRule::any(Chain::Forward, Verdict::Drop),
-            SimTime(2_000),
-        );
+        let id = ctl.install_at(FilterRule::any(Verdict::Drop), SimTime(2_000));
         assert!(
             ctl.changed_in(SimTime(1_000), SimTime(2_000)),
             "inclusive upper"
@@ -821,20 +807,11 @@ mod tests {
     #[test]
     fn state_mask_selects_verdict() {
         let ctl = FilterControl::default();
-        ctl.install(
-            FilterRule::any(Chain::Forward, Verdict::Accept).states(StateMask::ESTABLISHED),
-        );
-        ctl.install(FilterRule::any(Chain::Forward, Verdict::Drop));
+        ctl.install(FilterRule::any(Verdict::Accept).states(StateMask::ESTABLISHED));
+        ctl.install(FilterRule::any(Verdict::Drop));
         let v = |state| {
-            ctl.eval(
-                Chain::Forward,
-                Proto::Udp,
-                sock(1, 1),
-                sock(2, 2),
-                state,
-                SimTime::ZERO,
-            )
-            .0
+            ctl.eval(Proto::Udp, sock(1, 1), sock(2, 2), state, SimTime::ZERO)
+                .0
         };
         assert_eq!(v(ConnState::Established), Verdict::Accept);
         assert_eq!(v(ConnState::New), Verdict::Drop);
@@ -846,13 +823,12 @@ mod tests {
         let ctl = FilterControl::default();
         let net = Ip4Net::new(Ip4::new(10, 0, 0, 0), 24);
         ctl.install(
-            FilterRule::any(Chain::Input, Verdict::Reject)
+            FilterRule::any(Verdict::Reject)
                 .proto(Proto::Tcp)
                 .from_net(net)
                 .port(22),
         );
         let hit = ctl.eval(
-            Chain::Input,
             Proto::Tcp,
             SockAddr::new(Ip4::new(10, 0, 0, 9), 1234),
             sock(7, 22),
@@ -861,7 +837,6 @@ mod tests {
         );
         assert_eq!(hit.0, Verdict::Reject);
         let miss_proto = ctl.eval(
-            Chain::Input,
             Proto::Udp,
             SockAddr::new(Ip4::new(10, 0, 0, 9), 1234),
             sock(7, 22),
@@ -870,7 +845,6 @@ mod tests {
         );
         assert_eq!(miss_proto.0, Verdict::Accept);
         let miss_net = ctl.eval(
-            Chain::Input,
             Proto::Tcp,
             SockAddr::new(Ip4::new(10, 0, 1, 9), 1234),
             sock(7, 22),
@@ -891,7 +865,7 @@ mod tests {
     }
 
     /// A pseudo-random rule: mostly narrow port ranges, some wide ones,
-    /// either chain, optional proto and destination net.
+    /// optional proto and destination net.
     fn soup_rule(step: &mut impl FnMut() -> u64) -> FilterRule {
         let lo = (step() % 60_000) as u16;
         let span = if step().is_multiple_of(5) {
@@ -905,12 +879,7 @@ mod tests {
             1 => Verdict::Drop,
             _ => Verdict::Reject,
         };
-        let chain = if step().is_multiple_of(2) {
-            Chain::Forward
-        } else {
-            Chain::Input
-        };
-        let mut rule = FilterRule::any(chain, verdict).ports(lo, hi);
+        let mut rule = FilterRule::any(verdict).ports(lo, hi);
         if step().is_multiple_of(2) {
             rule = rule.proto(if step().is_multiple_of(2) {
                 Proto::Udp
@@ -924,8 +893,8 @@ mod tests {
         rule
     }
 
-    /// Asserts the compiled matcher equals the linear walk on both chains
-    /// for `queries` pseudo-random frames at times below `horizon`.
+    /// Asserts the compiled matcher equals the linear walk for `queries`
+    /// pseudo-random frames at times below `horizon`.
     fn agrees_with_linear(
         ctl: &FilterControl,
         step: &mut impl FnMut() -> u64,
@@ -946,13 +915,11 @@ mod tests {
                 _ => ConnState::Related,
             };
             let now = SimTime(step() % horizon);
-            for chain in [Chain::Input, Chain::Forward] {
-                assert_eq!(
-                    ctl.eval(chain, proto, src, dst, state, now),
-                    linear_eval(ctl, chain, proto, src, dst, state, now),
-                    "compiled matcher diverged from the linear reference"
-                );
-            }
+            assert_eq!(
+                ctl.eval(proto, src, dst, state, now),
+                linear_eval(ctl, proto, src, dst, state, now),
+                "compiled matcher diverged from the linear reference"
+            );
         }
     }
 
@@ -978,7 +945,7 @@ mod tests {
         // Installs, removals and purges interleaved with evals, so the
         // index is patched, left alone and rebuilt in turn. After every
         // mutation the matcher must equal the linear walk, and the
-        // compiled chains a fresh build over the current rules.
+        // compiled index a fresh build over the current rules.
         fn install(ctl: &FilterControl, step: &mut impl FnMut() -> u64, ids: &mut Vec<u64>) {
             let rule = soup_rule(step);
             ids.push(ctl.install_at(rule, SimTime(step() % 2_000)));
@@ -1013,10 +980,9 @@ mod tests {
             }
             agrees_with_linear(&ctl, &mut step, 20, 3_000);
             let s = ctl.state.lock();
-            let (n, input, forward) = s.compiled.as_ref().expect("evaluated above");
+            let (n, index) = s.compiled.as_ref().expect("evaluated above");
             assert_eq!(*n, s.rules.len());
-            assert_eq!(*input, CompiledChain::build(&s.rules, Chain::Input));
-            assert_eq!(*forward, CompiledChain::build(&s.rules, Chain::Forward));
+            assert_eq!(*index, CompiledChain::build(&s.rules));
         }
     }
 
@@ -1024,7 +990,7 @@ mod tests {
     fn remove_after_purge_hits_the_right_rule() {
         let ctl = FilterControl::default();
         let ids: Vec<u64> = (0..10)
-            .map(|p| ctl.install(FilterRule::any(Chain::Forward, Verdict::Drop).port(p)))
+            .map(|p| ctl.install(FilterRule::any(Verdict::Drop).port(p)))
             .collect();
         for &id in ids.iter().step_by(2) {
             assert!(ctl.remove_at(id, SimTime(10)));
@@ -1034,7 +1000,6 @@ mod tests {
         assert!(ctl.remove_at(ids[7], SimTime(20)));
         let at = |port: u16| {
             ctl.eval(
-                Chain::Forward,
                 Proto::Udp,
                 sock(1, 1),
                 sock(2, port),
@@ -1053,21 +1018,14 @@ mod tests {
     #[test]
     fn purge_drops_only_dead_rules() {
         let ctl = FilterControl::default();
-        let a = ctl.install(FilterRule::any(Chain::Forward, Verdict::Drop));
-        let b = ctl.install(FilterRule::any(Chain::Input, Verdict::Drop));
+        let a = ctl.install(FilterRule::any(Verdict::Drop));
+        let b = ctl.install(FilterRule::any(Verdict::Drop));
         ctl.remove_at(a, SimTime(100));
         assert_eq!(ctl.purge_expired(SimTime(100)), 1);
         assert_eq!(ctl.len(), 1);
         let _ = b;
         // The survivor still matches.
-        let (v, _) = ctl.eval(
-            Chain::Input,
-            Proto::Udp,
-            sock(1, 1),
-            sock(2, 2),
-            ANY_STATE,
-            SimTime(200),
-        );
+        let (v, _) = ctl.eval(Proto::Udp, sock(1, 1), sock(2, 2), ANY_STATE, SimTime(200));
         assert_eq!(v, Verdict::Drop);
     }
 

@@ -1,14 +1,12 @@
 //! Ethernet frames and the minimal L3/L4 headers the datapath manipulates.
 //!
 //! The simulator is packet-level but not byte-level: headers are structured
-//! Rust values and payloads carry a *length* plus an optional [`bytes::Bytes`]
-//! body (used by workloads that need to verify content integrity end to end).
-//! Per-byte costs are computed from [`Frame::wire_len`].
+//! Rust values and payloads carry a *length*, not bytes. Per-byte costs are
+//! computed from [`Frame::wire_len`].
 
 use crate::addr::{Ip4, MacAddr, SockAddr};
 use crate::flow::FlowTag;
 use crate::time::SimTime;
-use bytes::Bytes;
 use metrics::FlightStamp;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -27,8 +25,8 @@ pub const VXLAN_OVERHEAD: u32 = ETH_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LE
 /// Conventional Ethernet MTU (L3 bytes).
 pub const DEFAULT_MTU: u32 = 1500;
 
-/// Application payload: a declared length, an opaque application tag used to
-/// correlate requests and responses, and an optional literal body.
+/// Application payload: a declared length and an opaque application tag
+/// used to correlate requests and responses.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Payload {
     /// Payload length in bytes (drives serialization and per-byte costs).
@@ -40,24 +38,13 @@ pub struct Payload {
     /// system this lives in the payload; the paper used a TSC passed across
     /// the virtual boundary for the same purpose.
     pub sent_at: SimTime,
-    /// Optional literal body for integrity-checking tests.
-    pub body: Option<Bytes>,
 }
 
 impl Payload {
-    /// A payload of `len` bytes with tag 0 and no body.
+    /// A payload of `len` bytes with tag 0.
     pub fn sized(len: u32) -> Payload {
         Payload {
             len,
-            ..Default::default()
-        }
-    }
-
-    /// A payload carrying literal bytes; `len` is set from the body.
-    pub fn bytes(body: Bytes) -> Payload {
-        Payload {
-            len: body.len() as u32,
-            body: Some(body),
             ..Default::default()
         }
     }
@@ -454,9 +441,8 @@ mod tests {
 
     #[test]
     fn payload_constructors() {
-        let p = Payload::bytes(Bytes::from_static(b"hello"));
-        assert_eq!(p.len, 5);
-        assert_eq!(p.body.as_deref(), Some(b"hello".as_ref()));
-        assert_eq!(Payload::sized(9).len, 9);
+        let p = Payload::sized(9);
+        assert_eq!(p.len, 9);
+        assert_eq!((p.tag, p.sent_at), (0, SimTime::ZERO));
     }
 }

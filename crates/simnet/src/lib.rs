@@ -70,10 +70,7 @@ pub use device::{Device, DeviceId, DeviceKind, PortId, Station};
 pub use endpoint::{AppApi, Application, Endpoint, IfaceConf, Incoming, START_TOKEN};
 pub use engine::{DevCtx, LinkParams, Network, SampleStore, StopCondition};
 pub use fault::{FaultPlan, LinkFault, LinkFaultKind, StallWindow};
-pub use filter::{
-    Chain, ConnState, FilterControl, FilterRule, HookIds, StateMask, StateTracker, Verdict,
-    NO_RULE, REJECT_TAG,
-};
+pub use filter::{ConnState, FilterControl, FilterRule, StateMask, Verdict, NO_RULE, REJECT_TAG};
 pub use flight::{chrome_counter_tracks, chrome_trace_report, snapshot_report, telemetry_report};
 pub use flow::Fidelity;
 pub use frame::{Frame, Payload, TcpKind, Transport};

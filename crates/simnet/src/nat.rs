@@ -11,12 +11,12 @@ use crate::addr::{Ip4, Ip4Net, MacAddr, SockAddr};
 use crate::costs::StageCost;
 use crate::device::{Device, DeviceKind, PortId};
 use crate::engine::DevCtx;
-use crate::filter::{Chain, ConnState, FilterControl, HookIds, Verdict, REJECT_TAG};
-use crate::frame::{Frame, Payload, Transport};
+use crate::filter::{ConnState, FilterControl, FilterHook, Verdict};
+use crate::frame::{Frame, Transport};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::shared::SharedStation;
-use crate::time::SimTime;
-use metrics::{JournalKind, MetricId};
+use crate::time::{SimDuration, SimTime};
+use metrics::MetricId;
 use serde::{Deserialize, Serialize};
 
 /// Transport protocol selector for NAT rules and conntrack keys.
@@ -320,23 +320,29 @@ impl NatControl {
 /// The NAT router device.
 pub struct NatRouter {
     cfg: NatControl,
-    /// Written only through `ct_insert` and `ct_retain`, which keep
-    /// `ports` in step.
-    conntrack: FxHashMap<ConnKey, ConnEntry>,
+    ct: Conntrack,
+    cost: StageCost,
+    station: SharedStation,
+    /// The FORWARD filter hook, evaluated post-DNAT / pre-SNAT like the
+    /// kernel's filter-table hook. Costs one atomic load until engaged.
+    filter: FilterHook,
+    ids: Option<NatIds>,
+}
+
+/// The router's connection-tracking state. It lives apart from the
+/// [`NatConfig`] so the frame path can hold the config lock and update
+/// conntrack at the same time.
+struct Conntrack {
+    /// Written only through `insert` and `retain`, which keep `ports` in
+    /// step.
+    entries: FxHashMap<ConnKey, ConnEntry>,
     ports: PortIndex,
     /// Unordered address-pair index over live conntrack entries, for the
     /// filter table's RELATED state match (canonical low/high ip order).
     pair_last: FxHashMap<(Proto, Ip4, Ip4), SimTime>,
-    conntrack_timeout: crate::time::SimDuration,
+    timeout: SimDuration,
     frames_since_gc: u32,
-    next_nat_port: u16,
-    cost: StageCost,
-    station: SharedStation,
-    /// The FORWARD filter chain, evaluated post-DNAT / pre-SNAT like the
-    /// kernel's filter-table hook. Costs one atomic load until engaged.
-    filter: FilterControl,
-    ids: Option<NatIds>,
-    filter_ids: Option<HookIds>,
+    next_port: u16,
 }
 
 /// Interned counter ids, resolved on the first frame and cached.
@@ -379,8 +385,7 @@ impl NatRouter {
     pub const NAT_PORT_BASE: u16 = 32768;
 
     /// Default conntrack entry lifetime (Linux UDP stream default).
-    pub const DEFAULT_CONNTRACK_TIMEOUT: crate::time::SimDuration =
-        crate::time::SimDuration::secs(120);
+    pub const DEFAULT_CONNTRACK_TIMEOUT: SimDuration = SimDuration::secs(120);
 
     /// Creates a router with the given interfaces (one per port).
     pub fn new(ifaces: Vec<Interface>, cost: StageCost, station: SharedStation) -> NatRouter {
@@ -392,24 +397,25 @@ impl NatRouter {
         cfg.0.lock().ifaces = ifaces;
         NatRouter {
             cfg,
-            conntrack: FxHashMap::default(),
-            ports,
-            pair_last: FxHashMap::default(),
-            conntrack_timeout: Self::DEFAULT_CONNTRACK_TIMEOUT,
-            frames_since_gc: 0,
-            next_nat_port: Self::NAT_PORT_BASE,
+            ct: Conntrack {
+                entries: FxHashMap::default(),
+                ports,
+                pair_last: FxHashMap::default(),
+                timeout: Self::DEFAULT_CONNTRACK_TIMEOUT,
+                frames_since_gc: 0,
+                next_port: Self::NAT_PORT_BASE,
+            },
             cost,
             station,
-            filter: FilterControl::default(),
+            filter: FilterHook::default(),
             ids: None,
-            filter_ids: None,
         }
     }
 
     /// Overrides the conntrack entry timeout (`nf_conntrack_udp_timeout`
     /// analogue; default 120 s).
-    pub fn with_conntrack_timeout(mut self, t: crate::time::SimDuration) -> NatRouter {
-        self.conntrack_timeout = t;
+    pub fn with_conntrack_timeout(mut self, t: SimDuration) -> NatRouter {
+        self.ct.timeout = t;
         self
     }
 
@@ -422,7 +428,7 @@ impl NatRouter {
     /// The FORWARD filter-chain handle (clone and keep it to install
     /// policy rules after inserting the router into the network).
     pub fn filter(&self) -> FilterControl {
-        self.filter.clone()
+        self.filter.control()
     }
 
     /// Adds a DNAT (port-publishing) rule.
@@ -440,41 +446,19 @@ impl NatRouter {
         self.cfg.add_route(route);
     }
 
-    /// True when `e` has not expired at `now`. Entries stamped later than
-    /// `now` (a query older than the router's last activity) count as
-    /// live rather than panicking time-went-backwards.
-    fn entry_live(&self, e: &ConnEntry, now: SimTime) -> bool {
-        now.0.saturating_sub(e.last_used.0) <= self.conntrack_timeout.0
-    }
-
-    /// True when a flush request queued by `remove_dnat` covers this
-    /// entry: the forward direction translates *to* the removed rule's
-    /// backend, the reply direction originates *from* it.
-    fn flush_hits(rule: &DnatRule, k: &ConnKey, e: &ConnEntry) -> bool {
-        k.proto == rule.proto && (e.new_dst == rule.to || k.src == rule.to)
-    }
-
     /// Number of live conntrack entries at `now`: expired entries and
     /// entries covered by a pending `remove_dnat` flush are excluded,
     /// even if the router has been idle on data and its lazy frame-path
     /// GC never ran.
     pub fn conntrack_len(&self, now: SimTime) -> usize {
         let cfg = self.cfg.0.lock();
-        self.conntrack
+        self.ct
+            .entries
             .iter()
             .filter(|(k, e)| {
-                self.entry_live(e, now) && !cfg.flush.iter().any(|r| Self::flush_hits(r, k, e))
+                self.ct.entry_live(e, now) && !cfg.flush.iter().any(|r| flush_hits(r, k, e))
             })
             .count()
-    }
-
-    /// Canonical (order-free) address-pair key for the RELATED index.
-    fn pair_key(proto: Proto, a: Ip4, b: Ip4) -> (Proto, Ip4, Ip4) {
-        if a.0 <= b.0 {
-            (proto, a, b)
-        } else {
-            (proto, b, a)
-        }
     }
 
     /// Resolves the conntrack state the filter table matches on, with
@@ -491,13 +475,38 @@ impl NatRouter {
         now: SimTime,
     ) -> ConnState {
         let cfg = self.cfg.0.lock();
-        self.conn_state_filtered(&cfg.flush, proto, src, dst, now)
+        self.ct.state(&cfg.flush, proto, src, dst, now)
+    }
+}
+
+/// True when a flush request queued by `remove_dnat` covers this entry:
+/// the forward direction translates *to* the removed rule's backend, the
+/// reply direction originates *from* it.
+fn flush_hits(rule: &DnatRule, k: &ConnKey, e: &ConnEntry) -> bool {
+    k.proto == rule.proto && (e.new_dst == rule.to || k.src == rule.to)
+}
+
+/// Canonical (order-free) address-pair key for the RELATED index.
+fn pair_key(proto: Proto, a: Ip4, b: Ip4) -> (Proto, Ip4, Ip4) {
+    if a.0 <= b.0 {
+        (proto, a, b)
+    } else {
+        (proto, b, a)
+    }
+}
+
+impl Conntrack {
+    /// True when `e` has not expired at `now`. Entries stamped later than
+    /// `now` (a query older than the router's last activity) count as
+    /// live rather than panicking time-went-backwards.
+    fn entry_live(&self, e: &ConnEntry, now: SimTime) -> bool {
+        now.0.saturating_sub(e.last_used.0) <= self.timeout.0
     }
 
     /// [`conn_state`](NatRouter::conn_state) against an explicit pending
     /// flush list (the frame path drains the list first and passes `&[]`;
     /// the public accessor must not re-lock the config).
-    fn conn_state_filtered(
+    fn state(
         &self,
         flush: &[DnatRule],
         proto: Proto,
@@ -506,47 +515,45 @@ impl NatRouter {
         now: SimTime,
     ) -> ConnState {
         let key = ConnKey { proto, src, dst };
-        if self.conntrack.get(&key).is_some_and(|e| {
-            self.entry_live(e, now) && !flush.iter().any(|r| Self::flush_hits(r, &key, e))
+        if self.entries.get(&key).is_some_and(|e| {
+            self.entry_live(e, now) && !flush.iter().any(|r| flush_hits(r, &key, e))
         }) {
             return ConnState::Established;
         }
         if self
             .pair_last
-            .get(&Self::pair_key(proto, src.ip, dst.ip))
-            .is_some_and(|t| now.0.saturating_sub(t.0) <= self.conntrack_timeout.0)
+            .get(&pair_key(proto, src.ip, dst.ip))
+            .is_some_and(|t| now.0.saturating_sub(t.0) <= self.timeout.0)
         {
             return ConnState::Related;
         }
         ConnState::New
     }
 
-    /// Drains pending `remove_dnat` flush requests, purging the conntrack
-    /// entries they cover. Runs at the head of every frame; read-only
-    /// accessors filter against the pending list instead.
+    /// Drains pending `remove_dnat` flush requests, purging the entries
+    /// they cover. Runs at the head of every frame; read-only accessors
+    /// filter against the pending list instead.
     fn drain_flush(&mut self, cfg: &mut NatConfig) {
         if cfg.flush.is_empty() {
             return;
         }
         for rule in std::mem::take(&mut cfg.flush) {
-            self.ct_retain(|k, e| !Self::flush_hits(&rule, k, e));
+            self.retain(|k, e| !flush_hits(&rule, k, e));
         }
     }
 
-    /// Installs (or replaces) a conntrack entry, keeping the port index
-    /// in step.
-    fn ct_insert(&mut self, k: ConnKey, e: ConnEntry) {
-        if let Some(old) = self.conntrack.insert(k, e) {
+    /// Installs (or replaces) an entry, keeping the port index in step.
+    fn insert(&mut self, k: ConnKey, e: ConnEntry) {
+        if let Some(old) = self.entries.insert(k, e) {
             self.ports.unlink(&k, &old);
         }
         self.ports.link(k, &e);
     }
 
-    /// Removes every conntrack entry `keep` rejects, keeping the port
-    /// index in step.
-    fn ct_retain(&mut self, mut keep: impl FnMut(&ConnKey, &ConnEntry) -> bool) {
+    /// Removes every entry `keep` rejects, keeping the port index in step.
+    fn retain(&mut self, mut keep: impl FnMut(&ConnKey, &ConnEntry) -> bool) {
         let ports = &mut self.ports;
-        self.conntrack.retain(|k, e| {
+        self.entries.retain(|k, e| {
             let kept = keep(k, e);
             if !kept {
                 ports.unlink(k, e);
@@ -566,22 +573,22 @@ impl NatRouter {
     /// forward entries carry it as `new_src`. The port index lists those
     /// entries per address, so each candidate costs a lookup and a
     /// liveness check of its own holders, not a pass over conntrack.
-    fn alloc_nat_port(&mut self, ip: Ip4, proto: Proto, now: crate::time::SimTime) -> Option<u16> {
-        let timeout = self.conntrack_timeout;
-        let range = u32::from(u16::MAX) - u32::from(Self::NAT_PORT_BASE) + 1;
+    fn alloc_port(&mut self, ip: Ip4, proto: Proto, now: SimTime) -> Option<u16> {
+        let timeout = self.timeout;
+        let range = u32::from(u16::MAX) - u32::from(NatRouter::NAT_PORT_BASE) + 1;
         for _ in 0..range {
-            let p = self.next_nat_port;
-            self.next_nat_port = self
-                .next_nat_port
+            let p = self.next_port;
+            self.next_port = self
+                .next_port
                 .checked_add(1)
-                .unwrap_or(Self::NAT_PORT_BASE);
+                .unwrap_or(NatRouter::NAT_PORT_BASE);
             let held = self
                 .ports
                 .holders
                 .get(&(proto, SockAddr::new(ip, p)))
                 .is_some_and(|keys| {
                     keys.iter()
-                        .any(|k| now.since(self.conntrack[k].last_used) <= timeout)
+                        .any(|k| now.since(self.entries[k].last_used) <= timeout)
                 });
             if !held {
                 return Some(p);
@@ -594,10 +601,10 @@ impl NatRouter {
     /// collecting every port a live entry holds on `ip`. Kept as the
     /// reference the indexed allocator is tested against.
     #[cfg(test)]
-    fn alloc_nat_port_scan(&mut self, ip: Ip4, proto: Proto, now: SimTime) -> Option<u16> {
-        let timeout = self.conntrack_timeout;
+    fn alloc_port_scan(&mut self, ip: Ip4, proto: Proto, now: SimTime) -> Option<u16> {
+        let timeout = self.timeout;
         let in_use: std::collections::HashSet<u16> = self
-            .conntrack
+            .entries
             .iter()
             .filter(|(k, e)| k.proto == proto && now.since(e.last_used) <= timeout)
             .flat_map(|(k, e)| {
@@ -607,13 +614,13 @@ impl NatRouter {
                     .map(|s| s.port)
             })
             .collect();
-        let range = u32::from(u16::MAX) - u32::from(Self::NAT_PORT_BASE) + 1;
+        let range = u32::from(u16::MAX) - u32::from(NatRouter::NAT_PORT_BASE) + 1;
         for _ in 0..range {
-            let p = self.next_nat_port;
-            self.next_nat_port = self
-                .next_nat_port
+            let p = self.next_port;
+            self.next_port = self
+                .next_port
                 .checked_add(1)
-                .unwrap_or(Self::NAT_PORT_BASE);
+                .unwrap_or(NatRouter::NAT_PORT_BASE);
             if !in_use.contains(&p) {
                 return Some(p);
             }
@@ -629,8 +636,7 @@ impl Device for NatRouter {
 
     fn on_frame(&mut self, port: PortId, mut frame: Frame, ctx: &mut DevCtx<'_>) {
         let ids = *self.ids.get_or_insert_with(|| NatIds::resolve(ctx));
-        let cfg_handle = self.cfg.clone();
-        let mut cfg = cfg_handle.0.lock();
+        let mut cfg = self.cfg.0.lock();
         assert!(
             port.0 < cfg.ifaces.len(),
             "frame on nonexistent router port"
@@ -682,27 +688,28 @@ impl Device for NatRouter {
 
         // Periodic conntrack garbage collection (as the kernel's GC
         // worker does): entries idle longer than the timeout vanish.
-        self.frames_since_gc += 1;
-        if self.frames_since_gc >= 256 {
-            self.frames_since_gc = 0;
+        let ct = &mut self.ct;
+        ct.frames_since_gc += 1;
+        if ct.frames_since_gc >= 256 {
+            ct.frames_since_gc = 0;
             let now = ctx.now();
-            let timeout = self.conntrack_timeout;
-            self.ct_retain(|_, e| now.since(e.last_used) <= timeout);
-            self.pair_last.retain(|_, t| now.since(*t) <= timeout);
+            let timeout = ct.timeout;
+            ct.retain(|_, e| now.since(e.last_used) <= timeout);
+            ct.pair_last.retain(|_, t| now.since(*t) <= timeout);
         }
         // Pending rule-removal flushes land before any lookup, so a flow
         // whose publication was just removed cannot ride its old entry.
-        self.drain_flush(&mut cfg);
+        ct.drain_flush(&mut cfg);
 
         let key = ConnKey {
             proto,
             src: src_sock,
             dst: dst_sock,
         };
-        let live = self
-            .conntrack
+        let live = ct
+            .entries
             .get(&key)
-            .filter(|e| ctx.now().since(e.last_used) <= self.conntrack_timeout)
+            .filter(|e| ctx.now().since(e.last_used) <= ct.timeout)
             .copied();
         // A fresh flow's conntrack install is deferred until the FORWARD
         // filter accepts its first packet (kernel semantics: conntrack
@@ -712,11 +719,11 @@ impl Device for NatRouter {
         let (new_src, new_dst, state) = if let Some(entry) = live {
             ctx.count_id(ids.conntrack_hit, 1.0);
             let now = ctx.now();
-            if let Some(e) = self.conntrack.get_mut(&key) {
+            if let Some(e) = ct.entries.get_mut(&key) {
                 e.last_used = now;
             }
-            self.pair_last
-                .insert(Self::pair_key(proto, src_sock.ip, entry.new_dst.ip), now);
+            ct.pair_last
+                .insert(pair_key(proto, src_sock.ip, entry.new_dst.ip), now);
             (entry.new_src, entry.new_dst, ConnState::Established)
         } else {
             // New flow: service VIP rules first (round-robin over
@@ -752,7 +759,7 @@ impl Device for NatRouter {
             };
             let new_src = if cfg.masquerade.contains(&route.port) {
                 let ip = cfg.ifaces[route.port.0].ip;
-                match self.alloc_nat_port(ip, proto, ctx.now()) {
+                match ct.alloc_port(ip, proto, ctx.now()) {
                     Some(p) => SockAddr::new(ip, p),
                     None => {
                         ctx.count_id(ids.drop_port_exhausted, 1.0);
@@ -762,59 +769,30 @@ impl Device for NatRouter {
             } else {
                 src_sock
             };
-            let state = self.conn_state_filtered(&[], proto, src_sock, new_dst, ctx.now());
+            let state = ct.state(&[], proto, src_sock, new_dst, ctx.now());
             pending_insert = Some((new_src, new_dst));
             (new_src, new_dst, state)
         };
 
         // FORWARD filter: evaluated on the post-DNAT destination with the
         // pre-SNAT source — the kernel's hook order (PREROUTING nat →
-        // routing decision → FORWARD filter → POSTROUTING nat). One
-        // atomic load when no rule was ever installed.
-        if !self.filter.is_empty() {
-            let fids = *self
-                .filter_ids
-                .get_or_insert_with(|| HookIds::resolve(Chain::Forward, ctx));
-            let (verdict, rule_id) =
-                self.filter
-                    .eval(Chain::Forward, proto, src_sock, new_dst, state, ctx.now());
-            let dev = ctx.self_id().0 as u64;
-            match verdict {
-                Verdict::Accept => ctx.count_id(fids.accept, 1.0),
-                Verdict::Drop => {
-                    ctx.count_id(fids.drop, 1.0);
-                    ctx.journal(JournalKind::FilterDrop, dev, rule_id, Verdict::Drop.code());
-                    return;
-                }
-                Verdict::Reject => {
-                    ctx.count_id(fids.reject, 1.0);
-                    ctx.journal(
-                        JournalKind::FilterDrop,
-                        dev,
-                        rule_id,
-                        Verdict::Reject.code(),
-                    );
-                    // Port-unreachable analogue: an active refusal frame
-                    // back to the sender, out the ingress interface.
-                    let mut p = Payload::sized(8);
-                    p.tag = REJECT_TAG;
-                    let notif = Frame::udp(
-                        cfg.ifaces[port.0].mac,
-                        frame.src_mac,
-                        SockAddr::new(cfg.ifaces[port.0].ip, dst_sock.port),
-                        src_sock,
-                        p,
-                    );
-                    ctx.transmit_at(done, port, notif);
-                    return;
-                }
+        // routing decision → FORWARD filter → POSTROUTING nat). A REJECT
+        // notice answers from the ingress interface's address.
+        match self.filter.judge(proto, src_sock, new_dst, state, ctx) {
+            Verdict::Accept => {}
+            Verdict::Drop => return,
+            Verdict::Reject => {
+                let ingress = &cfg.ifaces[port.0];
+                let notice = FilterHook::notice(&frame, ingress.mac, ingress.ip);
+                ctx.transmit_at(done, port, notice);
+                return;
             }
         }
 
         if let Some((ns, nd)) = pending_insert {
             // Install both directions.
             let now = ctx.now();
-            self.ct_insert(
+            ct.insert(
                 key,
                 ConnEntry {
                     new_src: ns,
@@ -822,7 +800,7 @@ impl Device for NatRouter {
                     last_used: now,
                 },
             );
-            self.ct_insert(
+            ct.insert(
                 ConnKey {
                     proto,
                     src: nd,
@@ -834,8 +812,8 @@ impl Device for NatRouter {
                     last_used: now,
                 },
             );
-            self.pair_last
-                .insert(Self::pair_key(proto, src_sock.ip, nd.ip), now);
+            ct.pair_last
+                .insert(pair_key(proto, src_sock.ip, nd.ip), now);
             ctx.count_id(ids.conntrack_new, 1.0);
         }
 
@@ -1064,7 +1042,7 @@ mod tests {
     fn hold_port(r: &mut NatRouter, ip: Ip4, p: u16, remote: SockAddr, now: crate::time::SimTime) {
         let held = SockAddr::new(ip, p);
         let pod = SockAddr::new(Ip4::new(172, 17, 0, 2), p); // arbitrary inside addr
-        r.ct_insert(
+        r.ct.insert(
             ConnKey {
                 proto: Proto::Udp,
                 src: pod,
@@ -1076,7 +1054,7 @@ mod tests {
                 last_used: now,
             },
         );
-        r.ct_insert(
+        r.ct.insert(
             ConnKey {
                 proto: Proto::Udp,
                 src: remote,
@@ -1099,18 +1077,18 @@ mod tests {
         // A live flow holds the first port of the range; pin the allocator
         // to the top so the next allocation wraps.
         hold_port(&mut r, ip, NatRouter::NAT_PORT_BASE, remote, now);
-        r.next_nat_port = u16::MAX;
-        assert_eq!(r.alloc_nat_port(ip, Proto::Udp, now), Some(u16::MAX));
+        r.ct.next_port = u16::MAX;
+        assert_eq!(r.ct.alloc_port(ip, Proto::Udp, now), Some(u16::MAX));
         // The wrap lands on NAT_PORT_BASE, which is in use: skipped.
         assert_eq!(
-            r.alloc_nat_port(ip, Proto::Udp, now),
+            r.ct.alloc_port(ip, Proto::Udp, now),
             Some(NatRouter::NAT_PORT_BASE + 1)
         );
         // An *expired* holder does not block its port.
         let after_timeout = now + NatRouter::DEFAULT_CONNTRACK_TIMEOUT + SimDuration::secs(1);
-        r.next_nat_port = NatRouter::NAT_PORT_BASE;
+        r.ct.next_port = NatRouter::NAT_PORT_BASE;
         assert_eq!(
-            r.alloc_nat_port(ip, Proto::Udp, after_timeout),
+            r.ct.alloc_port(ip, Proto::Udp, after_timeout),
             Some(NatRouter::NAT_PORT_BASE)
         );
     }
@@ -1126,14 +1104,14 @@ mod tests {
             let remote = SockAddr::new(Ip4::new(192, 168, 0, 100), p);
             hold_port(&mut r, ip, p, remote, now);
         }
-        assert_eq!(r.alloc_nat_port(ip, Proto::Udp, now), None);
+        assert_eq!(r.ct.alloc_port(ip, Proto::Udp, now), None);
         // Releasing one port makes exactly that port allocatable again.
         let freed = NatRouter::NAT_PORT_BASE + 7;
-        r.ct_retain(|k, e| {
+        r.ct.retain(|k, e| {
             k.dst != SockAddr::new(ip, freed) && e.new_src != SockAddr::new(ip, freed)
         });
-        r.next_nat_port = NatRouter::NAT_PORT_BASE;
-        assert_eq!(r.alloc_nat_port(ip, Proto::Udp, now), Some(freed));
+        r.ct.next_port = NatRouter::NAT_PORT_BASE;
+        assert_eq!(r.ct.alloc_port(ip, Proto::Udp, now), Some(freed));
     }
 
     /// Lends a router to a network while the test keeps a handle on it:
@@ -1176,26 +1154,26 @@ mod tests {
     /// indexed allocator hands out what the conntrack scan does, from the
     /// same cursor, on both protocols.
     fn check_allocator(r: &mut NatRouter, ip: Ip4, now: SimTime) {
-        let mut rebuilt = PortIndex::new(r.ports.local.clone());
-        for (k, e) in &r.conntrack {
+        let mut rebuilt = PortIndex::new(r.ct.ports.local.clone());
+        for (k, e) in &r.ct.entries {
             rebuilt.link(*k, e);
         }
         assert_eq!(
-            listing(&r.ports),
+            listing(&r.ct.ports),
             listing(&rebuilt),
             "port index out of step with conntrack"
         );
         for proto in [Proto::Udp, Proto::Tcp] {
-            let cursor = r.next_nat_port;
-            let want = r.alloc_nat_port_scan(ip, proto, now);
-            let want_cursor = r.next_nat_port;
-            r.next_nat_port = cursor;
+            let cursor = r.ct.next_port;
+            let want = r.ct.alloc_port_scan(ip, proto, now);
+            let want_cursor = r.ct.next_port;
+            r.ct.next_port = cursor;
             assert_eq!(
-                r.alloc_nat_port(ip, proto, now),
+                r.ct.alloc_port(ip, proto, now),
                 want,
                 "indexed allocator diverged from the conntrack scan"
             );
-            assert_eq!(r.next_nat_port, want_cursor);
+            assert_eq!(r.ct.next_port, want_cursor);
         }
     }
 
@@ -1279,7 +1257,7 @@ mod tests {
                         src,
                         dst: remote,
                     };
-                    let masq = shared.lock().conntrack.get(&key).map(|e| e.new_src);
+                    let masq = shared.lock().ct.entries.get(&key).map(|e| e.new_src);
                     if let Some(masq) = masq {
                         net.inject_frame(
                             SimDuration::ZERO,
@@ -1317,9 +1295,9 @@ mod tests {
                     ctl.add_dnat(dnat);
                 }
                 // Cursor at the top of the range: the next allocation wraps.
-                93..=95 => shared.lock().next_nat_port = u16::MAX - rnd(4) as u16,
+                93..=95 => shared.lock().ct.next_port = u16::MAX - rnd(4) as u16,
                 // Cursor onto ports earlier flows may still hold.
-                _ => shared.lock().next_nat_port = NatRouter::NAT_PORT_BASE + rnd(64) as u16,
+                _ => shared.lock().ct.next_port = NatRouter::NAT_PORT_BASE + rnd(64) as u16,
             }
             net.run(StopCondition::Idle);
             let now = net.now();
@@ -1336,9 +1314,9 @@ mod tests {
             let remote = SockAddr::new(Ip4::new(192, 168, 0, 100), p);
             hold_port(&mut r, ip, p, remote, now);
         }
-        r.next_nat_port = NatRouter::NAT_PORT_BASE + 99;
+        r.ct.next_port = NatRouter::NAT_PORT_BASE + 99;
         check_allocator(&mut r, ip, now);
-        r.ct_retain(|k, e| k.dst.port % 97 != 0 && e.new_src.port % 97 != 0);
+        r.ct.retain(|k, e| k.dst.port % 97 != 0 && e.new_src.port % 97 != 0);
         check_allocator(&mut r, ip, now);
         check_allocator(&mut r, ip, now + timeout + SimDuration::nanos(1));
     }
@@ -1457,7 +1435,7 @@ mod tests {
         let client = SockAddr::new(Ip4::new(192, 168, 0, 100), 5555);
         let published = SockAddr::new(Ip4::new(192, 168, 0, 1), 8080);
         let pod = SockAddr::new(Ip4::new(172, 17, 0, 2), 80);
-        r.ct_insert(
+        r.ct.insert(
             ConnKey {
                 proto: Proto::Udp,
                 src: client,
@@ -1469,8 +1447,8 @@ mod tests {
                 last_used: now,
             },
         );
-        r.pair_last
-            .insert(NatRouter::pair_key(Proto::Udp, client.ip, pod.ip), now);
+        r.ct.pair_last
+            .insert(pair_key(Proto::Udp, client.ip, pod.ip), now);
         assert_eq!(
             r.conn_state(Proto::Udp, client, published, now),
             ConnState::Established
@@ -1506,14 +1484,14 @@ mod tests {
 
     #[test]
     fn forward_filter_drop_is_silent_and_journaled() {
-        use crate::filter::{Chain, FilterRule, Verdict};
+        use crate::filter::{FilterRule, Verdict};
         use metrics::{JournalKind, TelemetryConfig};
         let mut net = Network::new(0);
         net.set_telemetry_config(TelemetryConfig::full());
         let r = router();
         let filter = r.filter();
         // FORWARD matches the post-DNAT destination: the pod's port 80.
-        filter.install(FilterRule::any(Chain::Forward, Verdict::Drop).port(80));
+        filter.install(FilterRule::any(Verdict::Drop).port(80));
         let (rid, _ext, _pod) = wire(&mut net, r);
         let client = SockAddr::new(Ip4::new(192, 168, 0, 100), 5555);
         let published = SockAddr::new(Ip4::new(192, 168, 0, 1), 8080);
@@ -1538,11 +1516,11 @@ mod tests {
 
     #[test]
     fn forward_filter_reject_notifies_the_sender() {
-        use crate::filter::{Chain, FilterRule, Verdict, REJECT_TAG};
+        use crate::filter::{FilterRule, Verdict, REJECT_TAG};
         let mut net = Network::new(0);
         let r = router();
         let filter = r.filter();
-        filter.install(FilterRule::any(Chain::Forward, Verdict::Reject).port(80));
+        filter.install(FilterRule::any(Verdict::Reject).port(80));
         let (rid, _ext, _pod) = wire(&mut net, r);
         let client = SockAddr::new(Ip4::new(192, 168, 0, 100), 5555);
         let published = SockAddr::new(Ip4::new(192, 168, 0, 1), 8080);
@@ -1558,7 +1536,7 @@ mod tests {
 
     #[test]
     fn forward_filter_state_match_admits_replies_only() {
-        use crate::filter::{Chain, FilterRule, StateMask, Verdict};
+        use crate::filter::{FilterRule, StateMask, Verdict};
         let mut net = Network::new(0);
         let r = router();
         let ctl = r.control();
@@ -1571,10 +1549,8 @@ mod tests {
         net.run(StopCondition::Idle);
         assert_eq!(net.store().counter("pod.received"), 1.0);
         // Lock the table down to established traffic only.
-        filter.install(
-            FilterRule::any(Chain::Forward, Verdict::Accept).states(StateMask::ESTABLISHED),
-        );
-        filter.install(FilterRule::any(Chain::Forward, Verdict::Drop));
+        filter.install(FilterRule::any(Verdict::Accept).states(StateMask::ESTABLISHED));
+        filter.install(FilterRule::any(Verdict::Drop));
         // The established flow still passes...
         net.inject_frame(SimDuration::ZERO, rid, PortId(0), udp(client, published));
         net.run(StopCondition::Idle);

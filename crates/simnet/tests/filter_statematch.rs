@@ -17,7 +17,7 @@ use simnet::shared::SharedStation;
 use simnet::testutil::{frame_between, CaptureSink, MacBouncer};
 use simnet::time::{SimDuration, SimTime};
 use simnet::{
-    Chain, FilterControl, FilterRule, Ip4, Ip4Net, JournalKind, MacAddr, ShardedNetwork, SockAddr,
+    FilterControl, FilterRule, Ip4, Ip4Net, JournalKind, MacAddr, ShardedNetwork, SockAddr,
     StateMask, StopCondition, Verdict, REJECT_TAG,
 };
 use std::collections::BTreeMap;
@@ -30,12 +30,12 @@ fn pod_net() -> Ip4Net {
     Ip4Net::new(Ip4::new(172, 17, 0, 0), 24)
 }
 
-/// A sink that, beyond the plain received counter, counts frames carrying
-/// the REJECT_TAG notification payload — the observable difference between
-/// an active refusal and silent discard.
+/// A sink that, beyond the plain received counter and arrival times, counts
+/// frames carrying the REJECT_TAG notification payload — the observable
+/// difference between an active refusal and silent discard.
 struct TagSink {
     name: String,
-    ids: Option<(MetricId, MetricId)>,
+    ids: Option<(MetricId, MetricId, MetricId)>,
 }
 
 impl TagSink {
@@ -54,13 +54,15 @@ impl Device for TagSink {
 
     fn on_frame(&mut self, _port: PortId, frame: Frame, ctx: &mut DevCtx<'_>) {
         let name = &self.name;
-        let (received, rejects) = *self.ids.get_or_insert_with(|| {
+        let (received, rejects, arrival) = *self.ids.get_or_insert_with(|| {
             (
                 ctx.metric(&format!("{name}.received")),
                 ctx.metric(&format!("{name}.rejects")),
+                ctx.metric(&format!("{name}.arrival_ns")),
             )
         });
         ctx.count_id(received, 1.0);
+        ctx.record_id(arrival, ctx.now().as_nanos() as f64);
         if let Transport::Udp { payload, .. } = &frame.ip.transport {
             if payload.tag == REJECT_TAG {
                 ctx.count_id(rejects, 1.0);
@@ -129,17 +131,16 @@ fn from_pod(src_port: u16, dst: SockAddr) -> Frame {
 /// (pod-originated NEW flows included) is dropped.
 fn stateful_table(filter: &FilterControl) {
     filter.install(
-        FilterRule::any(Chain::Forward, Verdict::Accept)
-            .states(StateMask::ESTABLISHED.or(StateMask::RELATED)),
+        FilterRule::any(Verdict::Accept).states(StateMask::ESTABLISHED.or(StateMask::RELATED)),
     );
     filter.install(
-        FilterRule::any(Chain::Forward, Verdict::Accept)
+        FilterRule::any(Verdict::Accept)
             .from_net(ext_net())
             .proto(Proto::Udp)
             .port(80)
             .states(StateMask::NEW),
     );
-    filter.install(FilterRule::any(Chain::Forward, Verdict::Drop));
+    filter.install(FilterRule::any(Verdict::Drop));
 }
 
 #[test]
@@ -230,8 +231,8 @@ fn related_flows_are_admitted_in_both_directions() {
 #[test]
 fn reject_is_observable_where_drop_is_silent() {
     let (mut net, nat, filter) = testbed(Box::new(TagSink::new("ext")));
-    filter.install(FilterRule::any(Chain::Forward, Verdict::Reject).port(80));
-    filter.install(FilterRule::any(Chain::Forward, Verdict::Drop).port(81));
+    filter.install(FilterRule::any(Verdict::Reject).port(80));
+    filter.install(FilterRule::any(Verdict::Drop).port(81));
 
     // Port 80 is actively refused: nothing reaches the pod, but the
     // client receives the REJECT_TAG notification frame.
@@ -262,7 +263,7 @@ fn scheduled_windows_activate_and_deactivate_midrun() {
 
     // A drop rule live in [100 µs, 200 µs): installed and removed through
     // the engine so both mutations land in the control-plane journal.
-    let rule = FilterRule::any(Chain::Forward, Verdict::Drop).port(80);
+    let rule = FilterRule::any(Verdict::Drop).port(80);
     let id = net.install_filter(nat, &filter, rule, SimTime(100_000));
     assert!(net.remove_filter(nat, &filter, id, SimTime(200_000)));
 
@@ -298,6 +299,94 @@ fn scheduled_windows_activate_and_deactivate_midrun() {
     assert_eq!(drop.a, nat.0 as u64);
     assert_eq!(drop.b, id);
     assert_eq!(drop.c, Verdict::Drop.code());
+}
+
+// ---------------------------------------------------------------------------
+// The bridge's hook: verdicts on transiting unicast frames are counted and
+// journaled, and a REJECT answers out the ingress port when the bridge's own
+// stage completes.
+
+/// A three-port bridge (1 µs per frame, host `sys`) with a [`TagSink`] on
+/// every port, under full telemetry so verdicts reach the journal.
+fn bridge_bed() -> (Network, DeviceId, FilterControl) {
+    let mut net = Network::new(0);
+    net.set_telemetry_config(TelemetryConfig::full());
+    let br = Bridge::new(
+        3,
+        StageCost::fixed(1_000, 0.0, CpuCategory::Sys),
+        SharedStation::new(),
+    );
+    let filter = br.filter();
+    let bridge = net.add_device("br", CpuLocation::Host, Box::new(br));
+    for p in 0..3 {
+        let sink = net.add_device(
+            format!("s{p}"),
+            CpuLocation::Host,
+            Box::new(TagSink::new(format!("s{p}"))),
+        );
+        net.connect(bridge, PortId(p), sink, PortId::P0, LinkParams::default());
+    }
+    (net, bridge, filter)
+}
+
+/// A unicast frame from the host behind port 0 toward an unlearned MAC.
+fn across(dst_port: u16) -> Frame {
+    udp(
+        SockAddr::new(Ip4::new(10, 0, 0, 1), 40_000),
+        SockAddr::new(Ip4::new(10, 0, 0, 2), dst_port),
+        MacAddr::local(1),
+        MacAddr::local(2),
+    )
+}
+
+/// `(device, rule id, verdict code)` of every journaled `FilterDrop`.
+fn filter_drops(net: &Network) -> Vec<(u64, u64, u64)> {
+    net.journal()
+        .records()
+        .iter()
+        .filter(|r| r.kind == JournalKind::FilterDrop)
+        .map(|r| (r.a, r.b, r.c))
+        .collect()
+}
+
+#[test]
+fn bridge_reject_notifies_the_ingress_port_at_stage_completion() {
+    let (mut net, bridge, filter) = bridge_bed();
+    let id = filter.install(FilterRule::any(Verdict::Reject).port(80));
+    net.inject_frame(SimDuration::ZERO, bridge, PortId(0), across(80));
+    net.run(StopCondition::Idle);
+    assert_eq!(net.store().counter("filter.forward.reject"), 1.0);
+    assert_eq!(filter_drops(&net), vec![(bridge.0 as u64, id, 1)]);
+    // The notice goes back out the ingress port, and nowhere else...
+    assert_eq!(net.store().counter("s0.received"), 1.0);
+    assert_eq!(net.store().counter("s0.rejects"), 1.0, "REJECT_TAG payload");
+    assert_eq!(net.store().counter("s1.received"), 0.0);
+    assert_eq!(net.store().counter("s2.received"), 0.0);
+    // ...when the bridge's one service of the frame completes.
+    assert_eq!(net.store().samples("s0.arrival_ns"), &[1_000.0]);
+    assert_eq!(net.cpu().get(CpuLocation::Host, CpuCategory::Sys), 1_000);
+}
+
+#[test]
+fn bridge_drop_is_counted_journaled_and_silent() {
+    let (mut net, bridge, filter) = bridge_bed();
+    let id = filter.install(FilterRule::any(Verdict::Drop).port(80));
+    net.inject_frame(SimDuration::ZERO, bridge, PortId(0), across(80));
+    net.run(StopCondition::Idle);
+    assert_eq!(net.store().counter("filter.forward.drop"), 1.0);
+    assert_eq!(filter_drops(&net), vec![(bridge.0 as u64, id, 0)]);
+    for p in 0..3 {
+        assert_eq!(net.store().counter(&format!("s{p}.received")), 0.0);
+    }
+    // A frame no rule matches is accepted, counted, and switched on (here
+    // flooded: the destination was never learned).
+    net.inject_frame(SimDuration::ZERO, bridge, PortId(0), across(81));
+    net.run(StopCondition::Idle);
+    assert_eq!(net.store().counter("filter.forward.accept"), 1.0);
+    assert_eq!(net.store().counter("s0.received"), 0.0);
+    assert_eq!(net.store().counter("s1.received"), 1.0);
+    assert_eq!(net.store().counter("s2.received"), 1.0);
+    assert_eq!(filter_drops(&net).len(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,14 +439,13 @@ fn filtered_net() -> Network {
         // keeps matching this rule; the very first frame of each flow is
         // NEW and falls through to the default accept.
         filter.install(
-            FilterRule::any(Chain::Forward, Verdict::Accept)
-                .states(StateMask::ESTABLISHED.or(StateMask::RELATED)),
+            FilterRule::any(Verdict::Accept).states(StateMask::ESTABLISHED.or(StateMask::RELATED)),
         );
         match h {
             1 => {
                 // DROP window [400 µs, 700 µs) on the probe port.
                 let id = filter.install_at(
-                    FilterRule::any(Chain::Forward, Verdict::Drop).port(PROBE_PORT),
+                    FilterRule::any(Verdict::Drop).port(PROBE_PORT),
                     SimTime(400_000),
                 );
                 filter.remove_at(id, SimTime(700_000));
@@ -365,7 +453,7 @@ fn filtered_net() -> Network {
             2 => {
                 // REJECT window [300 µs, 600 µs) on the probe port.
                 let id = filter.install_at(
-                    FilterRule::any(Chain::Forward, Verdict::Reject).port(PROBE_PORT),
+                    FilterRule::any(Verdict::Reject).port(PROBE_PORT),
                     SimTime(300_000),
                 );
                 filter.remove_at(id, SimTime(600_000));

@@ -10,13 +10,12 @@
 //! work for every frame — that is the host-kernel CPU cost the paper
 //! measures in §5.3.4 (and notes is mis-attributed to host `sys`).
 
-use metrics::{JournalKind, MetricId};
+use metrics::MetricId;
 use simnet::costs::StageCost;
 use simnet::device::{Device, DeviceKind, PortId};
 use simnet::engine::DevCtx;
-use simnet::filter::{Chain, FilterControl, HookIds, StateTracker, Verdict, REJECT_TAG};
-use simnet::frame::{Frame, Payload};
-use simnet::nat::Proto;
+use simnet::filter::{FilterControl, FilterHook, Verdict};
+use simnet::frame::Frame;
 use simnet::shared::SharedStation;
 
 /// How the TAP distributes a received frame to its queues.
@@ -39,12 +38,10 @@ pub struct HostloTap {
     station: SharedStation,
     /// Interned (frames counter, queue-copies counter, flight stage) ids.
     ids: Option<(MetricId, MetricId, MetricId)>,
-    /// FORWARD filter table: the Hostlo CNI lands NetworkPolicy chains on
-    /// the TAP so cross-VM pod-localhost traffic is covered on the host.
-    filter: FilterControl,
-    /// Device-local conntrack feeding the filter's state-match.
-    tracker: StateTracker,
-    filter_ids: Option<HookIds>,
+    /// FORWARD filter hook, with its own state tracker: the Hostlo CNI
+    /// lands NetworkPolicy chains on the TAP so cross-VM pod-localhost
+    /// traffic is covered on the host.
+    filter: FilterHook,
 }
 
 impl HostloTap {
@@ -62,9 +59,7 @@ impl HostloTap {
             mode,
             station,
             ids: None,
-            filter: FilterControl::default(),
-            tracker: StateTracker::default(),
-            filter_ids: None,
+            filter: FilterHook::default(),
         }
     }
 
@@ -76,7 +71,7 @@ impl HostloTap {
     /// The TAP's FORWARD filter table handle (clone it out before boxing
     /// the device into a network).
     pub fn filter(&self) -> FilterControl {
-        self.filter.clone()
+        self.filter.control()
     }
 }
 
@@ -98,50 +93,18 @@ impl Device for HostloTap {
 
         // FORWARD filter, evaluated once per ingress frame (not per queue
         // copy): a verdict applies to the frame, not to each fan-out leg.
-        // One atomic load when no rule was ever installed.
-        if !self.filter.is_empty() {
-            if let (Some(proto), Some(src), Some(dst)) = (
-                Proto::of(&frame.ip.transport),
-                frame.ip.src_sock(),
-                frame.ip.dst_sock(),
-            ) {
-                let fids = *self
-                    .filter_ids
-                    .get_or_insert_with(|| HookIds::resolve(Chain::Forward, ctx));
-                let now = ctx.now();
-                let state = self.tracker.state_of(proto, src, dst, now);
-                let (verdict, rule_id) =
-                    self.filter
-                        .eval(Chain::Forward, proto, src, dst, state, now);
-                let dev = ctx.self_id().0 as u64;
-                match verdict {
-                    Verdict::Accept => {
-                        ctx.count_id(fids.accept, 1.0);
-                        self.tracker.note(proto, src, dst, now);
-                    }
-                    Verdict::Drop => {
-                        ctx.count_id(fids.drop, 1.0);
-                        ctx.journal(JournalKind::FilterDrop, dev, rule_id, Verdict::Drop.code());
-                        return;
-                    }
-                    Verdict::Reject => {
-                        ctx.count_id(fids.reject, 1.0);
-                        ctx.journal(
-                            JournalKind::FilterDrop,
-                            dev,
-                            rule_id,
-                            Verdict::Reject.code(),
-                        );
-                        let done = self
-                            .station
-                            .serve(&self.cost_per_queue, frame.wire_len(), ctx);
-                        let mut p = Payload::sized(8);
-                        p.tag = REJECT_TAG;
-                        let notif = Frame::udp(frame.dst_mac, frame.src_mac, dst, src, p);
-                        ctx.transmit_at(done, port, notif);
-                        return;
-                    }
-                }
+        // The TAP's worker serves a refused frame once before its notice
+        // goes back into the ingress queue.
+        match self.filter.judge_frame(&frame, ctx) {
+            Verdict::Accept => {}
+            Verdict::Drop => return,
+            Verdict::Reject => {
+                let done = self
+                    .station
+                    .serve(&self.cost_per_queue, frame.wire_len(), ctx);
+                let notice = FilterHook::notice(&frame, frame.dst_mac, frame.ip.dst);
+                ctx.transmit_at(done, port, notice);
+                return;
             }
         }
 
@@ -175,12 +138,14 @@ impl Device for HostloTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metrics::{CpuCategory, CpuLocation};
+    use metrics::{CpuCategory, CpuLocation, JournalKind};
     use simnet::engine::{LinkParams, Network};
+    use simnet::filter::{FilterRule, StateMask, REJECT_TAG};
+    use simnet::frame::Payload;
     use simnet::testutil::{frame_between, CaptureSink};
     use simnet::time::SimDuration;
-    use simnet::MacAddr;
     use simnet::StopCondition;
+    use simnet::{Ip4, MacAddr, SockAddr};
 
     fn build(mode: FanoutMode, nqueues: usize) -> (Network, simnet::DeviceId) {
         let mut net = Network::new(0);
@@ -288,6 +253,157 @@ mod tests {
         assert_eq!(net.store().counter("vm2.received"), 1.0);
         assert_eq!(net.store().counter("hostlo.queue_copies"), 1.0);
         assert_eq!(net.dropped_no_link(), 0);
+    }
+
+    /// Counts received frames and REJECT notices, and records arrivals.
+    struct NoticeSink(String);
+
+    impl Device for NoticeSink {
+        fn kind(&self) -> DeviceKind {
+            DeviceKind::Endpoint
+        }
+
+        fn on_frame(&mut self, _port: PortId, frame: Frame, ctx: &mut DevCtx<'_>) {
+            let name = &self.0;
+            ctx.count(&format!("{name}.received"), 1.0);
+            ctx.record(&format!("{name}.arrival_ns"), ctx.now().as_nanos() as f64);
+            if frame
+                .ip
+                .transport
+                .payload()
+                .is_some_and(|p| p.tag == REJECT_TAG)
+            {
+                ctx.count(&format!("{name}.notices"), 1.0);
+            }
+        }
+    }
+
+    /// A three-queue TAP (1 µs per queue service, host `sys`) with a
+    /// [`NoticeSink`] on every queue, under full telemetry, plus the TAP's
+    /// filter handle.
+    fn filtered() -> (Network, simnet::DeviceId, FilterControl) {
+        let mut net = Network::new(0);
+        net.set_telemetry_config(metrics::TelemetryConfig::full());
+        let tap = HostloTap::new(
+            3,
+            StageCost::fixed(1_000, 0.0, CpuCategory::Sys),
+            FanoutMode::AllQueues,
+            SharedStation::new(),
+        );
+        let filter = tap.filter();
+        let tap = net.add_device("hostlo0", CpuLocation::Host, Box::new(tap));
+        for q in 0..3 {
+            let s = net.add_device(
+                format!("vm{q}"),
+                CpuLocation::Vm(q as u32),
+                Box::new(NoticeSink(format!("vm{q}"))),
+            );
+            net.connect(tap, PortId(q), s, PortId::P0, LinkParams::default());
+        }
+        (net, tap, filter)
+    }
+
+    fn sock(host: u8, port: u16) -> SockAddr {
+        SockAddr::new(Ip4::new(10, 0, 0, host), port)
+    }
+
+    fn udp(src: SockAddr, dst: SockAddr) -> Frame {
+        Frame::udp(
+            MacAddr::local(u32::from(src.ip.0 as u8)),
+            MacAddr::BROADCAST,
+            src,
+            dst,
+            Payload::sized(100),
+        )
+    }
+
+    /// `(device, rule id, verdict code)` of every journaled `FilterDrop`.
+    fn filter_drops(net: &Network) -> Vec<(u64, u64, u64)> {
+        net.journal()
+            .records()
+            .iter()
+            .filter(|r| r.kind == JournalKind::FilterDrop)
+            .map(|r| (r.a, r.b, r.c))
+            .collect()
+    }
+
+    #[test]
+    fn reject_serves_the_station_then_notifies_the_ingress_queue() {
+        let (mut net, tap, filter) = filtered();
+        let id = filter.install(FilterRule::any(Verdict::Reject).port(80));
+        net.inject_frame(
+            SimDuration::ZERO,
+            tap,
+            PortId(1),
+            udp(sock(1, 40_000), sock(2, 80)),
+        );
+        net.run(StopCondition::Idle);
+        assert_eq!(net.store().counter("filter.forward.reject"), 1.0);
+        assert_eq!(filter_drops(&net), vec![(tap.0 as u64, id, 1)]);
+        // The notice goes back into the ingress queue only, and the frame
+        // is never fanned out.
+        assert_eq!(net.store().counter("vm1.received"), 1.0);
+        assert_eq!(net.store().counter("vm1.notices"), 1.0);
+        assert_eq!(net.store().counter("vm0.received"), 0.0);
+        assert_eq!(net.store().counter("vm2.received"), 0.0);
+        assert_eq!(net.store().counter("hostlo.queue_copies"), 0.0);
+        // The TAP's worker serves the refused frame once (1 µs) before the
+        // notice leaves.
+        assert_eq!(net.store().samples("vm1.arrival_ns"), &[1_000.0]);
+        assert_eq!(net.cpu().get(CpuLocation::Host, CpuCategory::Sys), 1_000);
+    }
+
+    #[test]
+    fn drop_is_counted_journaled_and_silent() {
+        let (mut net, tap, filter) = filtered();
+        let id = filter.install(FilterRule::any(Verdict::Drop).port(80));
+        net.inject_frame(
+            SimDuration::ZERO,
+            tap,
+            PortId(1),
+            udp(sock(1, 40_000), sock(2, 80)),
+        );
+        net.run(StopCondition::Idle);
+        assert_eq!(net.store().counter("filter.forward.drop"), 1.0);
+        assert_eq!(filter_drops(&net), vec![(tap.0 as u64, id, 0)]);
+        for q in 0..3 {
+            assert_eq!(net.store().counter(&format!("vm{q}.received")), 0.0);
+        }
+        assert_eq!(net.store().counter("hostlo.queue_copies"), 0.0);
+        assert_eq!(net.cpu().get(CpuLocation::Host, CpuCategory::Sys), 0);
+    }
+
+    #[test]
+    fn established_rule_admits_the_reverse_of_an_accepted_flow() {
+        let (mut net, tap, filter) = filtered();
+        filter.install(FilterRule::any(Verdict::Accept).states(StateMask::ESTABLISHED));
+        filter.install(
+            FilterRule::any(Verdict::Accept)
+                .port(80)
+                .states(StateMask::NEW),
+        );
+        filter.install(FilterRule::any(Verdict::Drop));
+        let (a, b) = (sock(1, 40_000), sock(2, 80));
+        let mut send = |queue: usize, src, dst| {
+            net.inject_frame(SimDuration::ZERO, tap, PortId(queue), udp(src, dst));
+            net.run(StopCondition::Idle);
+            let c = |n: &str| net.store().counter(n);
+            (
+                c("filter.forward.accept"),
+                c("filter.forward.drop"),
+                c("vm0.received"),
+            )
+        };
+        // Before any flow, b → a is NEW toward a port no rule admits.
+        assert_eq!(send(1, b, a), (0.0, 1.0, 0.0));
+        // a opens the flow to port 80: NEW, admitted, fanned out to all
+        // three queues (a's own echo included).
+        assert_eq!(send(0, a, b), (1.0, 1.0, 1.0));
+        // The reverse direction is now ESTABLISHED and reaches a.
+        assert_eq!(send(1, b, a), (2.0, 1.0, 2.0));
+        // Another socket pair between the same hosts is RELATED, not
+        // ESTABLISHED: dropped.
+        assert_eq!(send(1, sock(2, 81), a), (2.0, 2.0, 2.0));
     }
 
     #[test]
