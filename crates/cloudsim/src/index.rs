@@ -21,10 +21,16 @@
 //! `max(ci,cj) = S` for bin-pack — and stops as soon as the best candidate
 //! found provably beats everything in the unvisited cells.
 //!
+//! Each class also keeps one 32-bit occupancy mask per diagonal (bit `ci`
+//! of mask `L` is set while cell `(ci, L - ci)` has a member), so the
+//! diagonal walk visits only occupied cells: most of a quadrant is empty.
+//!
 //! # Exactness
 //!
-//! Scores are compared as exact rationals (`u128` cross-multiplication),
-//! never floats, and every candidate is re-checked for exact feasibility,
+//! Scores are compared as exact rationals (`u128` cross-multiplication,
+//! or the numerators alone when two scores share a denominator, as every
+//! candidate of one class does), never floats, and every candidate is
+//! re-checked for exact feasibility,
 //! so [`FreeCapIndex::pick`] returns *bit-identically* the same node as the
 //! reference full scan [`FreeCapIndex::pick_naive`] — the property tests
 //! exercise this under random churn. Coordinates and capacities must stay
@@ -38,6 +44,9 @@ use std::collections::HashMap;
 
 /// Buckets per axis in each capacity class's grid.
 pub const GRID: usize = 32;
+
+// A diagonal's occupancy mask holds one bit per grid row.
+const _: () = assert!(GRID <= u32::BITS as usize);
 
 /// Per-axis magnitude bound (exclusive) for capacities and usage.
 const MAX_DIM: u64 = 1 << 31;
@@ -70,6 +79,9 @@ struct Frac {
 
 impl Frac {
     fn cmp(self, o: Frac) -> Ordering {
+        if self.den == o.den {
+            return self.num.cmp(&o.num);
+        }
         let a = self.num as u128 * o.den as u128;
         let b = o.num as u128 * self.den as u128;
         a.cmp(&b)
@@ -93,6 +105,9 @@ struct CapClass {
     cap: Res,
     /// `GRID * GRID` member lists; cell `(ci, cj)` at `ci * GRID + cj`.
     cells: Vec<Vec<u32>>,
+    /// Occupancy per diagonal: bit `ci` of `diag[L]` is set iff cell
+    /// `(ci, L - ci)` has a member.
+    diag: [u32; 2 * GRID - 1],
     /// Live members in this class.
     len: usize,
 }
@@ -102,7 +117,18 @@ impl CapClass {
         CapClass {
             cap,
             cells: (0..GRID * GRID).map(|_| Vec::new()).collect(),
+            diag: [0; 2 * GRID - 1],
             len: 0,
+        }
+    }
+
+    /// Marks cell `(ci, cj)` occupied or empty in its diagonal's mask.
+    fn set_occupied(&mut self, ci: usize, cj: usize, occupied: bool) {
+        let bit = 1u32 << ci;
+        if occupied {
+            self.diag[ci + cj] |= bit;
+        } else {
+            self.diag[ci + cj] &= !bit;
         }
     }
 }
@@ -198,6 +224,9 @@ impl FreeCapIndex {
         let members = &mut k.cells[cell as usize];
         let slot = members.len() as u32;
         members.push(id);
+        if slot == 0 {
+            k.set_occupied(ci, cj, true);
+        }
         k.len += 1;
         self.entries[id as usize] = Entry {
             class,
@@ -215,6 +244,10 @@ impl FreeCapIndex {
         members.swap_remove(e.slot as usize);
         if let Some(&moved) = members.get(e.slot as usize) {
             self.entries[moved as usize].slot = e.slot;
+        }
+        if members.is_empty() {
+            let cell = e.cell as usize;
+            k.set_occupied(cell / GRID, cell % GRID, false);
         }
         k.len -= 1;
     }
@@ -347,6 +380,7 @@ impl FreeCapIndex {
 
     /// Diagonal walk for the sum-of-free-shares policies. Ascending levels
     /// minimize (most-requested); descending levels maximize (spread).
+    /// Each level visits only the occupied cells its mask names.
     fn scan_sum(&self, k: &CapClass, req: Res, spread: bool) -> Option<(Frac, u32)> {
         if k.len == 0 || !req.fits_in(k.cap) {
             return None;
@@ -358,12 +392,9 @@ impl FreeCapIndex {
         // R = rc/cc + rm/cm as rn/den: the score drop caused by placement.
         let rn = req.cpu_m * cm + req.mem_mib * cc;
         let mut best: Option<(Frac, u32)> = None;
-        let levels: Box<dyn Iterator<Item = usize>> = if spread {
-            Box::new(((fi + fj)..=(2 * (GRID - 1))).rev())
-        } else {
-            Box::new((fi + fj)..=(2 * (GRID - 1)))
-        };
-        for level in levels {
+        let (first, last) = (fi + fj, 2 * (GRID - 1));
+        for step in 0..=last - first {
+            let level = if spread { last - step } else { first + step };
             if let Some((b, _)) = best {
                 // A member of level L has free-share sum in
                 // [L/G, (L+2)/G], so its post-placement score lies in
@@ -382,7 +413,13 @@ impl FreeCapIndex {
             }
             let lo = fi.max(level.saturating_sub(GRID - 1));
             let hi = (GRID - 1).min(level - fj);
-            for ci in lo..=hi {
+            // The occupied rows lo..=hi of this diagonal (lo <= hi holds
+            // for every level from fi + fj up).
+            let span = (u32::MAX >> (u32::BITS as usize - 1 - hi)) & (u32::MAX << lo);
+            let mut rows = k.diag[level] & span;
+            while rows != 0 {
+                let ci = rows.trailing_zeros() as usize;
+                rows &= rows - 1;
                 let cj = level - ci;
                 for &id in &k.cells[ci * GRID + cj] {
                     let e = &self.entries[id as usize];
@@ -576,9 +613,28 @@ mod tests {
         assert_eq!(idx.used(c), Res::new(10, 10));
     }
 
+    /// Every class's diagonal occupancy masks, rebuilt from its member
+    /// lists. A bit left set on an emptied cell only costs time, so
+    /// `pick == pick_naive` cannot see it; comparing against this can.
+    fn rebuilt_masks(idx: &FreeCapIndex) -> Vec<[u32; 2 * GRID - 1]> {
+        idx.classes
+            .iter()
+            .map(|k| {
+                let mut diag = [0u32; 2 * GRID - 1];
+                for (cell, members) in k.cells.iter().enumerate() {
+                    if !members.is_empty() {
+                        let (ci, cj) = (cell / GRID, cell % GRID);
+                        diag[ci + cj] |= 1 << ci;
+                    }
+                }
+                diag
+            })
+            .collect()
+    }
+
     /// Exhaustive equivalence under random churn: after every mutation the
-    /// indexed pick must equal the naive full scan for every policy, and
-    /// any pick must be feasible.
+    /// occupancy masks must equal a rebuild, the indexed pick must equal
+    /// the naive full scan for every policy, and any pick must be feasible.
     #[test]
     fn pick_matches_naive_under_random_churn() {
         let mut rng = StdRng::seed_from_u64(0x1d5eed);
@@ -605,6 +661,8 @@ mod tests {
                 let used = Res::new(rng.gen_range(0..=cap.cpu_m), rng.gen_range(0..=cap.mem_mib));
                 idx.update_used(id, used);
             }
+            let masks: Vec<_> = idx.classes.iter().map(|k| k.diag).collect();
+            assert_eq!(masks, rebuilt_masks(&idx), "occupancy masks at step {step}");
             // Query: a mix of small, large, and degenerate requests.
             let req = match rng.gen_range(0u32..4) {
                 0 => Res::ZERO,

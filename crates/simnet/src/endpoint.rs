@@ -153,12 +153,31 @@ impl AppApi<'_, '_> {
         self.ctx.set_timer(delay, token);
     }
 
-    /// Records a measurement sample.
+    /// Interns a metric name, returning an id for the hash-free
+    /// [`record_id`](AppApi::record_id)/[`count_id`](AppApi::count_id)
+    /// paths. Applications call this once (first use) and cache the result.
+    pub fn metric(&mut self, name: &str) -> MetricId {
+        self.ctx.metric(name)
+    }
+
+    /// Records a measurement sample under a pre-interned id.
+    #[inline]
+    pub fn record_id(&mut self, id: MetricId, value: f64) {
+        self.ctx.record_id(id, value);
+    }
+
+    /// Bumps a counter under a pre-interned id.
+    #[inline]
+    pub fn count_id(&mut self, id: MetricId, delta: f64) {
+        self.ctx.count_id(id, delta);
+    }
+
+    /// Records a measurement sample (shim; interns `name` each call).
     pub fn record(&mut self, name: &str, value: f64) {
         self.ctx.record(name, value);
     }
 
-    /// Bumps a counter.
+    /// Bumps a counter (shim; interns `name` each call).
     pub fn count(&mut self, name: &str, delta: f64) {
         self.ctx.count(name, delta);
     }

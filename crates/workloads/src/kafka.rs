@@ -9,6 +9,7 @@
 //! sustains 120 k msg/s, and measures per-batch acknowledgement latency.
 
 use crate::report::{MacroResult, ServiceProfile};
+use metrics::MetricId;
 use nestless::topology::{build, Config, CLIENT_PORT, SERVER_PORT};
 use simnet::endpoint::{AppApi, Application, Incoming};
 use simnet::frame::Payload;
@@ -101,6 +102,9 @@ pub struct KafkaProducer {
     params: KafkaParams,
     warmup_until: SimTime,
     seq: u64,
+    sent_id: Option<MetricId>,
+    latency_id: Option<MetricId>,
+    acked_id: Option<MetricId>,
 }
 
 impl KafkaProducer {
@@ -111,6 +115,9 @@ impl KafkaProducer {
             params,
             warmup_until,
             seq: 0,
+            sent_id: None,
+            latency_id: None,
+            acked_id: None,
         }
     }
 
@@ -120,7 +127,10 @@ impl KafkaProducer {
         let mut p = Payload::sized(wire);
         p.tag = self.seq;
         api.send_udp(CLIENT_PORT, self.target, p);
-        api.count("kafka.batches_sent", 1.0);
+        let id = *self
+            .sent_id
+            .get_or_insert_with(|| api.metric("kafka.batches_sent"));
+        api.count_id(id, 1.0);
     }
 }
 
@@ -139,8 +149,14 @@ impl Application for KafkaProducer {
     fn on_message(&mut self, msg: Incoming, api: &mut AppApi<'_, '_>) {
         if api.now() >= self.warmup_until {
             let latency = api.now().since(msg.payload.sent_at);
-            api.record("kafka.latency_us", latency.as_micros_f64());
-            api.count("kafka.msgs_acked", self.params.msgs_per_batch() as f64);
+            let id = *self
+                .latency_id
+                .get_or_insert_with(|| api.metric("kafka.latency_us"));
+            api.record_id(id, latency.as_micros_f64());
+            let id = *self
+                .acked_id
+                .get_or_insert_with(|| api.metric("kafka.msgs_acked"));
+            api.count_id(id, self.params.msgs_per_batch() as f64);
         }
     }
 }

@@ -9,6 +9,7 @@
 //! with probability 1/11 and GETs otherwise.
 
 use crate::report::{MacroResult, ServiceProfile};
+use metrics::MetricId;
 use nestless::topology::{build, Config, CLIENT_PORT, SERVER_PORT};
 use rand::Rng;
 use simnet::endpoint::{AppApi, Application, Incoming};
@@ -112,6 +113,8 @@ pub struct MemtierClient {
     params: MemtierParams,
     warmup_until: SimTime,
     seq: u64,
+    sent_id: Option<MetricId>,
+    latency_id: Option<MetricId>,
 }
 
 impl MemtierClient {
@@ -122,6 +125,8 @@ impl MemtierClient {
             params,
             warmup_until,
             seq: 0,
+            sent_id: None,
+            latency_id: None,
         }
     }
 
@@ -137,7 +142,10 @@ impl MemtierClient {
         // Tag: SET bit | connection | sequence (connection in bits 32..56).
         p.tag = (if is_set { SET_BIT } else { 0 }) | (conn << 32) | (self.seq & 0xFFFF_FFFF);
         api.send_udp(CLIENT_PORT, self.target, p);
-        api.count("memtier.sent", 1.0);
+        let id = *self
+            .sent_id
+            .get_or_insert_with(|| api.metric("memtier.sent"));
+        api.count_id(id, 1.0);
     }
 }
 
@@ -151,7 +159,10 @@ impl Application for MemtierClient {
     fn on_message(&mut self, msg: Incoming, api: &mut AppApi<'_, '_>) {
         if api.now() >= self.warmup_until {
             let latency = api.now().since(msg.payload.sent_at);
-            api.record("memcached.latency_us", latency.as_micros_f64());
+            let id = *self
+                .latency_id
+                .get_or_insert_with(|| api.metric("memcached.latency_us"));
+            api.record_id(id, latency.as_micros_f64());
         }
         let conn = (msg.payload.tag & !SET_BIT) >> 32;
         self.fire(conn, api);

@@ -11,7 +11,7 @@
 //! message = one frame across the sweep); throughput emerges from the
 //! bottleneck station of the configured path.
 
-use metrics::{OnlineStats, Summary};
+use metrics::{MetricId, OnlineStats, Summary};
 use nestless::topology::{build, Config, Testbed, CLIENT_PORT, SERVER_PORT};
 use simnet::endpoint::{AppApi, Application, Incoming};
 use simnet::frame::{Payload, TcpKind};
@@ -48,6 +48,8 @@ struct UdpRrClient {
     msg_size: u32,
     warmup_until: SimTime,
     next_tag: u64,
+    rtt_id: Option<MetricId>,
+    timeouts_id: Option<MetricId>,
 }
 
 impl UdpRrClient {
@@ -73,7 +75,10 @@ impl Application for UdpRrClient {
         if msg.payload.tag == self.next_tag {
             if api.now() >= self.warmup_until {
                 let rtt = api.now().since(msg.payload.sent_at);
-                api.record("netperf.rtt_us", rtt.as_micros_f64());
+                let id = *self
+                    .rtt_id
+                    .get_or_insert_with(|| api.metric("netperf.rtt_us"));
+                api.record_id(id, rtt.as_micros_f64());
             }
             self.fire(api);
         }
@@ -85,7 +90,10 @@ impl Application for UdpRrClient {
         if token == self.next_tag {
             // The transaction is still outstanding: the request or the
             // response was lost.
-            api.count("netperf.rr_timeouts", 1.0);
+            let id = *self
+                .timeouts_id
+                .get_or_insert_with(|| api.metric("netperf.rr_timeouts"));
+            api.count_id(id, 1.0);
             self.resend(api);
         }
     }
@@ -95,6 +103,21 @@ impl Application for UdpRrClient {
 pub struct TcpStreamServer {
     /// Ignore bytes before this instant (warm-up).
     pub warmup_until: SimTime,
+    bytes_id: Option<MetricId>,
+    t_ns_id: Option<MetricId>,
+    len_id: Option<MetricId>,
+}
+
+impl TcpStreamServer {
+    /// A receiver that ignores bytes before `warmup_until`.
+    pub fn new(warmup_until: SimTime) -> TcpStreamServer {
+        TcpStreamServer {
+            warmup_until,
+            bytes_id: None,
+            t_ns_id: None,
+            len_id: None,
+        }
+    }
 }
 
 impl Application for TcpStreamServer {
@@ -105,9 +128,18 @@ impl Application for TcpStreamServer {
             return;
         };
         if api.now() >= self.warmup_until {
-            api.count("netperf.rx_bytes", msg.payload.len as f64);
-            api.record("netperf.rx_t_ns", api.now().as_nanos() as f64);
-            api.record("netperf.rx_len", msg.payload.len as f64);
+            let bytes = *self
+                .bytes_id
+                .get_or_insert_with(|| api.metric("netperf.rx_bytes"));
+            api.count_id(bytes, msg.payload.len as f64);
+            let t_ns = *self
+                .t_ns_id
+                .get_or_insert_with(|| api.metric("netperf.rx_t_ns"));
+            api.record_id(t_ns, api.now().as_nanos() as f64);
+            let len = *self
+                .len_id
+                .get_or_insert_with(|| api.metric("netperf.rx_len"));
+            api.record_id(len, msg.payload.len as f64);
         }
         api.send_tcp(SERVER_PORT, msg.src, seq, TcpKind::Ack, Payload::sized(0));
     }
@@ -157,6 +189,7 @@ struct TcpRrClient {
     msg_size: u32,
     warmup_until: SimTime,
     seq: u64,
+    rtt_id: Option<MetricId>,
 }
 
 impl TcpRrClient {
@@ -178,7 +211,10 @@ impl Application for TcpRrClient {
             if seq == self.seq {
                 if api.now() >= self.warmup_until {
                     let rtt = api.now().since(msg.payload.sent_at);
-                    api.record("netperf.tcp_rtt_us", rtt.as_micros_f64());
+                    let id = *self
+                        .rtt_id
+                        .get_or_insert_with(|| api.metric("netperf.tcp_rtt_us"));
+                    api.record_id(id, rtt.as_micros_f64());
                 }
                 self.fire(api);
             }
@@ -285,6 +321,8 @@ impl Netperf {
                 msg_size: self.msg_size,
                 warmup_until,
                 next_tag: 0,
+                rtt_id: None,
+                timeouts_id: None,
             }),
         );
         tb.start(&[server, client]);
@@ -330,6 +368,7 @@ impl Netperf {
                 msg_size: self.msg_size,
                 warmup_until,
                 seq: 0,
+                rtt_id: None,
             }),
         );
         tb.start(&[server, client]);
@@ -365,7 +404,7 @@ impl Netperf {
             "netperf-server",
             &tb.server.clone(),
             [SERVER_PORT],
-            Box::new(TcpStreamServer { warmup_until }),
+            Box::new(TcpStreamServer::new(warmup_until)),
         );
         let client = tb.install(
             "netperf-client",
@@ -515,6 +554,8 @@ mod tests {
                 msg_size: 1280,
                 warmup_until,
                 next_tag: 0,
+                rtt_id: None,
+                timeouts_id: None,
             }),
         );
         tb.start(&[s, c]);

@@ -12,6 +12,7 @@
 //! carries that extra, spiky per-request work.
 
 use crate::report::{MacroResult, ServiceProfile};
+use metrics::MetricId;
 use nestless::topology::{build, Config, CLIENT_PORT, SERVER_PORT};
 use simnet::endpoint::{AppApi, Application, Incoming};
 use simnet::frame::Payload;
@@ -101,6 +102,8 @@ pub struct Wrk2Client {
     warmup_until: SimTime,
     interval: SimDuration,
     seq: u64,
+    sent_id: Option<MetricId>,
+    latency_id: Option<MetricId>,
 }
 
 impl Wrk2Client {
@@ -113,6 +116,8 @@ impl Wrk2Client {
             warmup_until,
             interval,
             seq: 0,
+            sent_id: None,
+            latency_id: None,
         }
     }
 
@@ -121,7 +126,8 @@ impl Wrk2Client {
         let mut p = Payload::sized(96); // GET request line + headers
         p.tag = self.seq;
         api.send_udp(CLIENT_PORT, self.target, p);
-        api.count("wrk2.sent", 1.0);
+        let id = *self.sent_id.get_or_insert_with(|| api.metric("wrk2.sent"));
+        api.count_id(id, 1.0);
     }
 }
 
@@ -145,7 +151,10 @@ impl Application for Wrk2Client {
         );
         if api.now() >= self.warmup_until {
             let latency = api.now().since(msg.payload.sent_at);
-            api.record("nginx.latency_us", latency.as_micros_f64());
+            let id = *self
+                .latency_id
+                .get_or_insert_with(|| api.metric("nginx.latency_us"));
+            api.record_id(id, latency.as_micros_f64());
         }
     }
 }
