@@ -2,148 +2,45 @@
 //!
 //! Suppression (kick only on the idle->busy transition) is what buys the
 //! bridged paths their streaming throughput. Turning it off makes every
-//! frame pay the notification — the throughput collapses while the
-//! closed-loop latency barely moves.
+//! frame pay the notification: streaming throughput falls while the
+//! closed-loop latency does not move.
 
-use nestless::topology::BuildOpts;
+use nestless::topology::{build_with, BuildOpts, Config};
 use nestless_bench::Figure;
+use simnet::SimDuration;
+use workloads::netperf::Netperf;
 
 fn main() {
     let mut fig = Figure::new(
         "ablation_batching",
         "Notification suppression on the primary NIC (NoCont path)",
     );
+    let stream = Netperf {
+        duration: SimDuration::millis(400),
+        warmup: SimDuration::ZERO,
+        ..Netperf::with_size(1280)
+    };
+    let rr = Netperf {
+        duration: SimDuration::millis(300),
+        ..stream
+    };
     for (label, on) in [("suppression on", true), ("suppression off", false)] {
         let opts = BuildOpts {
             suppression_primary: on,
             ..BuildOpts::default()
         };
-        let tput = helpers::tput(&opts, 1280);
-        let lat = helpers::lat(&opts, 1280);
-        fig.push_row(format!("{label}: throughput"), tput, "Mbit/s");
-        fig.push_row(format!("{label}: latency"), lat, "us");
+        let tput = stream.tcp_stream_on(build_with(Config::NoCont, 9, &opts));
+        let lat = rr.udp_rr_on(build_with(Config::NoCont, 9, &opts));
+        fig.push_row(
+            format!("{label}: throughput"),
+            tput.throughput_mbps.unwrap().mean,
+            "Mbit/s",
+        );
+        fig.push_row(
+            format!("{label}: latency"),
+            lat.latency_us.unwrap().mean,
+            "us",
+        );
     }
     fig.finish();
-}
-
-mod helpers {
-    use nestless::topology::{build_with, BuildOpts, Config};
-    use simnet::{AppApi, Application, Incoming, Payload, SimDuration, StopCondition, TcpKind};
-
-    pub fn tput(opts: &BuildOpts, size: u32) -> f64 {
-        struct Srv;
-        impl Application for Srv {
-            fn on_start(&mut self, _: &mut AppApi<'_, '_>) {}
-            fn on_message(&mut self, msg: Incoming, api: &mut AppApi<'_, '_>) {
-                let Some((seq, TcpKind::Data)) = msg.tcp else {
-                    return;
-                };
-                api.count("rx_bytes", msg.payload.len as f64);
-                api.send_tcp(
-                    nestless::SERVER_PORT,
-                    msg.src,
-                    seq,
-                    TcpKind::Ack,
-                    Payload::sized(0),
-                );
-            }
-        }
-        struct Cli {
-            target: simnet::SockAddr,
-            size: u32,
-            seq: u64,
-        }
-        impl Cli {
-            fn send(&mut self, api: &mut AppApi<'_, '_>) {
-                self.seq += 1;
-                api.send_tcp(
-                    nestless::CLIENT_PORT,
-                    self.target,
-                    self.seq,
-                    TcpKind::Data,
-                    Payload::sized(self.size),
-                );
-            }
-        }
-        impl Application for Cli {
-            fn on_start(&mut self, api: &mut AppApi<'_, '_>) {
-                for _ in 0..64 {
-                    self.send(api);
-                }
-            }
-            fn on_message(&mut self, _: Incoming, api: &mut AppApi<'_, '_>) {
-                self.send(api);
-            }
-        }
-        let mut tb = build_with(Config::NoCont, 9, opts);
-        let target = tb.target;
-        let s = tb.install(
-            "srv",
-            &tb.server.clone(),
-            [nestless::SERVER_PORT],
-            Box::new(Srv),
-        );
-        let c = tb.install(
-            "cli",
-            &tb.client.clone(),
-            [nestless::CLIENT_PORT],
-            Box::new(Cli {
-                target,
-                size,
-                seq: 0,
-            }),
-        );
-        tb.start(&[s, c]);
-        let dur = SimDuration::millis(400);
-        tb.vmm.network_mut().run(StopCondition::For(dur));
-        tb.vmm.network().store().counter("rx_bytes") * 8.0 / dur.as_secs_f64() / 1e6
-    }
-
-    pub fn lat(opts: &BuildOpts, size: u32) -> f64 {
-        struct Rr {
-            target: simnet::SockAddr,
-            size: u32,
-            n: u64,
-        }
-        impl Rr {
-            fn fire(&mut self, api: &mut AppApi<'_, '_>) {
-                self.n += 1;
-                let mut p = Payload::sized(self.size);
-                p.tag = self.n;
-                api.send_udp(nestless::CLIENT_PORT, self.target, p);
-            }
-        }
-        impl Application for Rr {
-            fn on_start(&mut self, api: &mut AppApi<'_, '_>) {
-                self.fire(api);
-            }
-            fn on_message(&mut self, msg: Incoming, api: &mut AppApi<'_, '_>) {
-                api.record(
-                    "rtt_us",
-                    api.now().since(msg.payload.sent_at).as_micros_f64(),
-                );
-                self.fire(api);
-            }
-        }
-        let mut tb = build_with(Config::NoCont, 9, opts);
-        let target = tb.target;
-        let s = tb.install(
-            "srv",
-            &tb.server.clone(),
-            [nestless::SERVER_PORT],
-            Box::new(workloads::UdpEchoServer),
-        );
-        let c = tb.install(
-            "cli",
-            &tb.client.clone(),
-            [nestless::CLIENT_PORT],
-            Box::new(Rr { target, size, n: 0 }),
-        );
-        tb.start(&[s, c]);
-        tb.vmm
-            .network_mut()
-            .run(StopCondition::For(SimDuration::millis(300)));
-        let xs = tb.vmm.network().store().samples("rtt_us");
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }

@@ -6,64 +6,30 @@
 
 use nestless::topology::{build_with, BuildOpts, Config};
 use nestless_bench::Figure;
-use simnet::StopCondition;
-use simnet::{AppApi, Application, Incoming, Payload, SimDuration};
+use simnet::SimDuration;
 use vmm::FanoutMode;
+use workloads::netperf::Netperf;
 
-struct Rr {
-    target: simnet::SockAddr,
-    n: u64,
-}
-
-impl Rr {
-    fn fire(&mut self, api: &mut AppApi<'_, '_>) {
-        self.n += 1;
-        let mut p = Payload::sized(1024);
-        p.tag = self.n;
-        api.send_udp(nestless::CLIENT_PORT, self.target, p);
-    }
-}
-
-impl Application for Rr {
-    fn on_start(&mut self, api: &mut AppApi<'_, '_>) {
-        self.fire(api);
-    }
-    fn on_message(&mut self, msg: Incoming, api: &mut AppApi<'_, '_>) {
-        api.record(
-            "rtt_us",
-            api.now().since(msg.payload.sent_at).as_micros_f64(),
-        );
-        self.fire(api);
-    }
-}
-
+/// Mean UDP_RR latency at 1024 B and TAP queue copies per transaction.
 fn run(mode: FanoutMode) -> (f64, f64) {
     let opts = BuildOpts {
         hostlo_fanout: mode,
         ..BuildOpts::default()
     };
-    let mut tb = build_with(Config::Hostlo, 4, &opts);
-    let target = tb.target;
-    let s = tb.install(
-        "srv",
-        &tb.server.clone(),
-        [nestless::SERVER_PORT],
-        Box::new(workloads::UdpEchoServer),
-    );
-    let c = tb.install(
-        "cli",
-        &tb.client.clone(),
-        [nestless::CLIENT_PORT],
-        Box::new(Rr { target, n: 0 }),
-    );
-    tb.start(&[s, c]);
-    tb.vmm
-        .network_mut()
-        .run(StopCondition::For(SimDuration::millis(300)));
-    let xs = tb.vmm.network().store().samples("rtt_us");
-    let lat = xs.iter().sum::<f64>() / xs.len() as f64;
-    let copies = tb.vmm.network().store().counter("hostlo.queue_copies");
-    (lat, copies / xs.len() as f64)
+    let np = Netperf {
+        duration: SimDuration::millis(300),
+        warmup: SimDuration::ZERO,
+        ..Netperf::with_size(1024)
+    };
+    let run = np.udp_rr_on(build_with(Config::Hostlo, 4, &opts));
+    let lat = run.latency_us.unwrap();
+    let copies = run
+        .testbed
+        .vmm
+        .network()
+        .store()
+        .counter("hostlo.queue_copies");
+    (lat.mean, copies / lat.count as f64)
 }
 
 fn main() {

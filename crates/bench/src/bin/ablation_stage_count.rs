@@ -7,69 +7,20 @@
 use nestless::topology::{build_with, BuildOpts, Config};
 use nestless_bench::Figure;
 use simnet::costs::StageCost;
-use simnet::StopCondition;
+use simnet::SimDuration;
 use workloads::netperf::Netperf;
 
+/// Mean UDP_RR latency at 1280 B on the NAT path.
 fn run_with(opts: &BuildOpts, seed: u64) -> f64 {
-    // Directly measure UDP_RR latency at 1280 B with custom opts.
-    let np = Netperf::with_size(1280);
-    let mut tb = build_with(Config::Nat, seed, opts);
-    // Reuse the netperf apps through the public API: cheapest is to rebuild
-    // using the workloads helper, but it does not take opts; drive manually.
-    let target = tb.target;
-    let server = tb.install(
-        "srv",
-        &tb.server.clone(),
-        [nestless::SERVER_PORT],
-        Box::new(workloads::UdpEchoServer),
-    );
-    let client_app = OneLoop {
-        target,
-        size: np.msg_size,
-        next: 0,
+    let np = Netperf {
+        duration: SimDuration::millis(300),
+        warmup: SimDuration::ZERO,
+        ..Netperf::with_size(1280)
     };
-    let client = tb.install(
-        "cli",
-        &tb.client.clone(),
-        [nestless::CLIENT_PORT],
-        Box::new(client_app),
-    );
-    tb.start(&[server, client]);
-    tb.vmm
-        .network_mut()
-        .run(StopCondition::For(simnet::SimDuration::millis(300)));
-    let samples = tb.vmm.network().store().samples("rtt_us");
-    samples.iter().sum::<f64>() / samples.len() as f64
-}
-
-/// Minimal closed-loop RR client.
-struct OneLoop {
-    target: simnet::SockAddr,
-    size: u32,
-    next: u64,
-}
-
-impl simnet::Application for OneLoop {
-    fn on_start(&mut self, api: &mut simnet::AppApi<'_, '_>) {
-        self.fire(api);
-    }
-    fn on_message(&mut self, msg: simnet::Incoming, api: &mut simnet::AppApi<'_, '_>) {
-        api.record(
-            "rtt_us",
-            api.now().since(msg.payload.sent_at).as_micros_f64(),
-        );
-        let _ = msg;
-        self.fire(api);
-    }
-}
-
-impl OneLoop {
-    fn fire(&mut self, api: &mut simnet::AppApi<'_, '_>) {
-        self.next += 1;
-        let mut p = simnet::Payload::sized(self.size);
-        p.tag = self.next;
-        api.send_udp(nestless::CLIENT_PORT, self.target, p);
-    }
+    np.udp_rr_on(build_with(Config::Nat, seed, opts))
+        .latency_us
+        .unwrap()
+        .mean
 }
 
 fn main() {

@@ -2,12 +2,12 @@
 //!
 //! §5.1 uses vhost; this ablation inflates the backend costs to a
 //! userspace-QEMU-like profile (extra copies and exits) to show why the
-//! evaluation setup matters.
+//! evaluation setup matters. Both backends are measured with one Netperf
+//! setting, so the gain row divides like by like.
 
-use nestless::topology::{BuildOpts, Config};
+use nestless::topology::{build_with, BuildOpts, Config};
 use nestless_bench::Figure;
 use simnet::SimDuration;
-use simnet::StopCondition;
 use workloads::netperf::Netperf;
 
 fn main() {
@@ -30,132 +30,16 @@ fn main() {
     let mut opts = BuildOpts::default();
     opts.costs.vhost.fixed_ns = (opts.costs.vhost.fixed_ns as f64 * 2.4) as u64;
     opts.costs.vhost.per_byte_ns *= 1.8;
-    // Use the sweep path with custom costs by rebuilding via workloads'
-    // netperf on a custom testbed is not exposed; approximate by scaling
-    // the whole model and rerunning through build_with in-process.
-    let tput = run_tput(&opts, 1280);
-    let lat = run_lat(&opts, 1280);
-    fig.push_row("userspace throughput @1280B", tput, "Mbit/s");
-    fig.push_row("userspace latency @1280B", lat, "us");
-    fig.push_row("vhost throughput gain", vhost.mean / tput, "x");
+    let user = np
+        .tcp_stream_on(build_with(Config::NoCont, 5, &opts))
+        .throughput_mbps
+        .unwrap();
+    let user_lat = np
+        .udp_rr_on(build_with(Config::NoCont, 5, &opts))
+        .latency_us
+        .unwrap();
+    fig.push_row("userspace throughput @1280B", user.mean, "Mbit/s");
+    fig.push_row("userspace latency @1280B", user_lat.mean, "us");
+    fig.push_row("vhost throughput gain", vhost.mean / user.mean, "x");
     fig.finish();
-}
-
-fn run_tput(opts: &BuildOpts, size: u32) -> f64 {
-    use simnet::{AppApi, Application, Incoming, Payload, TcpKind};
-    struct Srv;
-    impl Application for Srv {
-        fn on_start(&mut self, _: &mut AppApi<'_, '_>) {}
-        fn on_message(&mut self, msg: Incoming, api: &mut AppApi<'_, '_>) {
-            let Some((seq, TcpKind::Data)) = msg.tcp else {
-                return;
-            };
-            api.count("rx_bytes", msg.payload.len as f64);
-            api.send_tcp(
-                nestless::SERVER_PORT,
-                msg.src,
-                seq,
-                TcpKind::Ack,
-                Payload::sized(0),
-            );
-        }
-    }
-    struct Cli {
-        target: simnet::SockAddr,
-        size: u32,
-        seq: u64,
-    }
-    impl Cli {
-        fn send(&mut self, api: &mut AppApi<'_, '_>) {
-            self.seq += 1;
-            api.send_tcp(
-                nestless::CLIENT_PORT,
-                self.target,
-                self.seq,
-                TcpKind::Data,
-                Payload::sized(self.size),
-            );
-        }
-    }
-    impl Application for Cli {
-        fn on_start(&mut self, api: &mut AppApi<'_, '_>) {
-            for _ in 0..64 {
-                self.send(api);
-            }
-        }
-        fn on_message(&mut self, _: Incoming, api: &mut AppApi<'_, '_>) {
-            self.send(api);
-        }
-    }
-    let mut tb = nestless::topology::build_with(Config::NoCont, 5, opts);
-    let target = tb.target;
-    let s = tb.install(
-        "srv",
-        &tb.server.clone(),
-        [nestless::SERVER_PORT],
-        Box::new(Srv),
-    );
-    let c = tb.install(
-        "cli",
-        &tb.client.clone(),
-        [nestless::CLIENT_PORT],
-        Box::new(Cli {
-            target,
-            size,
-            seq: 0,
-        }),
-    );
-    tb.start(&[s, c]);
-    let dur = simnet::SimDuration::millis(400);
-    tb.vmm.network_mut().run(StopCondition::For(dur));
-    tb.vmm.network().store().counter("rx_bytes") * 8.0 / dur.as_secs_f64() / 1e6
-}
-
-fn run_lat(opts: &BuildOpts, size: u32) -> f64 {
-    use simnet::{AppApi, Application, Incoming, Payload};
-    struct Rr {
-        target: simnet::SockAddr,
-        size: u32,
-        n: u64,
-    }
-    impl Rr {
-        fn fire(&mut self, api: &mut AppApi<'_, '_>) {
-            self.n += 1;
-            let mut p = Payload::sized(self.size);
-            p.tag = self.n;
-            api.send_udp(nestless::CLIENT_PORT, self.target, p);
-        }
-    }
-    impl Application for Rr {
-        fn on_start(&mut self, api: &mut AppApi<'_, '_>) {
-            self.fire(api);
-        }
-        fn on_message(&mut self, msg: Incoming, api: &mut AppApi<'_, '_>) {
-            api.record(
-                "rtt_us",
-                api.now().since(msg.payload.sent_at).as_micros_f64(),
-            );
-            self.fire(api);
-        }
-    }
-    let mut tb = nestless::topology::build_with(Config::NoCont, 5, opts);
-    let target = tb.target;
-    let s = tb.install(
-        "srv",
-        &tb.server.clone(),
-        [nestless::SERVER_PORT],
-        Box::new(workloads::UdpEchoServer),
-    );
-    let c = tb.install(
-        "cli",
-        &tb.client.clone(),
-        [nestless::CLIENT_PORT],
-        Box::new(Rr { target, size, n: 0 }),
-    );
-    tb.start(&[s, c]);
-    tb.vmm
-        .network_mut()
-        .run(StopCondition::For(simnet::SimDuration::millis(300)));
-    let xs = tb.vmm.network().store().samples("rtt_us");
-    xs.iter().sum::<f64>() / xs.len() as f64
 }

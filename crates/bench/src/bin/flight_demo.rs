@@ -18,17 +18,7 @@ use simnet::endpoint::{AppApi, Application, Incoming};
 use simnet::frame::Payload;
 use simnet::StopCondition;
 use simnet::{chrome_trace_report, snapshot_report, SimDuration, SockAddr};
-
-/// Echoes every request back to its sender.
-struct Echo;
-impl Application for Echo {
-    fn on_start(&mut self, _: &mut AppApi<'_, '_>) {}
-    fn on_message(&mut self, msg: Incoming, api: &mut AppApi<'_, '_>) {
-        let mut p = Payload::sized(msg.payload.len);
-        p.tag = msg.payload.tag;
-        api.send_udp(SERVER_PORT, msg.src, p);
-    }
-}
+use workloads::UdpEchoServer;
 
 /// Fixed-length ping-pong driver.
 struct Ping {
@@ -55,7 +45,12 @@ fn traced_hostlo_run(rounds: u64) -> Testbed {
     let mut tb = build(Config::Hostlo, 11);
     tb.vmm.network_mut().set_trace_config(TraceConfig::full());
     let target = tb.target;
-    let server = tb.install("server", &tb.server.clone(), [SERVER_PORT], Box::new(Echo));
+    let server = tb.install(
+        "server",
+        &tb.server.clone(),
+        [SERVER_PORT],
+        Box::new(UdpEchoServer),
+    );
     let client = tb.install(
         "client",
         &tb.client.clone(),

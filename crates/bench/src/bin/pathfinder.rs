@@ -10,16 +10,7 @@ use nestless::topology::{build, Config, CLIENT_PORT, SERVER_PORT};
 use simnet::endpoint::{AppApi, Application, Incoming};
 use simnet::StopCondition;
 use simnet::{Payload, SimDuration, SockAddr};
-
-struct Echo;
-impl Application for Echo {
-    fn on_start(&mut self, _: &mut AppApi<'_, '_>) {}
-    fn on_message(&mut self, msg: Incoming, api: &mut AppApi<'_, '_>) {
-        let mut p = Payload::sized(msg.payload.len);
-        p.tag = msg.payload.tag;
-        api.send_udp(SERVER_PORT, msg.src, p);
-    }
-}
+use workloads::UdpEchoServer;
 
 struct Once {
     dst: SockAddr,
@@ -40,7 +31,12 @@ fn main() {
         let mut tb = build(config, 1);
         tb.vmm.network_mut().set_tracing(true);
         let target = tb.target;
-        let s = tb.install("server", &tb.server.clone(), [SERVER_PORT], Box::new(Echo));
+        let s = tb.install(
+            "server",
+            &tb.server.clone(),
+            [SERVER_PORT],
+            Box::new(UdpEchoServer),
+        );
         let c = tb.install(
             "client",
             &tb.client.clone(),

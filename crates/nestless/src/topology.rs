@@ -189,9 +189,6 @@ pub struct BuildOpts {
     /// Frame-loss probability injected on the endpoint attachment links
     /// (failure injection; 0 = healthy).
     pub endpoint_link_loss: f64,
-    /// Simulation fidelity; `None` honors the `SIMNET_FIDELITY` env
-    /// override (the one every figure runner inherits), `Some` pins it.
-    pub fidelity: Option<simnet::Fidelity>,
 }
 
 impl Default for BuildOpts {
@@ -201,7 +198,6 @@ impl Default for BuildOpts {
             suppression_primary: true,
             hostlo_fanout: vmm::FanoutMode::AllQueues,
             endpoint_link_loss: 0.0,
-            fidelity: None,
         }
     }
 }
@@ -211,11 +207,12 @@ pub fn build(config: Config, seed: u64) -> Testbed {
     build_with(config, seed, &BuildOpts::default())
 }
 
-/// Builds the testbed with explicit ablation options.
+/// Builds the testbed with explicit ablation options, at the fidelity
+/// the `SIMNET_FIDELITY` override names (packet when unset).
 pub fn build_with(config: Config, seed: u64, opts: &BuildOpts) -> Testbed {
     let mut tb = build_inner(config, seed, opts);
     tb.endpoint_link_loss = opts.endpoint_link_loss;
-    if let Some(f) = opts.fidelity.or_else(simnet::config::fidelity_from_env) {
+    if let Some(f) = simnet::config::fidelity_from_env() {
         tb.vmm.network_mut().set_fidelity(f);
     }
     tb
@@ -242,8 +239,6 @@ fn mk_vmm(seed: u64, opts: &BuildOpts) -> Vmm {
 struct HostSide {
     vmm: Vmm,
     bridge: vmm::BridgeHandle,
-    #[allow(dead_code)]
-    host_nat: DeviceId,
     host_nat_ctl: simnet::nat::NatControl,
     client: Slot,
 }
@@ -292,7 +287,6 @@ fn build_host_side(seed: u64, opts: &BuildOpts) -> HostSide {
     HostSide {
         vmm,
         bridge,
-        host_nat,
         host_nat_ctl,
         client,
     }

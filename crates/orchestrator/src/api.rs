@@ -115,15 +115,7 @@ impl ControlPlane {
         assert!(rec.live, "pod {id:?} already deleted");
         rec.live = false;
         for (c, &node) in rec.spec.containers.iter().zip(&rec.placement.assignments) {
-            let n = &mut self.nodes[node.0];
-            n.allocated = contd::ResourceRequest::new(
-                n.allocated
-                    .cpu_millis
-                    .saturating_sub(c.resources.cpu_millis),
-                n.allocated
-                    .memory_mib
-                    .saturating_sub(c.resources.memory_mib),
-            );
+            self.nodes[node.0].release(c.resources);
         }
     }
 
@@ -229,15 +221,7 @@ impl ControlPlane {
                 }
                 Err(e) => {
                     for (c, &node) in spec.containers.iter().zip(&placement.assignments) {
-                        let n = &mut self.nodes[node.0];
-                        n.allocated = contd::ResourceRequest::new(
-                            n.allocated
-                                .cpu_millis
-                                .saturating_sub(c.resources.cpu_millis),
-                            n.allocated
-                                .memory_mib
-                                .saturating_sub(c.resources.memory_mib),
-                        );
+                        self.nodes[node.0].release(c.resources);
                     }
                     return Err(DeployError::Network(e));
                 }

@@ -59,6 +59,14 @@ impl Node {
         self.allocated = self.allocated.plus(req);
     }
 
+    /// Frees an allocation made by [`Node::allocate`], saturating at zero.
+    pub fn release(&mut self, req: ResourceRequest) {
+        self.allocated = ResourceRequest::new(
+            self.allocated.cpu_millis.saturating_sub(req.cpu_millis),
+            self.allocated.memory_mib.saturating_sub(req.memory_mib),
+        );
+    }
+
     /// The "requested fraction" the most-requested policy maximizes:
     /// mean of CPU and memory utilization after hypothetically placing
     /// `req` (Kubernetes `MostRequestedPriority`).

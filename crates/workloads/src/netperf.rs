@@ -303,7 +303,12 @@ impl Netperf {
 
     /// Runs UDP_RR on `config`; returns the latency summary (microseconds).
     pub fn udp_rr(&self, config: Config, seed: u64) -> NetperfRun {
-        let mut tb = build(config, seed);
+        self.udp_rr_on(build(config, seed))
+    }
+
+    /// Runs UDP_RR on a testbed the caller built, e.g. with
+    /// [`build_with`](nestless::topology::build_with) ablation options.
+    pub fn udp_rr_on(&self, mut tb: Testbed) -> NetperfRun {
         let warmup_until = SimTime::ZERO + self.warmup;
         let target = tb.target;
         let server = tb.install(
@@ -339,7 +344,8 @@ impl Netperf {
             .collect();
         assert!(
             stats.count() > 0,
-            "UDP_RR produced no transactions on {config:?}"
+            "UDP_RR produced no transactions on {:?}",
+            tb.config
         );
         NetperfRun {
             latency_us: Some(stats.summary()),
@@ -397,7 +403,12 @@ impl Netperf {
     /// Runs TCP_STREAM on `config`; returns the throughput summary (Mbit/s
     /// over 100 ms bins).
     pub fn tcp_stream(&self, config: Config, seed: u64) -> NetperfRun {
-        let mut tb = build(config, seed);
+        self.tcp_stream_on(build(config, seed))
+    }
+
+    /// Runs TCP_STREAM on a testbed the caller built, e.g. with
+    /// [`build_with`](nestless::topology::build_with) ablation options.
+    pub fn tcp_stream_on(&self, mut tb: Testbed) -> NetperfRun {
         let warmup_until = SimTime::ZERO + self.warmup;
         let target = tb.target;
         let server = tb.install(
@@ -427,7 +438,8 @@ impl Netperf {
         let lens = tb.vmm.network().store().samples("netperf.rx_len").to_vec();
         assert!(
             !times.is_empty(),
-            "TCP_STREAM delivered nothing on {config:?}"
+            "TCP_STREAM delivered nothing on {:?}",
+            tb.config
         );
         let bin_ns = 100_000_000.0;
         let t0 = self.warmup.as_nanos() as f64;
@@ -476,6 +488,13 @@ mod tests {
             "latency {} us",
             lat.mean
         );
+        // On a lossless path the retransmit timer fires only for answered
+        // transactions, so it never resends.
+        for config in Config::ALL {
+            let run = quick().udp_rr(config, 1);
+            let store = run.testbed.vmm.network().store();
+            assert_eq!(store.counter("netperf.rr_timeouts"), 0.0, "{config:?}");
+        }
     }
 
     #[test]
@@ -535,34 +554,8 @@ mod tests {
             endpoint_link_loss: 0.05,
             ..BuildOpts::default()
         };
-        let np = quick();
-        let mut tb = build_with(Config::NoCont, 8, &opts);
-        let target = tb.target;
-        let warmup_until = SimTime::ZERO + np.warmup;
-        let s = tb.install(
-            "srv",
-            &tb.server.clone(),
-            [SERVER_PORT],
-            Box::new(UdpEchoServer),
-        );
-        let c = tb.install(
-            "cli",
-            &tb.client.clone(),
-            [CLIENT_PORT],
-            Box::new(UdpRrClient {
-                target,
-                msg_size: 1280,
-                warmup_until,
-                next_tag: 0,
-                rtt_id: None,
-                timeouts_id: None,
-            }),
-        );
-        tb.start(&[s, c]);
-        tb.vmm
-            .network_mut()
-            .run(StopCondition::For(np.warmup + np.duration));
-        let store = tb.vmm.network().store();
+        let run = quick().udp_rr_on(build_with(Config::NoCont, 8, &opts));
+        let store = run.testbed.vmm.network().store();
         assert!(store.counter("link.lost") > 0.0, "loss must actually occur");
         assert!(store.counter("netperf.rr_timeouts") > 0.0, "timeouts fired");
         assert!(
