@@ -26,6 +26,7 @@
 use metrics::{RunSnapshot, TraceConfig};
 use nestless::topology::{build, Config, CLIENT_PORT, SERVER_PORT};
 use nestless::{Cluster, ClusterBuilder, CniKind, CLIENT_NET};
+use nestless_bench::harness::{die, median, round_trip};
 use orchestrator::PodSpec;
 use simnet::device::{DeviceId, PortId};
 use simnet::endpoint::{AppApi, Application, Endpoint, IfaceConf, Incoming, START_TOKEN};
@@ -131,38 +132,6 @@ struct ChaosReport {
     seed: u64,
     brfusion: BrFusionReport,
     hostlo: HostloReport,
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(1);
-}
-
-/// Serializes `value`, parses the text back, and fails the process if the
-/// reconstruction differs from the original.
-fn round_trip<T>(what: &str, value: &T) -> String
-where
-    T: serde::Serialize + serde::Deserialize + PartialEq,
-{
-    let text = serde_json::to_string_pretty(value)
-        .unwrap_or_else(|e| die(&format!("serializing {what}: {e}")));
-    let back: T = serde_json::from_str(&text).unwrap_or_else(|e| {
-        die(&format!(
-            "{what} does not parse back from its own JSON: {e}"
-        ))
-    });
-    if &back != value {
-        die(&format!("{what} serde round-trip changed the document"));
-    }
-    text
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-    xs[xs.len() / 2]
 }
 
 /// Groups delivered tags into phases by the (deterministic) send time of

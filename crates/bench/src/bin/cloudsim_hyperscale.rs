@@ -3,22 +3,21 @@
 //! memory-bound certification run.
 //!
 //! Three claims are measured and recorded in
-//! `results/cloudsim_hyperscale.json` (consumed by
-//! `tools/perfgate.rs check_cloudsim`):
+//! `results/cloudsim_hyperscale.json`; `tools/perfgate.rs`
+//! (`check_cloudsim`) judges all of them:
 //!
 //! * **speedup** — placements/s of the bucket-indexed engine over the
 //!   exhaustive reference scan, as paired per-rep ratios over the *same*
 //!   event prefix (shared `max_placements` cap), so machine noise lands
-//!   on both sides. Target ≥ 10x at the 100k-user scenario scale.
-//! * **identical placements** — the two engines' decision digests must be
-//!   bit-equal every rep: the fast path changes throughput, never
-//!   placements.
+//!   on both sides.
+//! * **identical placements** — whether the two engines' decision
+//!   digests were bit-equal every rep: the fast path should change
+//!   throughput, never placements.
 //! * **bounded memory** (`--full` only) — peak heap of a complete
 //!   1,000,000-user replay over peak heap of a 100,000-user replay, via a
 //!   counting global allocator. Streaming + SoA + interning make live
 //!   state scale with the working set (arrival rate x stay), not the user
-//!   count, so the ratio must stay ≤ [`MEM_GROWTH_CEIL`] despite 10x the
-//!   users and pods.
+//!   count, so the ratio stays near 1 despite 10x the users and pods.
 //!
 //! The shootout replays the same scenario under all three placement
 //! policies (indexed engine) and records their downsampled
@@ -33,13 +32,15 @@
 //!
 //! One indexed replay (the MostRequested shootout leg, or the `--full`
 //! certification run) fills a [`metrics::TelemetrySnapshot`], which lands
-//! in `results/cloudsim_hyperscale.telemetry.json`. The decision digest
-//! stays bit-identical: telemetry fills *after* the replay, never in it.
+//! in `results/cloudsim_hyperscale.telemetry.json` (perfgate checks that
+//! it carries placements and curve points). The decision digest stays
+//! bit-identical: telemetry fills *after* the replay, never in it.
 
 use cloudsim::{
     run_hyperscale, run_hyperscale_with_telemetry, HyperConfig, HyperReport, PlacePolicy,
 };
 use metrics::TelemetrySnapshot;
+use nestless_bench::harness::{host_cores, median};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -114,17 +115,6 @@ const PAIRED_CAP: u64 = 120_000;
 const PROBE_USERS: usize = 100_000;
 const FULL_USERS: usize = 1_000_000;
 
-/// Peak heap of the 1M-user run may exceed the 100k-user run by at most
-/// this factor. The live working set is identical (same arrival rate and
-/// stay), so growth only comes from saturating vocabularies (shapes,
-/// curve buffer) — a broken engine that materializes the trace or leaks
-/// per-user state blows straight through this.
-const MEM_GROWTH_CEIL: f64 = 1.5;
-
-/// In-binary speedup target at the 100k-user scenario scale (the perfgate
-/// floor is the same: the ratio is machine-independent by pairing).
-const SPEEDUP_FLOOR: f64 = 10.0;
-
 #[derive(Serialize)]
 struct PairedRep {
     naive_s: f64,
@@ -157,13 +147,12 @@ struct MemOut {
     full_users: usize,
     full_peak_bytes: usize,
     growth_ratio: f64,
-    growth_ceiling: f64,
 }
 
 #[derive(Serialize)]
 struct FullOut {
     mem: MemOut,
-    /// The certification replay: 1M users, complete, ≥ 10M pods.
+    /// The certification replay at [`FULL_USERS`].
     run: HyperReport,
 }
 
@@ -177,11 +166,6 @@ struct Out {
     shootout: Vec<HyperReport>,
     full: Option<FullOut>,
     note: &'static str,
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
 }
 
 fn timed(cfg: &HyperConfig) -> (HyperReport, f64) {
@@ -244,11 +228,6 @@ fn main() {
         last = Some((naive, indexed));
     }
     let (naive_last, indexed_last) = last.expect("at least one rep");
-    assert!(
-        all_digests_equal,
-        "naive and indexed engines diverged: digests {:#x} vs {:#x}",
-        naive_last.digest, indexed_last.digest
-    );
     let ratio_median = median(detail.iter().map(|r| r.ratio).collect());
     let paired = PairedOut {
         users,
@@ -317,17 +296,6 @@ fn main() {
             full_peak as f64 / (1024.0 * 1024.0),
             probe_peak as f64 / (1024.0 * 1024.0),
         );
-        assert!(run.completed, "the 1M-user replay must run to completion");
-        assert!(
-            run.pods_placed >= 10_000_000,
-            "expected >= 10M pods, placed {}",
-            run.pods_placed
-        );
-        assert!(
-            growth <= MEM_GROWTH_CEIL,
-            "peak heap grew {growth:.3}x from 100k to 1M users (ceiling {MEM_GROWTH_CEIL}): \
-             live state is no longer constant in the user count"
-        );
         full_out = Some(FullOut {
             mem: MemOut {
                 probe_users: PROBE_USERS,
@@ -335,7 +303,6 @@ fn main() {
                 full_users: FULL_USERS,
                 full_peak_bytes: full_peak,
                 growth_ratio: growth,
-                growth_ceiling: MEM_GROWTH_CEIL,
             },
             run,
         });
@@ -374,19 +341,20 @@ fn main() {
 
     let out = Out {
         benchmark: "cloudsim_hyperscale (crates/bench/src/bin/cloudsim_hyperscale.rs)",
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        host_cores: host_cores(),
         paired,
         shootout,
         full: full_out,
         note: "ratio_median is the median of paired per-rep ratios of placements/s between \
                the bucket-indexed and exhaustive-scan engines replaying the identical event \
-               prefix (shared max_placements cap); digest_equal asserts every rep's decision \
-               digests are bit-identical, so the index changes throughput, never placements. \
-               full.mem certifies peak heap via a counting global allocator: a complete \
-               1M-user replay may not exceed the 100k-user probe's peak by more than \
-               growth_ceiling, proving live state scales with the working set, not the user \
-               count. Shootout entries are indexed-engine replays per policy with \
-               engine-downsampled cost/utilization curves.",
+               prefix (shared max_placements cap); digest_equal records whether every rep's \
+               decision digests were bit-identical, so the index changes throughput, never \
+               placements. full.mem measures peak heap via a counting global allocator: \
+               growth_ratio is a complete 1M-user replay's peak over the 100k-user probe's, \
+               which stays near 1 while live state scales with the working set, not the user \
+               count. tools/perfgate.rs judges every field. Shootout entries are \
+               indexed-engine replays per policy with engine-downsampled cost/utilization \
+               curves.",
     };
     let json = serde_json::to_string_pretty(&out).expect("report serializes");
     if let Err(e) = std::fs::create_dir_all("results")
@@ -396,14 +364,6 @@ fn main() {
     }
 
     snap.label.clone_from(&telemetry_label);
-    assert!(
-        snap.counters.get("hyper.placements").copied().unwrap_or(0) > 0,
-        "the instrumented replay must surface hyper.placements in the telemetry snapshot"
-    );
-    assert!(
-        snap.series.iter().any(|s| !s.points.is_empty()),
-        "the instrumented replay must export decision-curve series"
-    );
     let telemetry_json = serde_json::to_string_pretty(&snap).expect("snapshot serializes");
     if let Err(e) = std::fs::write(
         "results/cloudsim_hyperscale.telemetry.json",
@@ -412,9 +372,4 @@ fn main() {
         eprintln!("warning: could not write results/cloudsim_hyperscale.telemetry.json: {e}");
     }
     println!("telemetry: {telemetry_label} -> results/cloudsim_hyperscale.telemetry.json");
-
-    assert!(
-        ratio_median >= SPEEDUP_FLOOR,
-        "indexed placement under target: {ratio_median:.2}x < {SPEEDUP_FLOOR}x placements/s"
-    );
 }

@@ -11,33 +11,31 @@
 //!
 //! Reps are paired: each rep runs packet fidelity then hybrid back to
 //! back and the speedup is that rep's ratio, so machine noise lands on
-//! both sides. Three checks are asserted and recorded in the JSON
-//! (consumed by `tools/perfgate.rs check_hybrid`):
+//! both sides. The JSON records three things, and `tools/perfgate.rs`
+//! (`check_hybrid`) judges all of them:
 //!
-//! * **speedup** — hybrid effective frames/s over packet (target ≥ 10×
-//!   here; the CI gate floors at 5× for noisy runners),
-//! * **fidelity tolerance** — hybrid must deliver within ±15% of the
-//!   packet run's frames and total CPU over the same simulated horizon
-//!   (synthesized deliveries replay learned per-hop CPU, so the accounts
-//!   stay figure-comparable),
-//! * **determinism** — the hybrid run's merged outcome digest is
+//! * **speedup** — hybrid effective frames/s over packet,
+//! * **fidelity** — hybrid's delivered frames and total CPU over packet
+//!   level's on the same simulated horizon (synthesized deliveries
+//!   replay learned per-hop CPU, so the accounts stay figure-comparable),
+//!   plus the exact frame, event and fast-path counts behind them,
+//! * **determinism** — whether the hybrid run's merged outcome digest is
 //!   bit-identical at 1/2/8 shards (`SimConfig`-selected, not env).
 //!
 //! ```text
 //! cargo run --release -p nestless-bench --bin engine_hybrid [reps]
 //! ```
 
-use metrics::CpuAccount;
 use metrics::{CpuCategory, CpuLocation};
+use nestless_bench::harness::{frames_delivered, host_cores, median, outcome_digest};
 use simnet::bridge::Bridge;
 use simnet::costs::StageCost;
 use simnet::device::PortId;
-use simnet::engine::{LinkParams, Network, SampleStore};
+use simnet::engine::{LinkParams, Network};
 use simnet::shared::SharedStation;
 use simnet::testutil::{frame_between, MacBouncer};
 use simnet::time::{SimDuration, SimTime};
 use simnet::{Fidelity, MacAddr, SimConfig, StopCondition};
-use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 /// Parallel relay chains; each is its own partition island, so 1/2/8
@@ -105,41 +103,6 @@ fn build() -> Network {
     net
 }
 
-/// Frames actually delivered to a bouncer (the goodput both fidelities
-/// are compared on).
-fn frames_delivered(store: &SampleStore) -> f64 {
-    store
-        .counter_names()
-        .filter(|n| n.ends_with(".bounced"))
-        .map(|n| store.counter(n))
-        .sum()
-}
-
-fn cpu_total(cpu: &CpuAccount) -> u64 {
-    cpu.total()
-}
-
-/// Order-independent digest of a run's observable outcome.
-fn outcome_digest(store: &SampleStore, events: u64) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    events.hash(&mut h);
-    let mut names: Vec<&str> = store.sample_names().collect();
-    names.sort_unstable();
-    for n in names {
-        n.hash(&mut h);
-        for v in store.samples(n) {
-            v.to_bits().hash(&mut h);
-        }
-    }
-    let mut names: Vec<&str> = store.counter_names().collect();
-    names.sort_unstable();
-    for n in names {
-        n.hash(&mut h);
-        store.counter(n).to_bits().hash(&mut h);
-    }
-    h.finish()
-}
-
 struct RunOut {
     frames: f64,
     cpu_ns: u64,
@@ -157,21 +120,13 @@ fn run_once(fidelity: Fidelity) -> RunOut {
     let elapsed = start.elapsed().as_secs_f64();
     RunOut {
         frames: frames_delivered(net.store()),
-        cpu_ns: cpu_total(net.cpu()),
+        cpu_ns: net.cpu().total(),
         events: net.events_processed(),
         elapsed,
         fastpath_frames: net.store().counter("flow.fastpath_frames"),
         escalations: net.store().counter("flow.escalations"),
     }
 }
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
-
-/// ±15%: the paper-figure comparability budget hybrid must stay inside.
-const TOLERANCE: f64 = 0.15;
 
 fn main() {
     let reps: usize = std::env::args()
@@ -202,23 +157,9 @@ fn main() {
     let (packet, hybrid) = (packet.unwrap(), hybrid.unwrap());
     let speedup_median = median(speedups);
 
-    // Fidelity tolerance: same horizon, comparable goodput and CPU.
+    // Fidelity: same horizon, comparable goodput and CPU.
     let frames_ratio = hybrid.frames / packet.frames;
     let cpu_ratio = hybrid.cpu_ns as f64 / packet.cpu_ns as f64;
-    assert!(
-        (frames_ratio - 1.0).abs() <= TOLERANCE,
-        "hybrid goodput diverged from packet level: {:.0} vs {:.0} frames ({frames_ratio:.3})",
-        hybrid.frames,
-        packet.frames
-    );
-    assert!(
-        (cpu_ratio - 1.0).abs() <= TOLERANCE,
-        "hybrid CPU account diverged from packet level: ratio {cpu_ratio:.3}"
-    );
-    assert!(
-        hybrid.fastpath_frames > 0.0,
-        "hybrid run never took the fast path — scenario is broken"
-    );
 
     // Determinism: hybrid merged outcome bit-identical at 1/2/8 shards.
     let mut shard_rows = Vec::new();
@@ -238,13 +179,9 @@ fn main() {
         shard_rows.push(format!(
             "{{\"shards_wanted\":{want},\"shards_got\":{got},\"bit_identical\":{identical}}}"
         ));
-        assert!(
-            identical,
-            "hybrid run at {want} shards diverged from the 1-shard outcome"
-        );
     }
 
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cores = host_cores();
     let json = format!(
         "{{\n  \"benchmark\": \"engine_hybrid (crates/bench/src/bin/engine_hybrid.rs)\",\n  \
          \"scenario\": \"relay_chains\",\n  \
@@ -256,9 +193,9 @@ fn main() {
          \"speedup_median\": {speedup_median:.3},\n  \
          \"event_ratio\": {:.3},\n  \
          \"frames_ratio\": {frames_ratio:.3},\n  \"cpu_ratio\": {cpu_ratio:.3},\n  \
-         \"tolerance\": {TOLERANCE},\n  \"bit_identical\": {bit_identical},\n  \
+         \"bit_identical\": {bit_identical},\n  \
          \"sharded\": [\n    {}\n  ],\n  \
-         \"note\": \"speedup_median is the median of paired per-rep ratios of effective frames/s (frames delivered over wall-clock) between hybrid and packet fidelity on the same topology and horizon. frames_ratio/cpu_ratio must stay within tolerance of 1.0: the fast path synthesizes deliveries and replays learned per-hop CPU, so figure-level outputs remain comparable. bit_identical asserts the merged hybrid outcome digest is equal at 1/2/8 shards.\"\n}}\n",
+         \"note\": \"speedup_median is the median of paired per-rep ratios of effective frames/s (frames delivered over wall-clock) between hybrid and packet fidelity on the same topology and horizon. frames_ratio/cpu_ratio compare hybrid's delivered frames and total CPU with packet level's: the fast path synthesizes deliveries and replays learned per-hop CPU, so figure-level outputs remain comparable. bit_identical records whether the merged hybrid outcome digest is equal at 1/2/8 shards. tools/perfgate.rs judges every field.\"\n}}\n",
         HORIZON.0,
         packet.frames,
         packet.events,
@@ -279,9 +216,4 @@ fn main() {
     {
         eprintln!("warning: could not write results/engine_hybrid.json: {e}");
     }
-
-    assert!(
-        speedup_median >= 10.0,
-        "hybrid fast path under target: {speedup_median:.2}x < 10x effective frames/s"
-    );
 }

@@ -14,6 +14,7 @@
 
 use metrics::{ChromeTrace, RunSnapshot, TraceConfig};
 use nestless::topology::{build, Config, Testbed, CLIENT_PORT, SERVER_PORT};
+use nestless_bench::harness::{die, round_trip};
 use simnet::endpoint::{AppApi, Application, Incoming};
 use simnet::frame::Payload;
 use simnet::StopCondition;
@@ -67,27 +68,6 @@ fn traced_hostlo_run(rounds: u64) -> Testbed {
     tb
 }
 
-/// Serializes `value`, parses the text back, and fails the process if
-/// the reconstruction differs from the original.
-fn round_trip<T>(what: &str, value: &T) -> String
-where
-    T: serde::Serialize + serde::Deserialize + PartialEq,
-{
-    let text = serde_json::to_string_pretty(value).unwrap_or_else(|e| {
-        eprintln!("error: serializing {what}: {e}");
-        std::process::exit(1);
-    });
-    let back: T = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("error: {what} does not parse back from its own JSON: {e}");
-        std::process::exit(1);
-    });
-    if &back != value {
-        eprintln!("error: {what} serde round-trip changed the document");
-        std::process::exit(1);
-    }
-    text
-}
-
 fn main() {
     let rounds = std::env::args()
         .nth(1)
@@ -105,12 +85,10 @@ fn main() {
     let snapshot: RunSnapshot = snapshot_report(&report, "flight_demo.hostlo");
     let chrome: ChromeTrace = chrome_trace_report(&report);
     if snapshot.stages.is_empty() {
-        eprintln!("error: traced run produced no stage aggregates");
-        std::process::exit(1);
+        die("traced run produced no stage aggregates");
     }
     if chrome.is_empty() {
-        eprintln!("error: traced run produced no trace events");
-        std::process::exit(1);
+        die("traced run produced no trace events");
     }
 
     let snapshot_json = round_trip("RunSnapshot", &snapshot);
@@ -120,8 +98,7 @@ fn main() {
         .and_then(|()| std::fs::write("results/flight_demo.snapshot.json", &snapshot_json))
         .and_then(|()| std::fs::write("results/flight_demo.trace.json", &chrome_json))
     {
-        eprintln!("error: writing results/: {e}");
-        std::process::exit(1);
+        die(&format!("writing results/: {e}"));
     }
 
     println!(

@@ -2,47 +2,52 @@
 //! per-packet cost flat as filter tables grow from 1k to 100k rules, and
 //! does it stay semantically identical to a naive first-match walk?
 //!
-//! Four sections, all recorded in the JSON (consumed by
-//! `tools/perfgate.rs check_policy_churn`):
+//! Four sections are recorded in the JSON; `tools/perfgate.rs`
+//! (`check_policy_churn`) judges every one of them:
 //!
 //! * **matcher** — a standalone [`FilterControl`] is loaded with a
 //!   seed-deterministic rule set and evaluated against a fixed query
 //!   stream. Raw eval latency at both scales is informational (it is
-//!   machine-dependent); the gated output is the FNV verdict digest:
-//!   the compiled matcher and an independent naive linear walk over the
-//!   same rule specs must produce bit-equal `(verdict, rule_id)`
-//!   streams, and the digests are machine-independent, so the committed
-//!   baseline freezes matcher *semantics* across runners.
+//!   machine-dependent); the judged output is the FNV verdict digest of
+//!   the compiled matcher's `(verdict, rule_id)` stream, next to whether
+//!   an independent naive linear walk over the same rule specs produced
+//!   the same digests. The digests are machine-independent, so the
+//!   committed baseline freezes matcher *semantics* across runners.
 //! * **packet overhead** — the acceptance claim. A hub bridge carrying
 //!   steady bouncer traffic is loaded with 1k then 100k non-matching
 //!   rules (every rule is source-net constrained away from the traffic,
 //!   so each frame walks its port bucket and falls through). Reps are
 //!   paired and `overhead_ratio` is the median per-rep ratio of
-//!   wall-clock per delivered frame; it must stay within 15%.
+//!   wall-clock per delivered frame.
 //! * **churn** — install/remove latency under load, plus the index
 //!   update the first post-mutation eval pays at 100k rules (a patch:
-//!   each slice installs a batch small enough to patch in), plus
-//!   `purge_expired` at the end of the horizon.
-//! * **sharded** — an 8-island topology with engaged (and mid-run
-//!   window-activating) tables must merge bit-identically at 1/2/8
+//!   each slice installs a batch small enough to patch in), plus the
+//!   rules `purge_expired` reclaims at the end of the horizon.
+//! * **sharded** — whether an 8-island topology with engaged (and
+//!   mid-run window-activating) tables merges bit-identically at 1/2/8
 //!   shards.
+//!
+//! The binary itself asserts only what its JSON does not carry: dense
+//! rule ids on a fresh control, churned rules that still exist when
+//! removed, and per rep that both hub tables deliver the same frames,
+//! that no hub rule matches the traffic, and that the hub's hook ran.
 //!
 //! ```text
 //! cargo run --release -p nestless-bench --bin policy_churn [reps]
 //! ```
 
 use metrics::{CpuCategory, CpuLocation};
+use nestless_bench::harness::{frames_delivered, host_cores, median, outcome_digest};
 use simnet::bridge::Bridge;
 use simnet::costs::StageCost;
 use simnet::device::PortId;
-use simnet::engine::{LinkParams, Network, SampleStore};
+use simnet::engine::{LinkParams, Network};
 use simnet::filter::{ConnState, FilterControl, FilterRule, StateMask, Verdict, NO_RULE};
 use simnet::nat::Proto;
 use simnet::shared::SharedStation;
 use simnet::testutil::{frame_between, MacBouncer};
 use simnet::time::{SimDuration, SimTime};
 use simnet::{Ip4, Ip4Net, MacAddr, SimConfig, SockAddr, StopCondition};
-use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 const RULES_SMALL: usize = 1_000;
@@ -62,9 +67,6 @@ const CHURN_SLICES: u64 = 8;
 const CHURN_BATCH: usize = 32;
 
 const ISLANDS: usize = 8;
-
-/// Per-packet overhead budget between the 1k and 100k tables.
-const TOLERANCE: f64 = 0.15;
 
 const SEED: u64 = 0x9C11_F17E;
 
@@ -376,14 +378,6 @@ fn build_hub(specs: &[RuleSpec]) -> (Network, FilterControl) {
     (net, ctl)
 }
 
-fn frames_delivered(store: &SampleStore) -> f64 {
-    store
-        .counter_names()
-        .filter(|n| n.ends_with(".bounced"))
-        .map(|n| store.counter(n))
-        .sum()
-}
-
 /// Precompiles the table (outside any timed window) with a traffic-shaped
 /// probe.
 fn warm_compile(ctl: &FilterControl, now: SimTime) {
@@ -530,33 +524,6 @@ fn build_islands() -> Network {
     net
 }
 
-/// Order-independent digest of a run's observable outcome (within-process
-/// shard comparison only, so `DefaultHasher` is fine here).
-fn outcome_digest(store: &SampleStore, events: u64) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    events.hash(&mut h);
-    let mut names: Vec<&str> = store.sample_names().collect();
-    names.sort_unstable();
-    for n in names {
-        n.hash(&mut h);
-        for v in store.samples(n) {
-            v.to_bits().hash(&mut h);
-        }
-    }
-    let mut names: Vec<&str> = store.counter_names().collect();
-    names.sort_unstable();
-    for n in names {
-        n.hash(&mut h);
-        store.counter(n).to_bits().hash(&mut h);
-    }
-    h.finish()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
-
 fn main() {
     let reps: usize = std::env::args()
         .nth(1)
@@ -585,10 +552,6 @@ fn main() {
     let digest_large = compiled_digest(&ctl_large, &queries[..CHECK_LARGE]);
     let digest_match = digest_small == naive_digest(&small, &queries[..CHECK_SMALL])
         && digest_large == naive_digest(&large, &queries[..CHECK_LARGE]);
-    assert!(
-        digest_match,
-        "compiled matcher disagrees with the naive first-match walk"
-    );
 
     // ---- packet overhead: paired 1k-vs-100k hub runs ------------------
     run_hub(&small); // warm-up
@@ -614,17 +577,10 @@ fn main() {
     let overhead_ratio = median(ratios);
     let per_frame_small = median(small_ns);
     let per_frame_large = median(large_ns);
-    assert!(
-        overhead_ratio <= 1.0 + TOLERANCE,
-        "per-packet overhead at {RULES_LARGE} rules is {overhead_ratio:.3}x of {RULES_SMALL} \
-         (budget {:.2})",
-        1.0 + TOLERANCE
-    );
 
     // ---- churn: mutations under load ----------------------------------
     let churn = run_churn(&large);
     let churn_frame_ratio = churn.per_frame_ns / per_frame_large;
-    assert!(churn.purged > 0, "expired rules must be purgeable");
 
     // ---- sharded determinism ------------------------------------------
     let mut shard_rows = Vec::new();
@@ -641,15 +597,11 @@ fn main() {
         shard_rows.push(format!(
             "{{\"shards_wanted\":{want},\"shards_got\":{got},\"bit_identical\":{identical}}}"
         ));
-        assert!(
-            identical,
-            "filtered run at {want} shards diverged from the 1-shard outcome"
-        );
     }
 
     let eval_small_median = median(eval_small);
     let eval_large_median = median(eval_large);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cores = host_cores();
     let json = format!(
         "{{\n  \"benchmark\": \"policy_churn (crates/bench/src/bin/policy_churn.rs)\",\n  \
          \"scenario\": \"filter_matcher\",\n  \
@@ -668,9 +620,9 @@ fn main() {
          \"install_ns_median\": {:.0}, \"remove_ns_median\": {:.0}, \
          \"recompile_ns_median\": {:.0}, \"per_frame_ratio\": {churn_frame_ratio:.3}, \
          \"purged\": {}}},\n  \
-         \"tolerance\": {TOLERANCE},\n  \"bit_identical\": {bit_identical},\n  \
+         \"bit_identical\": {bit_identical},\n  \
          \"sharded\": [\n    {}\n  ],\n  \
-         \"note\": \"overhead_ratio is the median of paired per-rep ratios of wall-clock per delivered frame between the 100k-rule and 1k-rule hub tables (every rule src-net constrained away from the traffic, so each frame pays the full fall-through walk); it must stay within tolerance of 1.0. digest_small/digest_large are FNV-1a folds of the compiled matcher's (verdict, rule_id) stream over a seed-fixed query prefix — machine-independent, asserted equal to an independent naive linear walk here, and compared verbatim against the committed baseline by the perf gate. Raw eval_ns numbers are informational (machine-dependent). churn reports mutation latency under load and the index update (recompile_ns: a patch for a batch this small) paid by the first post-mutation eval. bit_identical asserts the merged filtered outcome digest is equal at 1/2/8 shards.\"\n}}\n",
+         \"note\": \"overhead_ratio is the median of paired per-rep ratios of wall-clock per delivered frame between the 100k-rule and 1k-rule hub tables (every rule src-net constrained away from the traffic, so each frame pays the full fall-through walk). digest_small/digest_large are FNV-1a folds of the compiled matcher's (verdict, rule_id) stream over a seed-fixed query prefix — machine-independent; digest_match records whether an independent naive linear walk produced the same digests, and the perf gate compares them verbatim against the committed baseline. Raw eval_ns numbers are informational (machine-dependent). churn reports mutation latency under load and the index update (recompile_ns: a patch for a batch this small) paid by the first post-mutation eval. bit_identical records whether the merged filtered outcome digest is equal at 1/2/8 shards. tools/perfgate.rs judges every field.\"\n}}\n",
         eval_small_median,
         eval_large_median,
         eval_large_median / eval_small_median,

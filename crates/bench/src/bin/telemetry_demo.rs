@@ -25,6 +25,7 @@
 use metrics::CpuCategory;
 use metrics::CpuLocation;
 use metrics::{HistSummary, Log2Hist, ObsMode, TelemetryConfig, TickSeries};
+use nestless_bench::harness::{die, round_trip};
 use simnet::bridge::Bridge;
 use simnet::costs::StageCost;
 use simnet::device::{DeviceId, PortId};
@@ -50,11 +51,6 @@ const RELAYS: usize = 12;
 const HORIZON: SimTime = SimTime(5_000_000);
 
 const PAYLOAD: u32 = 200;
-
-fn die(msg: &str) -> ! {
-    eprintln!("telemetry_demo: FAIL: {msg}");
-    std::process::exit(1);
-}
 
 /// Builds the relay-chain network and returns the first relay of each
 /// chain (the fault plan's targets).
@@ -140,23 +136,6 @@ fn run(shards: usize) -> RunReport {
         .build(net);
     sn.run(StopCondition::Until(HORIZON));
     sn.into_report()
-}
-
-/// Serializes, parses back, compares — returns the JSON only when the
-/// round trip is lossless.
-fn round_trip<T>(what: &str, value: &T) -> String
-where
-    T: serde::Serialize + serde::Deserialize + PartialEq,
-{
-    let json = match serde_json::to_string_pretty(value) {
-        Ok(j) => j,
-        Err(e) => die(&format!("serializing {what}: {e}")),
-    };
-    match serde_json::from_str::<T>(&json) {
-        Ok(back) if &back == value => json,
-        Ok(_) => die(&format!("{what} changed across a serde round trip")),
-        Err(e) => die(&format!("reparsing {what}: {e}")),
-    }
 }
 
 fn main() {

@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 pub mod figure;
+pub mod harness;
 pub mod sweep;
 
 pub use figure::{Claim, Figure};

@@ -883,11 +883,6 @@ impl Network {
         &self.store
     }
 
-    /// Mutable sample store (for harness-side bookkeeping between phases).
-    pub fn store_mut(&mut self) -> &mut SampleStore {
-        &mut self.store
-    }
-
     /// Schedules a frame to arrive at `(dev, port)` after `delay`.
     pub fn inject_frame(&mut self, delay: SimDuration, dev: DeviceId, port: PortId, frame: Frame) {
         let tag = self.next_inject_tag(self.now + delay);

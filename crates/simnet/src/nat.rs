@@ -431,21 +431,6 @@ impl NatRouter {
         self.filter.control()
     }
 
-    /// Adds a DNAT (port-publishing) rule.
-    pub fn add_dnat(&mut self, rule: DnatRule) {
-        self.cfg.add_dnat(rule);
-    }
-
-    /// Enables masquerade (source NAT to the interface address) on `port`.
-    pub fn masquerade_on(&mut self, port: PortId) {
-        self.cfg.masquerade_on(port);
-    }
-
-    /// Adds a static route. Routes are matched longest-prefix-first.
-    pub fn add_route(&mut self, route: Route) {
-        self.cfg.add_route(route);
-    }
-
     /// Number of live conntrack entries at `now`: expired entries and
     /// entries covered by a pending `remove_dnat` flush are excluded,
     /// even if the router has been idle on data and its lazy frame-path
@@ -863,19 +848,19 @@ mod tests {
             .with_neigh(Ip4::new(192, 168, 0, 100), MacAddr::local(100));
         let pod = Interface::new(MacAddr::local(11), Ip4::new(172, 17, 0, 1), POD_NET)
             .with_neigh(Ip4::new(172, 17, 0, 2), MacAddr::local(2));
-        let mut r = NatRouter::new(
+        let r = NatRouter::new(
             vec![ext, pod],
             StageCost::fixed(1_000, 0.0, CpuCategory::Soft),
             SharedStation::new(),
         );
         // Publish container port: :8080 on the router -> 172.17.0.2:80
-        r.add_dnat(DnatRule {
+        r.control().add_dnat(DnatRule {
             proto: Proto::Udp,
             match_ip: None,
             match_port: 8080,
             to: SockAddr::new(Ip4::new(172, 17, 0, 2), 80),
         });
-        r.masquerade_on(PortId(0));
+        r.control().masquerade_on(PortId(0));
         r
     }
 
@@ -951,9 +936,9 @@ mod tests {
     #[test]
     fn masquerade_rewrites_source_for_egress() {
         let mut net = Network::new(0);
-        let mut r = router();
+        let r = router();
         // Route everything unknown out the external interface.
-        r.add_route(Route {
+        r.control().add_route(Route {
             net: Ip4Net::new(Ip4::UNSPECIFIED, 0),
             port: PortId(0),
             via: Some(Ip4::new(192, 168, 0, 100)),
@@ -1009,8 +994,8 @@ mod tests {
     #[test]
     fn missing_neighbor_drops() {
         let mut net = Network::new(0);
-        let mut r = router();
-        r.add_dnat(DnatRule {
+        let r = router();
+        r.control().add_dnat(DnatRule {
             proto: Proto::Udp,
             match_ip: None,
             match_port: 8081,
@@ -1180,8 +1165,8 @@ mod tests {
     #[test]
     fn indexed_port_allocator_matches_the_conntrack_scan() {
         let timeout = SimDuration::millis(10);
-        let mut r = router().with_conntrack_timeout(timeout);
-        r.add_route(Route {
+        let r = router().with_conntrack_timeout(timeout);
+        r.control().add_route(Route {
             net: Ip4Net::new(Ip4::UNSPECIFIED, 0),
             port: PortId(0),
             via: Some(Ip4::new(192, 168, 0, 100)),
@@ -1325,7 +1310,7 @@ mod tests {
     fn masquerade_port_exhaustion_drops_and_counts() {
         let mut net = Network::new(0);
         let mut r = router();
-        r.add_route(Route {
+        r.control().add_route(Route {
             net: Ip4Net::new(Ip4::UNSPECIFIED, 0),
             port: PortId(0),
             via: Some(Ip4::new(192, 168, 0, 100)),
@@ -1354,8 +1339,8 @@ mod tests {
     #[test]
     fn five_tuple_flows_get_distinct_masquerade_ports() {
         let mut net = Network::new(0);
-        let mut r = router();
-        r.add_route(Route {
+        let r = router();
+        r.control().add_route(Route {
             net: Ip4Net::new(Ip4::UNSPECIFIED, 0),
             port: PortId(0),
             via: Some(Ip4::new(192, 168, 0, 100)),

@@ -16,7 +16,7 @@ use simnet::{Ip4, Ip4Net, MacAddr, SimDuration, SockAddr};
 fn testbed(timeout: SimDuration) -> (Network, simnet::DeviceId) {
     let ext_net = Ip4Net::new(Ip4::new(192, 168, 0, 0), 24);
     let pod_net = Ip4Net::new(Ip4::new(172, 17, 0, 0), 24);
-    let router = NatRouter::new(
+    let r = NatRouter::new(
         vec![
             Interface::new(MacAddr::local(10), ext_net.host(1), ext_net)
                 .with_neigh(ext_net.host(100), MacAddr::local(100)),
@@ -27,8 +27,7 @@ fn testbed(timeout: SimDuration) -> (Network, simnet::DeviceId) {
         SharedStation::new(),
     )
     .with_conntrack_timeout(timeout);
-    let mut r = router;
-    r.add_dnat(DnatRule {
+    r.control().add_dnat(DnatRule {
         proto: Proto::Udp,
         match_ip: None,
         match_port: 8080,

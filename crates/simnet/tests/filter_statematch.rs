@@ -74,7 +74,7 @@ impl Device for TagSink {
 /// NAT testbed: ext client network on port 0, pod network on port 1, two
 /// published services (8080 → pod:80, 8081 → pod:81).
 fn testbed(ext_sink: Box<dyn Device>) -> (Network, DeviceId, FilterControl) {
-    let mut r = NatRouter::new(
+    let r = NatRouter::new(
         vec![
             Interface::new(MacAddr::local(10), ext_net().host(1), ext_net())
                 .with_neigh(ext_net().host(100), MacAddr::local(100)),
@@ -85,7 +85,7 @@ fn testbed(ext_sink: Box<dyn Device>) -> (Network, DeviceId, FilterControl) {
         SharedStation::new(),
     );
     for (published, backend) in [(8080, 80), (8081, 81)] {
-        r.add_dnat(DnatRule {
+        r.control().add_dnat(DnatRule {
             proto: Proto::Udp,
             match_ip: None,
             match_port: published,

@@ -129,7 +129,7 @@ proptest! {
         let client_ip = ext_net.host(100);
         let pod_ip = pod_net.host(2);
 
-        let mut router = NatRouter::new(
+        let router = NatRouter::new(
             vec![
                 Interface::new(MacAddr::local(10), ext_net.host(1), ext_net)
                     .with_neigh(client_ip, MacAddr::local(100)),
@@ -139,7 +139,7 @@ proptest! {
             StageCost::fixed(100, 0.0, CpuCategory::Soft),
             SharedStation::new(),
         );
-        router.add_dnat(DnatRule {
+        router.control().add_dnat(DnatRule {
             proto: Proto::Udp,
             match_ip: None,
             match_port: publish,

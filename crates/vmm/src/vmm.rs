@@ -337,8 +337,8 @@ impl Vmm {
 
     /// Provisions a virtio/vhost NIC for `vm` and plugs its host side into
     /// `bridge`. `coalesce` enables adaptive interrupt coalescing on the
-    /// vhost worker (the default for a VM's shared primary NIC; per-pod
-    /// BrFusion NICs and hostlo endpoints run uncoalesced).
+    /// vhost worker (the default for a VM's shared primary NIC and for
+    /// hostlo endpoints; per-pod BrFusion NICs run uncoalesced).
     /// `hot_plugged` records whether this happened after boot.
     pub fn add_nic(
         &mut self,
@@ -347,12 +347,28 @@ impl Vmm {
         coalesce: bool,
         hot_plugged: bool,
     ) -> NicInfo {
+        let uplink = self.alloc_bridge_port(bridge);
+        self.plug_nic(vm, uplink, coalesce, false, hot_plugged)
+    }
+
+    /// Builds one virtio/vhost pair for `vm`, links the vhost's host side
+    /// to `uplink`, and records the NIC. Hostlo endpoints are named
+    /// `hostlo-virtio*`/`hostlo-vhost*`, every other NIC `virtio*`/`vhost*`.
+    fn plug_nic(
+        &mut self,
+        vm: VmId,
+        uplink: (DeviceId, PortId),
+        coalesce: bool,
+        hostlo: bool,
+        hot_plugged: bool,
+    ) -> NicInfo {
         let (nic_id, mac) = self.next_mac();
         let guest_station = self.guest_station(vm);
         let vm_name = self.vms[vm.0 as usize].spec.name.clone();
+        let kind = if hostlo { "hostlo-" } else { "" };
 
         let virtio = self.net.add_device(
-            format!("{vm_name}/virtio{}", nic_id.0),
+            format!("{vm_name}/{kind}virtio{}", nic_id.0),
             CpuLocation::Vm(vm.0),
             Box::new(VirtioNic::new(self.costs.virtio_guest, guest_station)),
         );
@@ -366,7 +382,7 @@ impl Vmm {
             ..self.costs.vhost
         };
         let vhost = self.net.add_device(
-            format!("{vm_name}/vhost{}", nic_id.0),
+            format!("{vm_name}/{kind}vhost{}", nic_id.0),
             CpuLocation::Host,
             // Each vhost device gets its own worker thread (as vhost-net
             // does), hence a fresh station.
@@ -374,12 +390,11 @@ impl Vmm {
         );
         self.net
             .connect(virtio, PortId::P1, vhost, PortId::P0, LinkParams::default());
-        let (br_dev, br_port) = self.alloc_bridge_port(bridge);
         self.net.connect(
             vhost,
             PortId::P1,
-            br_dev,
-            br_port,
+            uplink.0,
+            uplink.1,
             LinkParams::with_latency(self.costs.link_latency),
         );
 
@@ -396,7 +411,7 @@ impl Vmm {
             virtio,
             vhost,
             guest_attach: info.guest_attach,
-            hostlo: false,
+            hostlo,
             hot_plugged,
             active: true,
         });
@@ -420,7 +435,7 @@ impl Vmm {
     }
 
     /// Creates a hostlo TAP multiplexed between `vms` and hot-plugs one
-    /// uncoalesced endpoint NIC into each (§4.2: "creates and adds one
+    /// endpoint NIC into each (§4.2: "creates and adds one
     /// RX/TX queue of it to each VM that needs it").
     pub fn create_hostlo(
         &mut self,
@@ -441,60 +456,13 @@ impl Vmm {
             Box::new(tap_dev),
         );
         self.net.attach_filter(tap, filter.clone());
-        let mut endpoints = Vec::with_capacity(vms.len());
-        for (q, &vm) in vms.iter().enumerate() {
-            let (nic_id, mac) = self.next_mac();
-            let guest_station = self.guest_station(vm);
-            let vm_name = self.vms[vm.0 as usize].spec.name.clone();
-            let virtio = self.net.add_device(
-                format!("{vm_name}/hostlo-virtio{}", nic_id.0),
-                CpuLocation::Vm(vm.0),
-                Box::new(VirtioNic::new(self.costs.virtio_guest, guest_station)),
-            );
-            let kick = simnet::costs::StageCost::fixed(
-                self.costs.vhost.fixed_ns,
-                0.0,
-                self.costs.vhost.cpu_cat,
-            );
-            let per_frame = simnet::costs::StageCost {
-                fixed_ns: self.costs.vhost.fixed_ns / 8,
-                ..self.costs.vhost
-            };
-            let vhost = self.net.add_device(
-                format!("{vm_name}/hostlo-vhost{}", nic_id.0),
-                CpuLocation::Host,
-                // Standard virtio notification suppression, like any NIC;
-                // the hostlo TAP itself is the path's added cost.
-                Box::new(Vhost::new(per_frame, kick, true, SharedStation::new())),
-            );
-            self.net
-                .connect(virtio, PortId::P1, vhost, PortId::P0, LinkParams::default());
-            self.net.connect(
-                vhost,
-                PortId::P1,
-                tap,
-                PortId(q),
-                LinkParams::with_latency(self.costs.link_latency),
-            );
-            let info = NicInfo {
-                nic: nic_id,
-                vm,
-                mac,
-                guest_attach: (virtio, PortId::P0),
-                vhost,
-            };
-            self.vms[vm.0 as usize].nics.push(VmNic {
-                id: nic_id,
-                mac,
-                virtio,
-                vhost,
-                guest_attach: info.guest_attach,
-                hostlo: true,
-                hot_plugged: true,
-                active: true,
-            });
-            endpoints.push(info);
-        }
+        // Standard virtio notification suppression on every endpoint, like
+        // any NIC; the hostlo TAP itself is the path's added cost.
+        let endpoints: Vec<NicInfo> = vms
+            .iter()
+            .enumerate()
+            .map(|(q, &vm)| self.plug_nic(vm, (tap, PortId(q)), true, true, true))
+            .collect();
         self.hostlos.push(HostloInfo {
             tap,
             endpoints: endpoints.clone(),

@@ -1,35 +1,54 @@
-//! CI perf-regression gate for the `engine_throughput` bench outputs.
+//! CI perf gate: the one place a perf claim of this repository is
+//! decided.
 //!
-//! Compares the freshly produced `results/*.json` against baselines
-//! committed under `ci/baselines/`, gating only on **machine-independent
-//! ratios** (never absolute event rates, which vary with runner hardware):
+//! The gate binaries only measure. `engine_throughput` (its
+//! `observability` and `multicore` scenarios), `engine_hybrid`,
+//! `cloudsim_hyperscale` and `policy_churn` always write their artifacts
+//! under `results/` and exit 0; only bad arguments fail them. Every
+//! threshold is a constant of this file, and none is read from an
+//! artifact. `check` judges every artifact, prints one line per verdict,
+//! and fails once at the end with the count, so a missed timing floor
+//! never hides the other verdicts. Ratios are paired within one machine,
+//! and counts and digests are simulated, so no check compares timings
+//! taken on two different hosts.
 //!
-//! * `observability_overhead.json` — each mode's `relative_to_off_median`
-//!   (throughput relative to tracing-off on the *same* machine) may not
-//!   regress by more than 15% against the baseline. The telemetry rows
-//!   are additionally gated absolutely: `telemetry_off` (config-identical
-//!   to `off`, separately measured) must stay ≥ 0.95x of `off`, and
-//!   `telemetry_full` must have journaled records (a live branch).
-//! * `engine_multicore.json` — every sweep row must be `bit_identical`;
-//!   the 4-shard row's `speedup_vs_sequential_peak` (the noise-robust
-//!   paired statistic: peak rate over the sequential peak from the same
-//!   interleaved run) must stay ≥ 0.85 (the coordinator-overhead floor:
-//!   sharded runs execute on one thread, so this is the cost of rounds
-//!   and merge on any host); and when the baseline was recorded on a
-//!   runner with the same core count, per-row peak speedups may not
-//!   regress by more than 15%.
-//! * `cloudsim_hyperscale.json` — the indexed and naive placement engines
-//!   must produce bit-equal decision digests; the paired placements/s
-//!   ratio must stay ≥ 10x and may not regress by more than 15% against
-//!   the baseline; artifacts carrying a `full` certification section must
-//!   show a completed ≥1M-user / ≥10M-pod replay whose peak heap stayed
-//!   within the recorded growth ceiling of the 100k-user probe.
-//! * `policy_churn.json` — the compiled filter matcher must agree with
-//!   the naive first-match walk (`digest_match`), its machine-independent
-//!   verdict digests must equal the committed baseline's verbatim
-//!   (matcher semantics are frozen), the per-packet overhead between the
-//!   1k- and 100k-rule tables must stay within 15%, and every sharded
-//!   row must be bit-identical.
+//! The checks, by artifact:
+//!
+//! * `observability_overhead.json`
+//!   - each mode's `relative_to_off_median` ≥ baseline × (1 − 0.15);
+//!   - `telemetry_off` (config-identical to `off`, separately measured)
+//!     ≥ 0.95 of `off`;
+//!   - `telemetry_full` journals > 0 records per rep (a live branch).
+//! * `engine_multicore.json`
+//!   - every sweep row `bit_identical`;
+//!   - the conservative 4-shard row's `speedup_vs_sequential_peak`
+//!     ≥ 0.85 (the coordinator-overhead floor: sharded runs execute on
+//!     one thread, so this is the cost of rounds and merge on any host);
+//!   - each row's peak speedup ≥ baseline × (1 − 0.15) when the baseline
+//!     was recorded with the same `host_cores`.
+//! * `engine_hybrid.json`
+//!   - every sharded row `bit_identical`;
+//!   - `speedup_median` ≥ 10 and ≥ baseline × (1 − 0.15);
+//!   - `frames_ratio` and `cpu_ratio` within 1 ± 0.15 (figure
+//!     comparability);
+//!   - `hybrid.fastpath_frames` > 0;
+//!   - `packet.{frames,events,cpu_ns}` and
+//!     `hybrid.{frames,events,cpu_ns,fastpath_frames,escalations}` equal
+//!     the baseline's exactly.
+//! * `cloudsim_hyperscale.json`
+//!   - `paired.digest_equal`;
+//!   - `paired.ratio_median` ≥ 10 and ≥ baseline × (1 − 0.15);
+//!   - with a `full` section: the run completed with ≥ 1M users and
+//!     ≥ 10M pods, and `mem.growth_ratio` ≤ 1.5.
+//! * `cloudsim_hyperscale.telemetry.json` — a `hyper.placements` counter
+//!   > 0 and at least one series with points.
+//! * `policy_churn.json`
+//!   - `matcher.digest_match` (compiled matcher = naive first-match walk);
+//!   - `matcher.digest_small` and `digest_large` equal the baseline's
+//!     verbatim (matcher semantics are frozen);
+//!   - `overhead_ratio` ≤ 1 + 0.15;
+//!   - `churn.purged` > 0;
+//!   - every sharded row `bit_identical`.
 //!
 //! Usage:
 //!
@@ -38,27 +57,49 @@
 //! perfgate selftest
 //! ```
 //!
-//! `selftest` feeds the comparator an injected 30% regression (and a
-//! non-bit-identical sweep row) and exits non-zero unless both are
-//! caught — CI runs it first so a silently broken gate cannot pass.
+//! `selftest` feeds every check a fixture it must reject, with the exact
+//! number of failures expected, plus clean fixtures it must pass; it
+//! exits non-zero otherwise. CI runs it first so a silently broken gate
+//! cannot pass.
 
 use serde_json::Value;
 use std::path::Path;
 use std::process::ExitCode;
 
-/// Allowed relative regression on any gated ratio.
+/// Allowed relative regression on any gated ratio, and the hybrid
+/// fidelity and policy per-packet budgets.
 const TOLERANCE: f64 = 0.15;
 /// Coordinator-overhead floor: 4 conservative shards on any machine.
 const OVERHEAD_FLOOR: f64 = 0.85;
-/// Hybrid fast-path floor: the relay-chain scenario targets ≥10x but the
-/// gate floors at 5x so a noisy runner cannot flake the build while a
-/// broken fast path (≈1x) still fails loudly.
-const HYBRID_FLOOR: f64 = 5.0;
+/// Hybrid fast-path floor: effective frames/s of hybrid over packet
+/// fidelity on the relay-chain scenario.
+const HYBRID_FLOOR: f64 = 10.0;
+/// The simulated counts behind the hybrid ratio, gated exactly against
+/// the baseline: they reproduce bit for bit on any host.
+const HYBRID_COUNTS: [(&str, &str); 8] = [
+    ("packet", "frames"),
+    ("packet", "events"),
+    ("packet", "cpu_ns"),
+    ("hybrid", "frames"),
+    ("hybrid", "events"),
+    ("hybrid", "cpu_ns"),
+    ("hybrid", "fastpath_frames"),
+    ("hybrid", "escalations"),
+];
 /// Cloudsim bucket-index floor: the paired placements/s ratio at the
 /// 100k-user scenario scale. The pairing makes the ratio
 /// machine-independent (both legs replay the identical event prefix on
 /// the same runner), so the acceptance target is gated directly.
 const CLOUDSIM_FLOOR: f64 = 10.0;
+/// The `--full` certification replays at least this many users...
+const FULL_USERS_FLOOR: f64 = 1_000_000.0;
+/// ...and places at least this many pods.
+const FULL_PODS_FLOOR: f64 = 10_000_000.0;
+/// Peak heap of the 1M-user replay over the 100k-user probe's. The live
+/// working set is the same (same arrival rate and stay), so growth only
+/// comes from saturating vocabularies (shapes, curve buffer); an engine
+/// that materializes the trace or keeps per-user state blows through it.
+const MEM_GROWTH_CEIL: f64 = 1.5;
 /// Disabled telemetry must cost nothing: the `telemetry_off` sweep row is
 /// config-identical to `off` but separately measured, so its
 /// `relative_to_off_median` *is* the zero-cost claim — two independent
@@ -129,6 +170,19 @@ fn str_at<'v>(v: &'v Value, key: &str) -> Option<&'v str> {
 
 fn seq_at<'v>(v: &'v Value, key: &str) -> &'v [Value] {
     v.get(key).and_then(Value::as_seq).unwrap_or(&[])
+}
+
+/// Every row of `cur`'s `sharded` sweep must be bit-identical to the
+/// 1-shard outcome.
+fn check_sharded(gate: &mut Gate, what: &str, cur: &Value) {
+    for row in seq_at(cur, "sharded") {
+        let shards = f64_at(row, "shards_wanted").unwrap_or(0.0) as u64;
+        if bool_at(row, "bit_identical") != Some(true) {
+            gate.fail(format!(
+                "{what} at {shards} shards: not bit-identical to the 1-shard outcome"
+            ));
+        }
+    }
 }
 
 /// Gate the flight-recorder overhead ratios against the baseline.
@@ -260,18 +314,12 @@ fn check_multicore(gate: &mut Gate, cur: &Value, base: Option<&Value>) {
 }
 
 /// Gate the hybrid fast path: determinism at every shard count, the
-/// absolute speedup floor, the figure-comparability tolerances, and (vs
-/// the baseline) no speedup regression. The speedup is a paired
-/// within-machine ratio, so it is compared across runners unconditionally.
+/// absolute speedup floor, the figure-comparability tolerances, a live
+/// fast path, and (vs the baseline) no speedup regression and the exact
+/// simulated counts. The speedup is a paired within-machine ratio, so it
+/// is compared across runners unconditionally.
 fn check_hybrid(gate: &mut Gate, cur: &Value, base: Option<&Value>) {
-    for row in seq_at(cur, "sharded") {
-        let shards = f64_at(row, "shards_wanted").unwrap_or(0.0) as u64;
-        if bool_at(row, "bit_identical") != Some(true) {
-            gate.fail(format!(
-                "hybrid at {shards} shards: not bit-identical to the 1-shard outcome"
-            ));
-        }
-    }
+    check_sharded(gate, "hybrid", cur);
     match f64_at(cur, "speedup_median") {
         None => gate.fail("hybrid results have no speedup_median".to_string()),
         Some(speedup) => {
@@ -300,14 +348,38 @@ fn check_hybrid(gate: &mut Gate, cur: &Value, base: Option<&Value>) {
             ),
         }
     }
+    match cur.get("hybrid").and_then(|h| f64_at(h, "fastpath_frames")) {
+        Some(n) if n > 0.0 => println!("perfgate: ok: hybrid fast path carried {n:.0} frames"),
+        _ => gate.fail("hybrid run never took the fast path (no fastpath_frames)".to_string()),
+    }
+    let Some(base) = base else { return };
+    let count = |v: &Value, section: &str, key: &str| v.get(section).and_then(|s| f64_at(s, key));
+    let before = gate.failures.len();
+    for (section, key) in HYBRID_COUNTS {
+        match (count(cur, section, key), count(base, section, key)) {
+            (Some(c), Some(b)) if c == b => {}
+            (Some(c), Some(b)) => gate.fail(format!(
+                "hybrid counts: {section}.{key} {c:.0} differs from baseline {b:.0} \
+                 (a simulated count: identical on every host)"
+            )),
+            _ => gate.fail(format!(
+                "hybrid counts: {section}.{key} missing for baseline comparison"
+            )),
+        }
+    }
+    if gate.failures.len() == before {
+        println!(
+            "perfgate: ok: hybrid counts equal the baseline ({} fields)",
+            HYBRID_COUNTS.len()
+        );
+    }
 }
 
 /// Gate the hyperscale cloudsim replay: identical decisions between the
 /// indexed and naive engines, the absolute paired speedup floor, no
 /// speedup regression against the baseline, and — when the artifact
-/// carries a `full` certification section (the committed baseline does;
-/// CI-scale reruns omit it) — the million-user completion and memory
-/// bound.
+/// carries a `full` certification section (CI runs `--full`; shorter
+/// local runs omit it) — the million-user completion and memory bound.
 fn check_cloudsim(gate: &mut Gate, cur: &Value, base: Option<&Value>) {
     let Some(paired) = cur.get("paired") else {
         gate.fail("cloudsim results have no paired section".to_string());
@@ -354,16 +426,18 @@ fn check_cloudsim(gate: &mut Gate, cur: &Value, base: Option<&Value>) {
                         gate.fail("cloudsim full run did not complete".to_string());
                     }
                     let users = f64_at(run, "users").unwrap_or(0.0);
-                    if users < 1_000_000.0 {
+                    if users < FULL_USERS_FLOOR {
                         gate.fail(format!(
-                            "cloudsim full run replayed {users:.0} users (< 1M)"
+                            "cloudsim full run replayed {users:.0} users (< {FULL_USERS_FLOOR:.0})"
                         ));
                     }
                     let pods = f64_at(run, "pods_placed").unwrap_or(0.0);
-                    if pods < 10_000_000.0 {
-                        gate.fail(format!("cloudsim full run placed {pods:.0} pods (< 10M)"));
+                    if pods < FULL_PODS_FLOOR {
+                        gate.fail(format!(
+                            "cloudsim full run placed {pods:.0} pods (< {FULL_PODS_FLOOR:.0})"
+                        ));
                     }
-                    if users >= 1_000_000.0 && pods >= 10_000_000.0 {
+                    if users >= FULL_USERS_FLOOR && pods >= FULL_PODS_FLOOR {
                         println!(
                             "perfgate: ok: cloudsim full run: {users:.0} users, {pods:.0} pods"
                         );
@@ -372,26 +446,39 @@ fn check_cloudsim(gate: &mut Gate, cur: &Value, base: Option<&Value>) {
             }
             match full.get("mem").and_then(|m| f64_at(m, "growth_ratio")) {
                 None => gate.fail("cloudsim full section has no mem.growth_ratio".to_string()),
-                Some(growth) => {
-                    let ceil = full
-                        .get("mem")
-                        .and_then(|m| f64_at(m, "growth_ceiling"))
-                        .unwrap_or(1.5);
-                    if growth > ceil {
-                        gate.fail(format!(
-                            "cloudsim peak heap grew {growth:.3}x from 100k to 1M users \
-                             (ceiling {ceil}): live state is no longer constant in the \
-                             user count"
-                        ));
-                    } else {
-                        println!(
-                            "perfgate: ok: cloudsim peak-heap growth {growth:.3}x \
-                             (ceiling {ceil})"
-                        );
-                    }
-                }
+                Some(growth) if growth > MEM_GROWTH_CEIL => gate.fail(format!(
+                    "cloudsim peak heap grew {growth:.3}x from 100k to 1M users \
+                     (ceiling {MEM_GROWTH_CEIL}): live state is no longer constant in the \
+                     user count"
+                )),
+                Some(growth) => println!(
+                    "perfgate: ok: cloudsim peak-heap growth {growth:.3}x \
+                     (ceiling {MEM_GROWTH_CEIL})"
+                ),
             }
         }
+    }
+}
+
+/// Gate the instrumented cloudsim replay's telemetry snapshot: it must
+/// surface the placement counter and export decision-curve points.
+fn check_cloudsim_telemetry(gate: &mut Gate, snap: &Value) {
+    match snap
+        .get("counters")
+        .and_then(|c| f64_at(c, "hyper.placements"))
+    {
+        Some(n) if n > 0.0 => {
+            println!("perfgate: ok: cloudsim telemetry counts {n:.0} hyper.placements")
+        }
+        _ => gate.fail("cloudsim telemetry snapshot has no hyper.placements".to_string()),
+    }
+    if seq_at(snap, "series")
+        .iter()
+        .any(|s| !seq_at(s, "points").is_empty())
+    {
+        println!("perfgate: ok: cloudsim telemetry exports decision-curve points");
+    } else {
+        gate.fail("cloudsim telemetry snapshot exports no decision-curve points".to_string());
     }
 }
 
@@ -399,7 +486,8 @@ fn check_cloudsim(gate: &mut Gate, cur: &Value, base: Option<&Value>) {
 /// naive walk, digest stability against the committed baseline (the
 /// digests are seed-deterministic and machine-independent, so any drift
 /// is a matcher semantics change, not noise), the per-packet overhead
-/// budget between table scales, and sharded determinism.
+/// budget between table scales, expired rules that purge, and sharded
+/// determinism.
 fn check_policy_churn(gate: &mut Gate, cur: &Value, base: Option<&Value>) {
     let Some(matcher) = cur.get("matcher") else {
         gate.fail("policy_churn results have no matcher section".to_string());
@@ -439,14 +527,11 @@ fn check_policy_churn(gate: &mut Gate, cur: &Value, base: Option<&Value>) {
             1.0 + TOLERANCE
         ),
     }
-    for row in seq_at(cur, "sharded") {
-        let shards = f64_at(row, "shards_wanted").unwrap_or(0.0) as u64;
-        if bool_at(row, "bit_identical") != Some(true) {
-            gate.fail(format!(
-                "policy_churn at {shards} shards: not bit-identical to the 1-shard outcome"
-            ));
-        }
+    match cur.get("churn").and_then(|c| f64_at(c, "purged")) {
+        Some(n) if n > 0.0 => println!("perfgate: ok: policy_churn purged {n:.0} expired rules"),
+        _ => gate.fail("policy_churn: no expired rule was purgeable (churn.purged)".to_string()),
     }
+    check_sharded(gate, "policy_churn", cur);
 }
 
 fn run_check(results: &Path, baselines: &Path) -> ExitCode {
@@ -482,6 +567,10 @@ fn run_check(results: &Path, baselines: &Path) -> ExitCode {
         }
         Err(e) => gate.fail(e),
     }
+    match load(&results.join("cloudsim_hyperscale.telemetry.json")) {
+        Ok(snap) => check_cloudsim_telemetry(&mut gate, &snap),
+        Err(e) => gate.fail(e),
+    }
     match load(&results.join("policy_churn.json")) {
         Ok(cur) => {
             let base = load_baseline(&mut gate, &baselines.join("policy_churn.json"));
@@ -502,8 +591,16 @@ fn fixture(json: &str) -> Value {
     serde_json::from_str(json).expect("selftest fixture must parse")
 }
 
-/// Feed the comparator a hand-built 30% regression and a determinism
-/// violation; the gate itself is broken unless it catches all of them.
+/// Runs `checks` on a fresh gate and returns how many failures it raised.
+fn failures(checks: impl FnOnce(&mut Gate)) -> usize {
+    let mut gate = Gate::default();
+    checks(&mut gate);
+    gate.failures.len()
+}
+
+/// Feeds every check fixtures it must reject, each with the exact number
+/// of failures expected, and clean fixtures it must pass; the gate itself
+/// is broken unless every count matches.
 fn selftest() -> ExitCode {
     let base = fixture(
         r#"{"modes": [
@@ -519,12 +616,7 @@ fn selftest() -> ExitCode {
             {"mode": "full", "relative_to_off_median": 0.56}
         ]}"#,
     );
-    let mut gate = Gate::default();
-    check_observability(&mut gate, &regressed, &base);
-    let caught_ratio = gate.failures.len() == 1;
-
-    // Telemetry gate: a non-free disabled plane and a dead-branch full
-    // journal must both be caught.
+    // A non-free disabled plane and a dead-branch full journal.
     let bad_telemetry = fixture(
         r#"{"modes": [
             {"mode": "off", "relative_to_off_median": 1.0},
@@ -533,11 +625,6 @@ fn selftest() -> ExitCode {
              "journal_records_per_rep": 0}
         ]}"#,
     );
-    let mut gate = Gate::default();
-    check_telemetry(&mut gate, &bad_telemetry);
-    // Exactly two failures: the off floor and the dead journal branch.
-    let caught_telemetry = gate.failures.len() == 2;
-
     let ok_telemetry = fixture(
         r#"{"modes": [
             {"mode": "off", "relative_to_off_median": 1.0},
@@ -546,160 +633,196 @@ fn selftest() -> ExitCode {
              "journal_records_per_rep": 1200}
         ]}"#,
     );
-
     let bad_sweep = fixture(
         r#"{"host_cores": 1, "sweep": [
             {"mode": "conservative", "shards_wanted": 4, "shards_got": 4,
              "speedup_vs_sequential_peak": 0.55, "bit_identical": false}
         ]}"#,
     );
-    let mut gate = Gate::default();
-    check_multicore(&mut gate, &bad_sweep, None);
-    // Expect exactly two failures: bit_identical and the overhead floor.
-    let caught_sweep = gate.failures.len() == 2;
-
-    // Hybrid gate: a broken fast path (no speedup), a determinism
-    // violation, and a fidelity drift must all be caught.
-    let bad_hybrid = fixture(
-        r#"{"speedup_median": 1.1, "frames_ratio": 1.3, "cpu_ratio": 1.0,
-            "sharded": [
-                {"shards_wanted": 1, "bit_identical": true},
-                {"shards_wanted": 8, "bit_identical": false}
-            ]}"#,
-    );
-    let mut gate = Gate::default();
-    check_hybrid(&mut gate, &bad_hybrid, None);
-    // Expect exactly three failures: bit_identical, the speedup floor,
-    // and frames_ratio.
-    let caught_hybrid = gate.failures.len() == 3;
-
-    let ok_hybrid = fixture(
-        r#"{"speedup_median": 11.0, "frames_ratio": 0.99, "cpu_ratio": 1.01,
-            "sharded": [
-                {"shards_wanted": 1, "bit_identical": true},
-                {"shards_wanted": 2, "bit_identical": true},
-                {"shards_wanted": 8, "bit_identical": true}
-            ]}"#,
-    );
-    let regressed_hybrid = fixture(r#"{"speedup_median": 8.0}"#);
-    let mut gate = Gate::default();
-    check_hybrid(&mut gate, &regressed_hybrid, Some(&ok_hybrid));
-    // 8.0 vs baseline 11.0 is a >15% regression (plus two missing-ratio
-    // failures for the stripped-down fixture).
-    let caught_hybrid_regression = gate.failures.iter().any(|f| f.contains("speedup_median"));
-
-    // Cloudsim gate: a placement divergence, a dead speedup, an
-    // incomplete / undersized certification run, and a memory blow-up
-    // must all be caught.
-    let bad_cloudsim = fixture(
-        r#"{"paired": {"digest_equal": false, "ratio_median": 3.0},
-            "full": {
-                "run": {"completed": false, "users": 500000, "pods_placed": 4000000},
-                "mem": {"growth_ratio": 2.4, "growth_ceiling": 1.5}
-            }}"#,
-    );
-    let mut gate = Gate::default();
-    check_cloudsim(&mut gate, &bad_cloudsim, None);
-    // Exactly six failures: digest, speedup floor, completed, users,
-    // pods, memory growth.
-    let caught_cloudsim = gate.failures.len() == 6;
-
-    let ok_cloudsim = fixture(
-        r#"{"paired": {"digest_equal": true, "ratio_median": 30.0},
-            "full": {
-                "run": {"completed": true, "users": 1000000, "pods_placed": 15000000},
-                "mem": {"growth_ratio": 1.1, "growth_ceiling": 1.5}
-            }}"#,
-    );
-    // A CI-scale rerun omits the full section; that must not fail.
-    let ok_cloudsim_ci =
-        fixture(r#"{"paired": {"digest_equal": true, "ratio_median": 28.0}, "full": null}"#);
-    let regressed_cloudsim = fixture(r#"{"paired": {"digest_equal": true, "ratio_median": 20.0}}"#);
-    let mut gate = Gate::default();
-    check_cloudsim(&mut gate, &regressed_cloudsim, Some(&ok_cloudsim));
-    // 20.0 clears the absolute floor but is a >15% regression vs 30.0.
-    let caught_cloudsim_regression = gate.failures.iter().any(|f| f.contains("ratio_median"));
-
-    // Policy-churn gate: a matcher/naive disagreement, a blown per-packet
-    // overhead budget, and a determinism violation must all be caught.
-    let bad_policy = fixture(
-        r#"{"overhead_ratio": 1.6,
-            "matcher": {"digest_match": false,
-                        "digest_small": "0xaaaa", "digest_large": "0xbbbb"},
-            "sharded": [
-                {"shards_wanted": 1, "bit_identical": true},
-                {"shards_wanted": 8, "bit_identical": false}
-            ]}"#,
-    );
-    let mut gate = Gate::default();
-    check_policy_churn(&mut gate, &bad_policy, None);
-    // Exactly three failures: digest_match, the overhead budget, and the
-    // 8-shard row.
-    let caught_policy = gate.failures.len() == 3;
-
-    let ok_policy = fixture(
-        r#"{"overhead_ratio": 1.03,
-            "matcher": {"digest_match": true,
-                        "digest_small": "0xaaaa", "digest_large": "0xbbbb"},
-            "sharded": [
-                {"shards_wanted": 1, "bit_identical": true},
-                {"shards_wanted": 2, "bit_identical": true},
-                {"shards_wanted": 8, "bit_identical": true}
-            ]}"#,
-    );
-    // Same shape, different verdict digest: semantics drifted from the
-    // committed baseline even though everything else passes.
-    let drifted_policy = fixture(
-        r#"{"overhead_ratio": 1.03,
-            "matcher": {"digest_match": true,
-                        "digest_small": "0xcccc", "digest_large": "0xbbbb"},
-            "sharded": [{"shards_wanted": 1, "bit_identical": true}]}"#,
-    );
-    let mut gate = Gate::default();
-    check_policy_churn(&mut gate, &drifted_policy, Some(&ok_policy));
-    let caught_policy_drift = gate.failures.iter().any(|f| f.contains("digest_small"));
-
     let ok_sweep = fixture(
         r#"{"host_cores": 1, "sweep": [
             {"mode": "conservative", "shards_wanted": 4, "shards_got": 4,
              "speedup_vs_sequential_peak": 0.9, "bit_identical": true}
         ]}"#,
     );
-    let mut gate = Gate::default();
-    check_observability(&mut gate, &base, &base);
-    check_telemetry(&mut gate, &ok_telemetry);
-    check_multicore(&mut gate, &ok_sweep, None);
-    check_hybrid(&mut gate, &ok_hybrid, Some(&ok_hybrid));
-    check_cloudsim(&mut gate, &ok_cloudsim, Some(&ok_cloudsim));
-    check_cloudsim(&mut gate, &ok_cloudsim_ci, Some(&ok_cloudsim));
-    check_policy_churn(&mut gate, &ok_policy, Some(&ok_policy));
-    let clean_passes = gate.failures.is_empty();
+    // Hybrid fixtures are the clean artifact with one field changed.
+    let hybrid = |speedup: &str, fastpath: &str, events: &str| {
+        fixture(&format!(
+            r#"{{"speedup_median": {speedup}, "frames_ratio": 0.99, "cpu_ratio": 1.01,
+                "packet": {{"frames": 3816, "events": 186877, "cpu_ns": 79998012}},
+                "hybrid": {{"frames": 3820, "events": {events}, "cpu_ns": 80006640,
+                           "fastpath_frames": {fastpath}, "escalations": 0}},
+                "sharded": [
+                    {{"shards_wanted": 1, "bit_identical": true}},
+                    {{"shards_wanted": 2, "bit_identical": true}},
+                    {{"shards_wanted": 8, "bit_identical": true}}
+                ]}}"#
+        ))
+    };
+    let ok_hybrid = hybrid("11.0", "3660", "11660");
+    // A broken fast path (no speedup), a determinism violation, and a
+    // fidelity drift.
+    let bad_hybrid = fixture(
+        r#"{"speedup_median": 1.1, "frames_ratio": 1.3, "cpu_ratio": 1.0,
+            "hybrid": {"fastpath_frames": 3660},
+            "sharded": [
+                {"shards_wanted": 1, "bit_identical": true},
+                {"shards_wanted": 8, "bit_identical": false}
+            ]}"#,
+    );
+    let fast_hybrid_base = hybrid("13.0", "3660", "11660");
+    let bad_cloudsim = fixture(
+        r#"{"paired": {"digest_equal": false, "ratio_median": 3.0},
+            "full": {
+                "run": {"completed": false, "users": 500000, "pods_placed": 4000000},
+                "mem": {"growth_ratio": 2.4}
+            }}"#,
+    );
+    let ok_cloudsim = fixture(
+        r#"{"paired": {"digest_equal": true, "ratio_median": 30.0},
+            "full": {
+                "run": {"completed": true, "users": 1000000, "pods_placed": 15000000},
+                "mem": {"growth_ratio": 1.1}
+            }}"#,
+    );
+    // The artifact's own claim of a looser ceiling must not count.
+    let self_excused_cloudsim = fixture(
+        r#"{"paired": {"digest_equal": true, "ratio_median": 30.0},
+            "full": {
+                "run": {"completed": true, "users": 1000000, "pods_placed": 15000000},
+                "mem": {"growth_ratio": 1.51, "growth_ceiling": 2.0}
+            }}"#,
+    );
+    // A run without `--full` omits the certification; that is no failure.
+    let ok_cloudsim_short =
+        fixture(r#"{"paired": {"digest_equal": true, "ratio_median": 28.0}, "full": null}"#);
+    let regressed_cloudsim = fixture(r#"{"paired": {"digest_equal": true, "ratio_median": 20.0}}"#);
+    let bad_cloudsim_telemetry = fixture(
+        r#"{"counters": {"hyper.ticks": 10}, "series": [{"name": "hyper.live_vms", "points": []}]}"#,
+    );
+    let ok_cloudsim_telemetry = fixture(
+        r#"{"counters": {"hyper.placements": 1200},
+            "series": [{"name": "hyper.live_vms", "points": [[0, 1.0]]}]}"#,
+    );
+    let policy = |overhead: &str, digest_small: &str, purged: &str| {
+        fixture(&format!(
+            r#"{{"overhead_ratio": {overhead},
+                "matcher": {{"digest_match": true,
+                            "digest_small": "{digest_small}", "digest_large": "0xbbbb"}},
+                "churn": {{"purged": {purged}}},
+                "sharded": [
+                    {{"shards_wanted": 1, "bit_identical": true}},
+                    {{"shards_wanted": 2, "bit_identical": true}},
+                    {{"shards_wanted": 8, "bit_identical": true}}
+                ]}}"#
+        ))
+    };
+    let ok_policy = policy("1.03", "0xaaaa", "3312");
+    // A matcher/naive disagreement, a blown per-packet overhead budget,
+    // and a determinism violation.
+    let bad_policy = fixture(
+        r#"{"overhead_ratio": 1.6,
+            "matcher": {"digest_match": false,
+                        "digest_small": "0xaaaa", "digest_large": "0xbbbb"},
+            "churn": {"purged": 3312},
+            "sharded": [
+                {"shards_wanted": 1, "bit_identical": true},
+                {"shards_wanted": 8, "bit_identical": false}
+            ]}"#,
+    );
 
-    if caught_ratio
-        && caught_telemetry
-        && caught_sweep
-        && caught_hybrid
-        && caught_hybrid_regression
-        && caught_cloudsim
-        && caught_cloudsim_regression
-        && caught_policy
-        && caught_policy_drift
-        && clean_passes
-    {
-        println!("perfgate: selftest passed (regressions caught, clean run passes)");
+    let cases: Vec<(&str, usize, usize)> = vec![
+        (
+            "observability 30% drop",
+            1,
+            failures(|g| check_observability(g, &regressed, &base)),
+        ),
+        (
+            "telemetry floor, dead journal",
+            2,
+            failures(|g| check_telemetry(g, &bad_telemetry)),
+        ),
+        (
+            "multicore identity, overhead",
+            2,
+            failures(|g| check_multicore(g, &bad_sweep, None)),
+        ),
+        (
+            "hybrid identity, floor, frames",
+            3,
+            failures(|g| check_hybrid(g, &bad_hybrid, None)),
+        ),
+        ("hybrid 9.99x vs the 10x floor", 1, {
+            let cur = hybrid("9.99", "3660", "11660");
+            failures(|g| check_hybrid(g, &cur, Some(&ok_hybrid)))
+        }),
+        ("hybrid 15% below baseline", 1, {
+            // Clears the 10x floor but sits more than 15% under 13x.
+            failures(|g| check_hybrid(g, &ok_hybrid, Some(&fast_hybrid_base)))
+        }),
+        ("hybrid fastpath_frames 0", 1, {
+            let cur = hybrid("11.0", "0", "11660");
+            failures(|g| check_hybrid(g, &cur, None))
+        }),
+        ("hybrid count off by one", 1, {
+            let cur = hybrid("11.0", "3660", "11661");
+            failures(|g| check_hybrid(g, &cur, Some(&ok_hybrid)))
+        }),
+        (
+            "cloudsim digest, floor, full run",
+            6,
+            failures(|g| check_cloudsim(g, &bad_cloudsim, None)),
+        ),
+        ("cloudsim growth 1.51, claims 2.0", 1, {
+            failures(|g| check_cloudsim(g, &self_excused_cloudsim, None))
+        }),
+        ("cloudsim 15% below baseline", 1, {
+            failures(|g| check_cloudsim(g, &regressed_cloudsim, Some(&ok_cloudsim)))
+        }),
+        ("cloudsim telemetry empty", 2, {
+            failures(|g| check_cloudsim_telemetry(g, &bad_cloudsim_telemetry))
+        }),
+        ("policy match, overhead, identity", 3, {
+            failures(|g| check_policy_churn(g, &bad_policy, None))
+        }),
+        ("policy digest drift", 1, {
+            let cur = policy("1.03", "0xcccc", "3312");
+            failures(|g| check_policy_churn(g, &cur, Some(&ok_policy)))
+        }),
+        ("policy churn.purged 0", 1, {
+            let cur = policy("1.03", "0xaaaa", "0");
+            failures(|g| check_policy_churn(g, &cur, None))
+        }),
+        ("clean artifacts", 0, {
+            failures(|g| {
+                check_observability(g, &base, &base);
+                check_telemetry(g, &ok_telemetry);
+                check_multicore(g, &ok_sweep, None);
+                check_hybrid(g, &ok_hybrid, Some(&ok_hybrid));
+                check_cloudsim(g, &ok_cloudsim, Some(&ok_cloudsim));
+                check_cloudsim(g, &ok_cloudsim_short, Some(&ok_cloudsim));
+                check_cloudsim_telemetry(g, &ok_cloudsim_telemetry);
+                check_policy_churn(g, &ok_policy, Some(&ok_policy));
+            })
+        }),
+    ];
+
+    let wrong: Vec<String> = cases
+        .iter()
+        .filter(|(_, want, got)| want != got)
+        .map(|(what, want, got)| format!("{what}: {got} failures, expected {want}"))
+        .collect();
+    if wrong.is_empty() {
+        println!(
+            "perfgate: selftest passed ({} fixtures, each failure count exact)",
+            cases.len()
+        );
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "perfgate: selftest FAILED (ratio caught: {caught_ratio}, \
-             telemetry caught: {caught_telemetry}, \
-             sweep caught: {caught_sweep}, hybrid caught: {caught_hybrid}, \
-             hybrid regression caught: {caught_hybrid_regression}, \
-             cloudsim caught: {caught_cloudsim}, \
-             cloudsim regression caught: {caught_cloudsim_regression}, \
-             policy caught: {caught_policy}, \
-             policy drift caught: {caught_policy_drift}, \
-             clean passes: {clean_passes})"
-        );
+        for w in &wrong {
+            eprintln!("perfgate: selftest: {w}");
+        }
+        eprintln!("perfgate: selftest FAILED");
         ExitCode::FAILURE
     }
 }
