@@ -26,7 +26,7 @@
 use metrics::{RunSnapshot, TraceConfig};
 use nestless::topology::{build, Config, CLIENT_PORT, SERVER_PORT};
 use nestless::{Cluster, ClusterBuilder, CniKind, CLIENT_NET};
-use nestless_bench::harness::{die, median, round_trip};
+use nestless_bench::harness::{die, median, round_trip, write_artifact};
 use orchestrator::PodSpec;
 use simnet::device::{DeviceId, PortId};
 use simnet::endpoint::{AppApi, Application, Endpoint, IfaceConf, Incoming, START_TOKEN};
@@ -331,20 +331,14 @@ fn run_brfusion(seed: u64) -> BrFusionReport {
     let latency = stats.repromotion_latency_ns.clone();
     let snapshot: RunSnapshot = snapshot_report(&report, "chaos_demo.brfusion");
     let snapshot_json = round_trip("RunSnapshot", &snapshot);
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/chaos_demo.snapshot.json", &snapshot_json))
-    {
-        die(&format!("writing results/: {e}"));
-    }
+    write_artifact("results/chaos_demo.snapshot.json", &snapshot_json);
 
     // The unified telemetry export must surface the fault counters, the
     // control-plane journal (per-kind counts survive the capped ring),
     // and — because the 4-slot ring overflowed — an honest drop count.
     let telem = telemetry_report(&report, "chaos_demo.brfusion");
     let telem_json = round_trip("TelemetrySnapshot", &telem);
-    if let Err(e) = std::fs::write("results/chaos_demo.telemetry.json", &telem_json) {
-        die(&format!("writing results/chaos_demo.telemetry.json: {e}"));
-    }
+    write_artifact("results/chaos_demo.telemetry.json", &telem_json);
     if telem.counters.get("fault.lost").copied().unwrap_or(0) == 0 {
         die("fault.lost must surface in the telemetry snapshot counters");
     }
@@ -511,8 +505,6 @@ fn main() {
         hostlo,
     };
     let json = round_trip("ChaosReport", &report);
-    if let Err(e) = std::fs::write("results/chaos_demo.json", &json) {
-        die(&format!("writing results/chaos_demo.json: {e}"));
-    }
+    write_artifact("results/chaos_demo.json", &json);
     println!("{json}");
 }

@@ -19,9 +19,9 @@
 //!   state scale with the working set (arrival rate x stay), not the user
 //!   count, so the ratio stays near 1 despite 10x the users and pods.
 //!
-//! The shootout replays the same scenario under all three placement
-//! policies (indexed engine) and records their downsampled
-//! cost/utilization curves.
+//! The shootout replays the scenario at a tenth of the paired users
+//! under all three placement policies (indexed engine), with or without
+//! `--full`, and records their downsampled cost/utilization curves.
 //!
 //! ```text
 //! cargo run --release -p nestless-bench --bin cloudsim_hyperscale -- [reps] [users] [--full]
@@ -40,7 +40,7 @@ use cloudsim::{
     run_hyperscale, run_hyperscale_with_telemetry, HyperConfig, HyperReport, PlacePolicy,
 };
 use metrics::TelemetrySnapshot;
-use nestless_bench::harness::{host_cores, median};
+use nestless_bench::harness::{host_cores, median, write_artifact};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -252,10 +252,6 @@ fn main() {
         paired.indexed_placements_per_s_median, paired.naive_placements_per_s_median,
     );
 
-    // Policy shootout on the indexed engine: complete replays with curves.
-    let shootout_users = if full { FULL_USERS } else { users / 10 };
-    let mut shootout = Vec::new();
-
     // One replay fills the telemetry snapshot, written next to the
     // results JSON below.
     let mut snap = TelemetrySnapshot::new("", "full");
@@ -308,30 +304,27 @@ fn main() {
         });
     }
 
+    // Policy shootout on the indexed engine: complete replays with
+    // curves. Without `--full`, its MostRequested leg fills the snapshot.
+    let mut shootout = Vec::new();
     for policy in [
         PlacePolicy::MostRequested,
         PlacePolicy::BinPack,
         PlacePolicy::Spread,
     ] {
-        // The certification run *is* the MostRequested shootout leg.
-        if full && policy == PlacePolicy::MostRequested {
-            let run = &full_out.as_ref().expect("full run").run;
-            shootout.push(run.clone());
-            continue;
-        }
         let cfg = HyperConfig {
-            users: shootout_users.max(1_000),
+            users: (users / 10).max(1_000),
             policy,
             ..HyperConfig::default()
         };
-        let (report, secs) = if policy == PlacePolicy::MostRequested {
-            let start = Instant::now();
-            let r = run_hyperscale_with_telemetry(&cfg, &mut snap);
+        let start = Instant::now();
+        let report = if !full && policy == PlacePolicy::MostRequested {
             telemetry_label = format!("cloudsim_hyperscale.{policy:?}_{}", cfg.users);
-            (r, start.elapsed().as_secs_f64())
+            run_hyperscale_with_telemetry(&cfg, &mut snap)
         } else {
-            timed(&cfg)
+            run_hyperscale(&cfg)
         };
+        let secs = start.elapsed().as_secs_f64();
         println!(
             "shootout {policy:?}: cost ${:.0}, peak {} VMs / {} pods, {} ticks in {secs:.1}s",
             report.total_cost, report.peak_vms, report.peak_live_pods, report.ticks
@@ -357,19 +350,13 @@ fn main() {
                curves.",
     };
     let json = serde_json::to_string_pretty(&out).expect("report serializes");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/cloudsim_hyperscale.json", &json))
-    {
-        eprintln!("warning: could not write results/cloudsim_hyperscale.json: {e}");
-    }
+    write_artifact("results/cloudsim_hyperscale.json", &json);
 
     snap.label.clone_from(&telemetry_label);
     let telemetry_json = serde_json::to_string_pretty(&snap).expect("snapshot serializes");
-    if let Err(e) = std::fs::write(
+    write_artifact(
         "results/cloudsim_hyperscale.telemetry.json",
         &telemetry_json,
-    ) {
-        eprintln!("warning: could not write results/cloudsim_hyperscale.telemetry.json: {e}");
-    }
+    );
     println!("telemetry: {telemetry_label} -> results/cloudsim_hyperscale.telemetry.json");
 }

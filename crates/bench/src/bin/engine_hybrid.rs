@@ -26,16 +26,13 @@
 //! cargo run --release -p nestless-bench --bin engine_hybrid [reps]
 //! ```
 
-use metrics::{CpuCategory, CpuLocation};
-use nestless_bench::harness::{frames_delivered, host_cores, median, outcome_digest};
-use simnet::bridge::Bridge;
-use simnet::costs::StageCost;
-use simnet::device::PortId;
-use simnet::engine::{LinkParams, Network};
-use simnet::shared::SharedStation;
-use simnet::testutil::{frame_between, MacBouncer};
-use simnet::time::{SimDuration, SimTime};
-use simnet::{Fidelity, MacAddr, SimConfig, StopCondition};
+use nestless_bench::harness::{
+    frames_delivered, host_cores, median, outcome_digest, relay_chains, write_artifact,
+    RELAY_PAYLOAD,
+};
+use simnet::engine::Network;
+use simnet::time::SimTime;
+use simnet::{Fidelity, SimConfig, StopCondition};
 use std::time::Instant;
 
 /// Parallel relay chains; each is its own partition island, so 1/2/8
@@ -50,57 +47,8 @@ const RELAYS: usize = 48;
 /// direction) is noise against the steady phase.
 const HORIZON: SimTime = SimTime(10_000_000);
 
-const PAYLOAD: u32 = 200;
-
 fn build() -> Network {
-    let mut net = Network::new(0x48CB);
-    let bouncer_cost = StageCost::fixed(600, 0.2, CpuCategory::Usr).with_jitter(0.05);
-    let relay_cost = StageCost::fixed(400, 0.1, CpuCategory::Sys).with_jitter(0.05);
-    for c in 0..CHAINS {
-        let ma = MacAddr::local((2 * c + 1) as u32);
-        let mb = MacAddr::local((2 * c + 2) as u32);
-        let a = net.add_device(
-            format!("c{c}.a"),
-            CpuLocation::Host,
-            Box::new(MacBouncer::new(
-                format!("c{c}.a"),
-                ma,
-                PAYLOAD,
-                bouncer_cost,
-                false,
-            )),
-        );
-        let b = net.add_device(
-            format!("c{c}.b"),
-            CpuLocation::Host,
-            Box::new(MacBouncer::new(
-                format!("c{c}.b"),
-                mb,
-                PAYLOAD,
-                bouncer_cost,
-                false,
-            )),
-        );
-        let mut prev = (a, PortId::P0);
-        for r in 0..RELAYS {
-            let br = net.add_device(
-                format!("c{c}.r{r}"),
-                CpuLocation::Host,
-                Box::new(Bridge::new(2, relay_cost, SharedStation::new())),
-            );
-            net.connect(prev.0, prev.1, br, PortId(0), LinkParams::default());
-            prev = (br, PortId(1));
-        }
-        net.connect(prev.0, prev.1, b, PortId::P0, LinkParams::default());
-        // Kick the pair off; staggered starts decorrelate the chains.
-        net.inject_frame(
-            SimDuration::nanos((c as u64) * 137),
-            b,
-            PortId::P0,
-            frame_between(ma, mb, PAYLOAD),
-        );
-    }
-    net
+    relay_chains(0x48CB, CHAINS, RELAYS).0
 }
 
 struct RunOut {
@@ -185,7 +133,7 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"engine_hybrid (crates/bench/src/bin/engine_hybrid.rs)\",\n  \
          \"scenario\": \"relay_chains\",\n  \
-         \"topology\": {{\"chains\": {CHAINS}, \"relays_per_chain\": {RELAYS}, \"payload\": {PAYLOAD}}},\n  \
+         \"topology\": {{\"chains\": {CHAINS}, \"relays_per_chain\": {RELAYS}, \"payload\": {RELAY_PAYLOAD}}},\n  \
          \"sim_horizon_ns\": {},\n  \"reps\": {reps},\n  \"host_cores\": {host_cores},\n  \
          \"packet\": {{\"frames\": {:.0}, \"events\": {}, \"frames_per_sec_median\": {:.0}, \"cpu_ns\": {}}},\n  \
          \"hybrid\": {{\"frames\": {:.0}, \"events\": {}, \"frames_per_sec_median\": {:.0}, \"cpu_ns\": {}, \
@@ -211,9 +159,5 @@ fn main() {
         shard_rows.join(",\n    ")
     );
     print!("{json}");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/engine_hybrid.json", &json))
-    {
-        eprintln!("warning: could not write results/engine_hybrid.json: {e}");
-    }
+    write_artifact("results/engine_hybrid.json", &json);
 }

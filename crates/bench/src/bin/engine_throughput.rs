@@ -24,7 +24,7 @@
 //! `multicore` — CI jobs use it to run exactly the slice they gate on.
 
 use metrics::{CpuCategory, CpuLocation, TelemetryConfig, TraceConfig};
-use nestless_bench::harness::{host_cores, outcome_digest, summarize};
+use nestless_bench::harness::{host_cores, outcome_digest, summarize, write_artifact};
 use simnet::bridge::Bridge;
 use simnet::costs::StageCost;
 use simnet::device::{DeviceId, PortId};
@@ -232,11 +232,7 @@ fn observability_overhead(reps: usize) {
         rows.join(",\n    ")
     );
     print!("{json}");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/observability_overhead.json", &json))
-    {
-        eprintln!("warning: could not write results/observability_overhead.json: {e}");
-    }
+    write_artifact("results/observability_overhead.json", &json);
 }
 
 /// The multicore sweep: an 8-host topology (9 islands, so an 8-shard
@@ -340,11 +336,7 @@ fn multicore(reps: usize) {
         rows.join(",\n    ")
     );
     print!("{json}");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/engine_multicore.json", &json))
-    {
-        eprintln!("warning: could not write results/engine_multicore.json: {e}");
-    }
+    write_artifact("results/engine_multicore.json", &json);
 }
 
 fn arg_or(arg: Option<String>, name: &str, default: u64) -> u64 {

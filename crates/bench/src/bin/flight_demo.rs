@@ -14,7 +14,7 @@
 
 use metrics::{ChromeTrace, RunSnapshot, TraceConfig};
 use nestless::topology::{build, Config, Testbed, CLIENT_PORT, SERVER_PORT};
-use nestless_bench::harness::{die, round_trip};
+use nestless_bench::harness::{die, round_trip, write_artifact};
 use simnet::endpoint::{AppApi, Application, Incoming};
 use simnet::frame::Payload;
 use simnet::StopCondition;
@@ -94,12 +94,8 @@ fn main() {
     let snapshot_json = round_trip("RunSnapshot", &snapshot);
     let chrome_json = round_trip("ChromeTrace", &chrome);
 
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/flight_demo.snapshot.json", &snapshot_json))
-        .and_then(|()| std::fs::write("results/flight_demo.trace.json", &chrome_json))
-    {
-        die(&format!("writing results/: {e}"));
-    }
+    write_artifact("results/flight_demo.snapshot.json", &snapshot_json);
+    write_artifact("results/flight_demo.trace.json", &chrome_json);
 
     println!(
         "{{\"demo\":\"flight_demo\",\"config\":\"hostlo\",\"rounds\":{rounds},\

@@ -37,7 +37,9 @@
 //! ```
 
 use metrics::{CpuCategory, CpuLocation};
-use nestless_bench::harness::{frames_delivered, host_cores, median, outcome_digest};
+use nestless_bench::harness::{
+    frames_delivered, host_cores, median, outcome_digest, write_artifact,
+};
 use simnet::bridge::Bridge;
 use simnet::costs::StageCost;
 use simnet::device::PortId;
@@ -634,9 +636,5 @@ fn main() {
         shard_rows.join(",\n    ")
     );
     print!("{json}");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/policy_churn.json", &json))
-    {
-        eprintln!("warning: could not write results/policy_churn.json: {e}");
-    }
+    write_artifact("results/policy_churn.json", &json);
 }

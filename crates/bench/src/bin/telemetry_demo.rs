@@ -22,20 +22,13 @@
 //!
 //! Artifacts land in `results/telemetry_demo.{snapshot.json,prom,trace.json}`.
 
-use metrics::CpuCategory;
-use metrics::CpuLocation;
 use metrics::{HistSummary, Log2Hist, ObsMode, TelemetryConfig, TickSeries};
-use nestless_bench::harness::{die, round_trip};
-use simnet::bridge::Bridge;
-use simnet::costs::StageCost;
+use nestless_bench::harness::{die, relay_chains, round_trip, write_artifact};
 use simnet::device::{DeviceId, PortId};
-use simnet::engine::{LinkParams, Network};
-use simnet::shared::SharedStation;
-use simnet::testutil::{frame_between, MacBouncer};
 use simnet::time::{SimDuration, SimTime};
 use simnet::{
     chrome_counter_tracks, telemetry_report, FaultPlan, Fidelity, JournalKind, LinkFault,
-    LinkFaultKind, MacAddr, RunReport, SimConfig, StopCondition, TelemetrySnapshot,
+    LinkFaultKind, RunReport, SimConfig, StopCondition, TelemetrySnapshot,
 };
 
 /// Parallel relay chains; each is its own partition island, so 1/2/8
@@ -49,64 +42,6 @@ const RELAYS: usize = 12;
 /// Simulated horizon: long enough for promotion, the fault window, and
 /// the post-fault re-promotion to all land in the journal.
 const HORIZON: SimTime = SimTime(5_000_000);
-
-const PAYLOAD: u32 = 200;
-
-/// Builds the relay-chain network and returns the first relay of each
-/// chain (the fault plan's targets).
-fn build() -> (Network, Vec<DeviceId>) {
-    let mut net = Network::new(0x7E1E);
-    let bouncer_cost = StageCost::fixed(600, 0.2, CpuCategory::Usr).with_jitter(0.05);
-    let relay_cost = StageCost::fixed(400, 0.1, CpuCategory::Sys).with_jitter(0.05);
-    let mut targets = Vec::with_capacity(CHAINS);
-    for c in 0..CHAINS {
-        let ma = MacAddr::local((2 * c + 1) as u32);
-        let mb = MacAddr::local((2 * c + 2) as u32);
-        let a = net.add_device(
-            format!("c{c}.a"),
-            CpuLocation::Host,
-            Box::new(MacBouncer::new(
-                format!("c{c}.a"),
-                ma,
-                PAYLOAD,
-                bouncer_cost,
-                false,
-            )),
-        );
-        let b = net.add_device(
-            format!("c{c}.b"),
-            CpuLocation::Host,
-            Box::new(MacBouncer::new(
-                format!("c{c}.b"),
-                mb,
-                PAYLOAD,
-                bouncer_cost,
-                false,
-            )),
-        );
-        let mut prev = (a, PortId::P0);
-        for r in 0..RELAYS {
-            let br = net.add_device(
-                format!("c{c}.r{r}"),
-                CpuLocation::Host,
-                Box::new(Bridge::new(2, relay_cost, SharedStation::new())),
-            );
-            if r == 0 {
-                targets.push(br);
-            }
-            net.connect(prev.0, prev.1, br, PortId(0), LinkParams::default());
-            prev = (br, PortId(1));
-        }
-        net.connect(prev.0, prev.1, b, PortId::P0, LinkParams::default());
-        net.inject_frame(
-            SimDuration::nanos((c as u64) * 137),
-            b,
-            PortId::P0,
-            frame_between(ma, mb, PAYLOAD),
-        );
-    }
-    (net, targets)
-}
 
 /// A lossy mid-run window on each chain's first relay: exercises
 /// `fault.open`/`fault.close` journal records and the `fault.lost`
@@ -127,7 +62,7 @@ fn plan(targets: &[DeviceId]) -> FaultPlan {
 }
 
 fn run(shards: usize) -> RunReport {
-    let (net, targets) = build();
+    let (net, targets) = relay_chains(0x7E1E, CHAINS, RELAYS);
     let mut sn = SimConfig::new()
         .shards(shards)
         .fidelity(Fidelity::Hybrid)
@@ -221,13 +156,9 @@ fn main() {
     let trace = chrome_counter_tracks(&snap);
     let trace_json = round_trip("ChromeTrace", &trace);
 
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| {
-        std::fs::write("results/telemetry_demo.snapshot.json", &snapshot_json)?;
-        std::fs::write("results/telemetry_demo.prom", &prom)?;
-        std::fs::write("results/telemetry_demo.trace.json", &trace_json)
-    }) {
-        die(&format!("writing results/: {e}"));
-    }
+    write_artifact("results/telemetry_demo.snapshot.json", &snapshot_json);
+    write_artifact("results/telemetry_demo.prom", &prom);
+    write_artifact("results/telemetry_demo.trace.json", &trace_json);
 
     let kinds: Vec<String> = snap
         .journal_counts

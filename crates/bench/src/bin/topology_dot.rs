@@ -7,15 +7,15 @@
 //! ```
 
 use nestless::topology::{build, Config};
+use nestless_bench::harness::write_artifact;
 
 fn main() {
-    std::fs::create_dir_all("results").expect("results dir");
     for config in Config::ALL {
         let tb = build(config, 1);
         let name = format!("{config:?}").to_lowercase();
         let dot = tb.vmm.network().to_dot(&format!("{config:?}"));
         let path = format!("results/topology_{name}.dot");
-        std::fs::write(&path, dot).expect("write dot");
+        write_artifact(&path, &dot);
         println!(
             "{path}: {} devices, {} links",
             tb.vmm.network().device_count(),

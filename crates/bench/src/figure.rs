@@ -1,13 +1,13 @@
 //! Figure output: JSON artifacts plus paper-style console tables.
 //!
-//! Every `fig*` binary produces one [`Figure`]: a set of named series or
-//! rows, headline comparisons, and notes. Results are printed as aligned
-//! tables and written to `results/<id>.json` so EXPERIMENTS.md can quote
-//! them verbatim.
+//! Every `fig*` binary produces one [`Figure`] per paper figure its runs
+//! describe: a set of named series or rows, headline comparisons, and
+//! notes. Results are printed as aligned tables and written to
+//! `results/<id>.json` so EXPERIMENTS.md can quote them verbatim.
 
+use crate::harness::write_artifact;
 use metrics::Series;
 use serde::Serialize;
-use std::fs;
 use std::path::{Path, PathBuf};
 
 /// One reproduced figure or table.
@@ -122,25 +122,19 @@ impl Figure {
         println!();
     }
 
-    /// Writes `results/<id>.json` under `dir` (created if missing).
-    pub fn write_json(&self, dir: impl AsRef<Path>) -> std::io::Result<PathBuf> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        fs::write(
-            &path,
-            serde_json::to_string_pretty(self).expect("figure serializes"),
-        )?;
-        Ok(path)
+    /// Writes `<id>.json` under `dir` (created if missing) through
+    /// [`write_artifact`], so a failed write exits the process.
+    pub fn write_json(&self, dir: impl AsRef<Path>) -> PathBuf {
+        let path = dir.as_ref().join(format!("{}.json", self.id));
+        let text = serde_json::to_string_pretty(self).expect("figure serializes");
+        write_artifact(&path, &text);
+        path
     }
 
     /// Prints and writes to the default `results/` directory.
     pub fn finish(&self) {
         self.print();
-        match self.write_json("results") {
-            Ok(p) => println!("[written {}]", p.display()),
-            Err(e) => eprintln!("[warn: could not write results: {e}]"),
-        }
+        println!("[written {}]", self.write_json("results").display());
     }
 }
 
@@ -167,7 +161,7 @@ mod tests {
         f.push_row("degradation", 68.0, "%");
         f.push_claim(Claim::new("tput ratio", 2.1, 2.3, "x"));
         let dir = std::env::temp_dir().join("nestless-figtest");
-        let p = f.write_json(&dir).unwrap();
+        let p = f.write_json(&dir);
         let text = std::fs::read_to_string(p).unwrap();
         assert!(text.contains("figtest"));
         assert!(text.contains("NAT"));

@@ -1,13 +1,24 @@
 //! Helpers the bench and demo binaries share: the statistics every gate
 //! artifact reports, the simulated-outcome digest and goodput the
-//! engine benches compare runs on, and the demos' export round trip.
+//! engine benches compare runs on, the relay-chain scenario two of them
+//! run, the demos' export round trip, and the one way every binary
+//! writes an artifact.
 //!
 //! The gate binaries (`engine_throughput`, `engine_hybrid`,
 //! `policy_churn`, `cloudsim_hyperscale`) only measure and write their
 //! artifacts; `tools/perfgate.rs` alone judges them.
 
-use simnet::engine::SampleStore;
+use metrics::{CpuCategory, CpuLocation};
+use simnet::bridge::Bridge;
+use simnet::costs::StageCost;
+use simnet::device::{DeviceId, PortId};
+use simnet::engine::{LinkParams, Network, SampleStore};
+use simnet::shared::SharedStation;
+use simnet::testutil::{frame_between, MacBouncer};
+use simnet::time::SimDuration;
+use simnet::MacAddr;
 use std::hash::{Hash, Hasher};
+use std::path::Path;
 
 /// Upper median: the value at index `len / 2` of the sorted values, so
 /// an even count reads the larger of the two middle values. NaN when
@@ -59,6 +70,54 @@ pub fn frames_delivered(store: &SampleStore) -> f64 {
         .sum()
 }
 
+/// Payload bytes of every frame [`relay_chains`] bounces.
+pub const RELAY_PAYLOAD: u32 = 200;
+
+/// `chains` disconnected relay chains on a network seeded with `seed`:
+/// each is a ping-pong [`MacBouncer`] pair separated by `relays`
+/// two-port learning bridges, kicked off by one frame into its second
+/// bouncer at a staggered start. Returns the network and the first
+/// relay of each chain.
+pub fn relay_chains(seed: u64, chains: usize, relays: usize) -> (Network, Vec<DeviceId>) {
+    let mut net = Network::new(seed);
+    let bouncer_cost = StageCost::fixed(600, 0.2, CpuCategory::Usr).with_jitter(0.05);
+    let relay_cost = StageCost::fixed(400, 0.1, CpuCategory::Sys).with_jitter(0.05);
+    let mut firsts = Vec::with_capacity(chains);
+    for c in 0..chains {
+        let ma = MacAddr::local((2 * c + 1) as u32);
+        let mb = MacAddr::local((2 * c + 2) as u32);
+        let mut bouncer = |end: &str, mac| {
+            let name = format!("c{c}.{end}");
+            let dev = MacBouncer::new(name.clone(), mac, RELAY_PAYLOAD, bouncer_cost, false);
+            net.add_device(name, CpuLocation::Host, Box::new(dev))
+        };
+        let a = bouncer("a", ma);
+        let b = bouncer("b", mb);
+        let mut prev = (a, PortId::P0);
+        for r in 0..relays {
+            let br = net.add_device(
+                format!("c{c}.r{r}"),
+                CpuLocation::Host,
+                Box::new(Bridge::new(2, relay_cost, SharedStation::new())),
+            );
+            if r == 0 {
+                firsts.push(br);
+            }
+            net.connect(prev.0, prev.1, br, PortId(0), LinkParams::default());
+            prev = (br, PortId(1));
+        }
+        net.connect(prev.0, prev.1, b, PortId::P0, LinkParams::default());
+        // Staggered starts decorrelate the chains.
+        net.inject_frame(
+            SimDuration::nanos((c as u64) * 137),
+            b,
+            PortId::P0,
+            frame_between(ma, mb, RELAY_PAYLOAD),
+        );
+    }
+    (net, firsts)
+}
+
 /// Cores the host offers this process (1 when it cannot tell); every
 /// artifact with a timing field records it.
 pub fn host_cores() -> usize {
@@ -69,6 +128,20 @@ pub fn host_cores() -> usize {
 pub fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+/// Writes `text` to `path`, creating its directory, and exits through
+/// [`die`] if either fails: a run whose artifact did not land must not
+/// pass for one that did.
+pub fn write_artifact(path: impl AsRef<Path>, text: &str) {
+    let path = path.as_ref();
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, text));
+    if let Err(e) = written {
+        die(&format!("writing {}: {e}", path.display()));
+    }
 }
 
 /// Serializes `value`, parses the text back, and exits through [`die`]

@@ -4,7 +4,8 @@
 //! The gate binaries only measure. `engine_throughput` (its
 //! `observability` and `multicore` scenarios), `engine_hybrid`,
 //! `cloudsim_hyperscale` and `policy_churn` always write their artifacts
-//! under `results/` and exit 0; only bad arguments fail them. Every
+//! under `results/` and exit 0; only bad arguments or a failed write
+//! fail them. Every
 //! threshold is a constant of this file, and none is read from an
 //! artifact. `check` judges every artifact, prints one line per verdict,
 //! and fails once at the end with the count, so a missed timing floor
