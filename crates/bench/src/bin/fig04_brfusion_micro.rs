@@ -12,7 +12,7 @@
 
 use metrics::Series;
 use nestless::topology::Config;
-use nestless_bench::{Claim, Figure, Mode, Sweep};
+use nestless_bench::{Check, Claim, Figure, Mode, Sweep};
 
 /// Pushes the first `n` configs' throughput series, then their latency
 /// series, each named after its config and mode.
@@ -44,12 +44,14 @@ fn main() {
         68.0,
         (1.0 - t(0) / t(1)) * 100.0,
         "%",
+        Check::Within(45.0, 75.0),
     ));
     fig02.push_claim(Claim::new(
         "latency increase @1280B",
         31.0,
         (l(0) / l(1) - 1.0) * 100.0,
         "%",
+        Check::Within(20.0, 45.0),
     ));
     fig02.finish();
 
@@ -59,18 +61,40 @@ fn main() {
         2.1,
         t(2) / t(0),
         "x",
+        Check::Within(1.8, 3.2),
     ));
     fig.push_claim(Claim::new(
         "BrFusion latency reduction vs NAT @1280B",
         18.4,
         (1.0 - l(2) / l(0)) * 100.0,
         "%",
+        Check::Within(12.0, 35.0),
     ));
     fig.push_claim(Claim::new(
         "BrFusion gap to NoCont (tput) @1280B",
         3.5,
         (t(1) - t(2)).abs() / t(1) * 100.0,
         "%",
+        Check::Below(3.5),
+    ));
+    // "BrFusion scales like NoCont with message sizes, while NAT scales
+    // more slowly": each config's 1024 B -> 8192 B throughput growth.
+    let grow = |i: usize| {
+        tput[i].at(8192.0).expect("8192B").mean / tput[i].at(1024.0).expect("1024B").mean
+    };
+    fig.push_claim(Claim::new(
+        "NAT 1024->8192B tput growth relative to NoCont's",
+        1.0,
+        grow(0) / grow(1),
+        "x",
+        Check::Below(1.0),
+    ));
+    fig.push_claim(Claim::new(
+        "BrFusion 1024->8192B tput growth gap to NoCont's",
+        0.0,
+        (grow(2) - grow(1)).abs() / grow(1) * 100.0,
+        "%",
+        Check::Below(15.0),
     ));
     fig.push_row(
         "NAT tput max step change (stagnation)",

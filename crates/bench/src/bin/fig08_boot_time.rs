@@ -4,7 +4,7 @@
 //! than with Docker NAT."
 
 use contd::fig8_experiment;
-use nestless_bench::{Claim, Figure};
+use nestless_bench::{Check, Claim, Figure};
 
 fn main() {
     let runs = 100;
@@ -33,6 +33,7 @@ fn main() {
         75.0,
         frac * 100.0,
         "%",
+        Check::Above(50.0),
     ));
     fig.finish();
 }

@@ -6,7 +6,7 @@
 //! represents a 35% reduction."
 
 use cloudsim::{simulate, synthetic_trace, M5_CATALOG, PAPER_USER_COUNT};
-use nestless_bench::{Claim, Figure};
+use nestless_bench::{Check, Claim, Figure};
 
 fn main() {
     // Table 2 echo.
@@ -40,32 +40,30 @@ fn main() {
         fig.push_row(format!("savings {lo:.0}-{hi:.0}%"), count as f64, "users");
     }
 
+    // The sentence states magnitudes only: each must land within half to
+    // twice the paper's value.
+    let about = |what, paper: f64, measured, unit| {
+        Claim::new(
+            what,
+            paper,
+            measured,
+            unit,
+            Check::Within(paper / 2.0, paper * 2.0),
+        )
+    };
     let (max_abs, rel_of_max) = report.max_abs_saving();
-    fig.push_claim(Claim::new(
-        "fraction of users saving",
-        11.4,
-        report.frac_users_saving() * 100.0,
-        "%",
-    ));
-    fig.push_claim(Claim::new(
-        "savers above 5%",
-        66.7,
-        report.frac_savers_above(0.05) * 100.0,
-        "%",
-    ));
-    fig.push_claim(Claim::new(
-        "max relative saving",
-        40.0,
-        report.max_rel_saving() * 100.0,
-        "%",
-    ));
-    fig.push_claim(Claim::new("max absolute saving", 237.0, max_abs, "$/h"));
-    fig.push_claim(Claim::new(
-        "relative saving of max-abs user",
-        35.0,
-        rel_of_max * 100.0,
-        "%",
-    ));
+    let savers = report.frac_users_saving() * 100.0;
+    fig.push_claim(about("fraction of users saving", 11.4, savers, "%"));
+    let above5 = report.frac_savers_above(0.05) * 100.0;
+    fig.push_claim(about("savers above 5%", 66.7, above5, "%"));
+    let max_rel = report.max_rel_saving() * 100.0;
+    fig.push_claim(about("max relative saving", 40.0, max_rel, "%"));
+    fig.push_claim(
+        about("max absolute saving", 237.0, max_abs, "$/h")
+            .deviation("limited by the synthetic whale size: our largest tenant bills about $290/h, the trace's about $680/h"),
+    );
+    let rel = rel_of_max * 100.0;
+    fig.push_claim(about("relative saving of max-abs user", 35.0, rel, "%"));
 
     // Dispersion across ten trace seeds (beyond the paper's single trace).
     let bands = cloudsim::simulate_bands(PAPER_USER_COUNT, &(0..10).collect::<Vec<u64>>());

@@ -18,7 +18,8 @@
 //! on behalf of the VMs [Vhost]."
 
 use nestless::topology::Config;
-use nestless_bench::{Claim, Figure};
+use nestless_bench::{Check, Claim, Figure};
+use rayon::prelude::*;
 use workloads::{run_memcached, MemtierParams};
 
 fn main() {
@@ -29,10 +30,10 @@ fn main() {
         Config::Overlay,
         Config::SameNode,
     ];
-    let runs: Vec<_> = configs
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| run_memcached(MemtierParams::paper(), c, 110 + i as u64))
+    let cells: Vec<(u64, Config)> = (110..).zip(configs).collect();
+    let runs: Vec<_> = cells
+        .par_iter()
+        .map(|&(seed, c)| run_memcached(MemtierParams::paper(), c, seed))
         .collect();
 
     let mut fig = Figure::new("fig11", "Memcached under Hostlo / NAT / Overlay / SameNode");
@@ -48,18 +49,21 @@ fn main() {
         1.0,
         runs[0].throughput_per_s / runs[3].throughput_per_s,
         "x",
+        Check::Above(0.75),
     ));
     fig.push_claim(Claim::new(
         "Hostlo beats NAT (latency ratio NAT/Hostlo)",
         2.0,
         lat(1) / lat(0),
         "x",
+        Check::Above(1.0),
     ));
     fig.push_claim(Claim::new(
         "Hostlo beats Overlay (latency ratio Overlay/Hostlo)",
         2.0,
         lat(2) / lat(0),
         "x",
+        Check::Above(1.0),
     ));
     fig.finish();
 
@@ -74,10 +78,11 @@ fn main() {
         fig.push_row(format!("{c:?} latency max"), r.latency_us.max, "us");
     }
     fig.push_claim(Claim::new(
-        "Hostlo latency is the most stable (cv(Hostlo) < cv(SameNode))",
+        "Hostlo/SameNode latency cv",
         1.0,
-        f64::from(runs[0].latency_us.cv() < runs[3].latency_us.cv()),
-        "bool",
+        runs[0].latency_us.cv() / runs[3].latency_us.cv(),
+        "x",
+        Check::Below(1.0),
     ));
     fig.finish();
 
@@ -108,13 +113,21 @@ fn main() {
         89.8,
         (host(0).guest / host(3).guest - 1.0) * 100.0,
         "%",
+        Check::Above(0.0),
     ));
     // Host kernel work on behalf of VMs similar across Hostlo/NAT/Overlay.
-    fig.push_claim(Claim::new(
-        "host-kernel CPU: Hostlo vs NAT ratio",
-        1.0,
-        host(0).sys / host(1).sys,
-        "x",
-    ));
+    fig.push_claim(
+        Claim::new(
+            "host-kernel CPU: Hostlo vs NAT ratio",
+            1.0,
+            host(0).sys / host(1).sys,
+            "x",
+            Check::Within(0.5, 2.0),
+        )
+        .deviation(
+            "our TAP's copy work lands in host sys and our NAT path pushes less traffic; \
+             the paper flags the hostlo module's host-attributed time as mis-attribution (§5.3.4)",
+        ),
+    );
     fig.finish();
 }

@@ -7,7 +7,7 @@
 
 use crate::harness::write_artifact;
 use metrics::Series;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// One reproduced figure or table.
@@ -25,32 +25,72 @@ pub struct Figure {
     pub claims: Vec<Claim>,
 }
 
-/// A headline comparison: paper value vs measured.
-#[derive(Debug, Clone, Serialize)]
+/// A headline comparison: paper value vs measured, with the check that
+/// judges it. The figure binaries only publish rows;
+/// `tests/calibration.rs` judges every published row.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Claim {
     /// What is being compared (e.g. "NAT throughput degradation @1280B").
     pub what: String,
-    /// The paper's reported value.
+    /// The paper's reported value; where the paper names no number, the
+    /// reference value its sentence implies.
     pub paper: f64,
     /// Our measured value.
     pub measured: f64,
     /// Unit or scale ("%", "x", "$/h", "us").
     pub unit: String,
+    /// The condition on `measured`, in `unit`, that the paper's shape asks.
+    pub check: Check,
+    /// Why the model does not meet `check`, for a known deviation.
+    pub deviation: Option<String>,
+}
+
+/// A condition on a claim's measured value.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum Check {
+    /// Inside `[lo, hi]`, bounds included.
+    Within(f64, f64),
+    /// Strictly above.
+    Above(f64),
+    /// Strictly below.
+    Below(f64),
+}
+
+impl Check {
+    /// Whether `x` meets the condition.
+    pub fn holds(self, x: f64) -> bool {
+        match self {
+            Check::Within(lo, hi) => (lo..=hi).contains(&x),
+            Check::Above(lo) => x > lo,
+            Check::Below(hi) => x < hi,
+        }
+    }
 }
 
 impl Claim {
-    /// Builds a claim.
+    /// Builds a claim judged by `check`.
     pub fn new(
         what: impl Into<String>,
         paper: f64,
         measured: f64,
         unit: impl Into<String>,
+        check: Check,
     ) -> Claim {
         Claim {
             what: what.into(),
             paper,
             measured,
             unit: unit.into(),
+            check,
+            deviation: None,
+        }
+    }
+
+    /// Marks the claim a known deviation: `check` fails, for `reason`.
+    pub fn deviation(self, reason: impl Into<String>) -> Claim {
+        Claim {
+            deviation: Some(reason.into()),
+            ..self
         }
     }
 }
@@ -111,10 +151,11 @@ impl Figure {
             println!("  -- paper vs measured --");
             for c in &self.claims {
                 println!(
-                    "  {:<52} paper {:>8.2}{u}  measured {:>8.2}{u}",
+                    "  {:<52} paper {:>8.2}{u}  measured {:>8.2}{u}  {:?}",
                     c.what,
                     c.paper,
                     c.measured,
+                    c.check,
                     u = c.unit
                 );
             }
@@ -159,12 +200,27 @@ mod tests {
         );
         f.push_series(s);
         f.push_row("degradation", 68.0, "%");
-        f.push_claim(Claim::new("tput ratio", 2.1, 2.3, "x"));
+        f.push_claim(Claim::new(
+            "tput ratio",
+            2.1,
+            2.3,
+            "x",
+            Check::Within(1.8, 3.2),
+        ));
         let dir = std::env::temp_dir().join("nestless-figtest");
         let p = f.write_json(&dir);
         let text = std::fs::read_to_string(p).unwrap();
         assert!(text.contains("figtest"));
         assert!(text.contains("NAT"));
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn within_includes_its_bounds_above_and_below_exclude_theirs() {
+        let band = Check::Within(1.0, 2.0);
+        assert!(band.holds(1.0) && band.holds(2.0) && !band.holds(2.5));
+        assert!(!Check::Above(1.0).holds(1.0) && Check::Above(1.0).holds(1.5));
+        assert!(!Check::Below(1.0).holds(1.0) && Check::Below(1.0).holds(0.5));
+        assert!(!band.holds(f64::NAN));
     }
 }

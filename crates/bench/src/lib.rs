@@ -14,5 +14,5 @@ pub mod figure;
 pub mod harness;
 pub mod sweep;
 
-pub use figure::{Claim, Figure};
+pub use figure::{Check, Claim, Figure};
 pub use sweep::{Mode, Sweep};

@@ -83,24 +83,6 @@ impl SavingsReport {
             .unwrap_or((0.0, 0.0))
     }
 
-    /// Renders the headline statistics as a Markdown table (what
-    /// EXPERIMENTS.md embeds).
-    pub fn to_markdown(&self) -> String {
-        let (max_abs, rel_of_max) = self.max_abs_saving();
-        format!(
-            "| metric | value |\n|---|---|\n\
-             | users saving | {:.1} % |\n\
-             | savers above 5 % | {:.1} % |\n\
-             | max relative saving | {:.1} % |\n\
-             | max absolute saving | {:.2} $/h ({:.1} %) |\n",
-            self.frac_users_saving() * 100.0,
-            self.frac_savers_above(0.05) * 100.0,
-            self.max_rel_saving() * 100.0,
-            max_abs,
-            rel_of_max * 100.0,
-        )
-    }
-
     /// The fig. 9 histogram: frequency of relative savings (percent bins
     /// over the savers).
     pub fn histogram(&self, bins: usize) -> Histogram {
@@ -236,16 +218,6 @@ mod tests {
         let a = simulate(&trace);
         let b = simulate(&trace);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn markdown_report_contains_headlines() {
-        let report = simulate(&synthetic_trace(80, 3));
-        let md = report.to_markdown();
-        assert!(md.starts_with("| metric | value |"));
-        assert!(md.contains("users saving"));
-        assert!(md.contains("max absolute saving"));
-        assert_eq!(md.lines().count(), 6);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Pins every number the `fig09_cost_savings` binary emits, bit-for-bit.
 //!
-//! The hyperscale fast path (`FreeCapIndex`, streaming replay) must change
-//! *performance*, never *placements* — and the fig. 9 pipeline is the
-//! paper-facing consumer of those placements. These constants were
-//! recorded from the materialized pipeline; any drift in the trace
-//! generator, the whole-pod baseline, or the Hostlo improvement pass
-//! shows up here as an exact-equality failure, not a tolerance miss.
+//! `simulate` materializes the synthetic trace and places each user's
+//! pods through `sched::kube_schedule` (the whole-pod baseline) and
+//! `sched::hostlo_improve`; `simulate_bands` repeats that over ten trace
+//! seeds. Any drift in the trace generator, the baseline or the Hostlo
+//! improvement pass shows up here as an exact-equality failure, not a
+//! tolerance miss.
 
 extern crate nestless_cloudsim as cloudsim;
 

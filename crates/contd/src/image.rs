@@ -47,11 +47,6 @@ impl Image {
     pub fn reference(&self) -> String {
         format!("{}:{}", self.name, self.tag)
     }
-
-    /// Total compressed size.
-    pub fn total_size_mib(&self) -> u64 {
-        self.layers.iter().map(|l| l.size_mib).sum()
-    }
 }
 
 /// The node-local image store (what `docker pull` fills).
@@ -152,7 +147,6 @@ mod tests {
     fn reference_and_size() {
         let img = Image::new("nginx", "1.15", &[20, 5]);
         assert_eq!(img.reference(), "nginx:1.15");
-        assert_eq!(img.total_size_mib(), 25);
         assert!(ImageStore::new().get("nginx:1.15").is_none());
     }
 }

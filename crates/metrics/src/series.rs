@@ -54,40 +54,10 @@ impl Series {
         self.points.iter().find(|p| p.x == x).map(|p| &p.y)
     }
 
-    /// Ratio of this series' mean to `other`'s mean at each shared `x`.
-    /// Useful for "BrFusion throughput is 2.1x NAT's at 1280 B" style checks.
-    pub fn ratio_to(&self, other: &Series) -> Vec<(f64, f64)> {
-        self.points
-            .iter()
-            .filter_map(|p| {
-                other
-                    .at(p.x)
-                    .and_then(|o| (o.mean != 0.0).then(|| (p.x, p.y.mean / o.mean)))
-            })
-            .collect()
-    }
-
     /// True when means are non-decreasing along the sweep — the paper's
     /// "scales with message sizes" claim.
     pub fn is_monotone_nondecreasing(&self) -> bool {
         self.points.windows(2).all(|w| w[0].y.mean <= w[1].y.mean)
-    }
-
-    /// Renders the series as CSV (`x,mean,stddev,min,max,count`), one row
-    /// per point — for spreadsheet/gnuplot consumers of `results/*.json`'s
-    /// sibling data.
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("x,mean,stddev,min,max,count\n");
-        for p in &self.points {
-            writeln!(
-                out,
-                "{},{},{},{},{},{}",
-                p.x, p.y.mean, p.y.stddev, p.y.min, p.y.max, p.y.count
-            )
-            .expect("write to String");
-        }
-        out
     }
 
     /// Merges another series into this one: points interleave in `x`
@@ -209,38 +179,6 @@ mod tests {
         let mut s = Series::new("x", "u");
         s.push(10.0, sum(1.0));
         s.push(10.0, sum(2.0));
-    }
-
-    #[test]
-    fn ratio_to_other_series() {
-        let mut a = Series::new("a", "u");
-        let mut b = Series::new("b", "u");
-        for (x, ya, yb) in [(1.0, 4.0, 2.0), (2.0, 9.0, 3.0)] {
-            a.push(x, sum(ya));
-            b.push(x, sum(yb));
-        }
-        let r = a.ratio_to(&b);
-        assert_eq!(r, vec![(1.0, 2.0), (2.0, 3.0)]);
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut s = Series::new("NAT", "Mbit/s");
-        s.push(
-            64.0,
-            Summary {
-                count: 3,
-                mean: 10.0,
-                stddev: 1.0,
-                min: 9.0,
-                max: 11.0,
-            },
-        );
-        let csv = s.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("x,mean,stddev,min,max,count"));
-        assert_eq!(lines.next(), Some("64,10,1,9,11,3"));
-        assert_eq!(lines.next(), None);
     }
 
     #[test]

@@ -145,16 +145,6 @@ impl Summary {
             self.stddev / self.mean
         }
     }
-
-    /// Relative difference of this mean against a baseline mean:
-    /// `(self - base) / base`. Positive means this is larger.
-    pub fn rel_to(&self, baseline: &Summary) -> f64 {
-        if baseline.mean == 0.0 {
-            0.0
-        } else {
-            (self.mean - baseline.mean) / baseline.mean
-        }
-    }
 }
 
 /// Exact percentile over a mutable sample buffer (nearest-rank with linear
@@ -253,14 +243,6 @@ mod tests {
             min: 0.0,
             max: 0.0,
         };
-        let other = Summary {
-            count: 1,
-            mean: 68.0,
-            stddev: 0.0,
-            min: 0.0,
-            max: 0.0,
-        };
-        assert!((other.rel_to(&base) + 0.32).abs() < 1e-12);
         assert!((base.cv() - 0.1).abs() < 1e-12);
     }
 }

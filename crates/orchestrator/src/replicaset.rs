@@ -116,11 +116,6 @@ impl ReplicaSetController {
         }
         report
     }
-
-    /// Total pods across all sets.
-    pub fn total_ready(&self) -> u32 {
-        self.sets.iter().map(ReplicaSet::ready).sum()
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +231,7 @@ mod tests {
         cp.register_node(ctx.vmm, vm);
         let report = rsc.reconcile(&mut cp, &mut ctx);
         assert_eq!(report.created, 3);
-        assert_eq!(rsc.total_ready(), 5);
+        assert_eq!(rsc.get(rs).ready(), 5);
     }
 
     #[test]

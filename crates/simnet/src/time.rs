@@ -72,15 +72,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Builds from fractional seconds (rounds to nearest nanosecond).
-    pub fn secs_f64(s: f64) -> Self {
-        assert!(
-            s >= 0.0 && s.is_finite(),
-            "duration must be finite and non-negative"
-        );
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Nanoseconds in this duration.
     pub fn as_nanos(self) -> u64 {
         self.0
@@ -172,7 +163,6 @@ mod tests {
         assert_eq!(SimDuration::secs(1), SimDuration::millis(1_000));
         assert_eq!(SimDuration::millis(1), SimDuration::micros(1_000));
         assert_eq!(SimDuration::micros(1), SimDuration::nanos(1_000));
-        assert_eq!(SimDuration::secs_f64(0.5), SimDuration::millis(500));
     }
 
     #[test]
