@@ -9,8 +9,9 @@
 //! `results/flight_demo.trace.json` (load the latter at
 //! <https://ui.perfetto.dev> or `chrome://tracing`). Both documents are
 //! validated by a serde round-trip — serialize, parse back, compare
-//! structurally — and the process exits nonzero on any mismatch, so CI
-//! can gate on the export formats staying well-formed.
+//! structurally, and compare the compact JSON with the pretty text
+//! reprinted compactly — and the process exits nonzero on any mismatch,
+//! so CI can gate on the export formats staying well-formed.
 
 use metrics::{ChromeTrace, RunSnapshot, TraceConfig};
 use nestless::topology::{build, Config, Testbed, CLIENT_PORT, SERVER_PORT};

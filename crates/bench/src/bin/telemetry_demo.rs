@@ -10,8 +10,9 @@
 //!    decimating tick series are computed from the canonical run's
 //!    journal and added to its snapshot.
 //! 3. **Exporters** — the merged [`TelemetrySnapshot`] is round-trip
-//!    validated through serde and written as versioned JSON, Prometheus
-//!    text, and a Perfetto counter-track trace.
+//!    validated through serde (its compact JSON must also equal its
+//!    pretty text reprinted compactly) and written as versioned JSON,
+//!    Prometheus text, and a Perfetto counter-track trace.
 //!
 //! Every invariant failure exits nonzero, so CI can run the bin as a
 //! self-checking smoke test:

@@ -144,8 +144,12 @@ pub fn write_artifact(path: impl AsRef<Path>, text: &str) {
     }
 }
 
-/// Serializes `value`, parses the text back, and exits through [`die`]
-/// if the reconstruction differs from the original.
+/// Serializes `value` pretty, parses the text back, and exits through
+/// [`die`] if the reconstruction differs from the original. It also
+/// exits if `value`'s compact JSON differs from the pretty text parsed as
+/// a [`serde_json::Value`] and reprinted compactly: the committed
+/// artifacts hold only the pretty bytes, so this holds the compact ones
+/// to them.
 pub fn round_trip<T>(what: &str, value: &T) -> String
 where
     T: serde::Serialize + serde::Deserialize + PartialEq,
@@ -159,6 +163,16 @@ where
     });
     if &back != value {
         die(&format!("{what} serde round-trip changed the document"));
+    }
+    let compact = serde_json::to_string(value)
+        .unwrap_or_else(|e| die(&format!("serializing {what} compactly: {e}")));
+    let reprint = serde_json::from_str::<serde_json::Value>(&text)
+        .and_then(|v| serde_json::to_string(&v))
+        .unwrap_or_else(|e| die(&format!("reprinting {what}: {e}")));
+    if compact != reprint {
+        die(&format!(
+            "{what}: compact JSON differs from its pretty text reprinted"
+        ));
     }
     text
 }

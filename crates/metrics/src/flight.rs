@@ -25,7 +25,7 @@ use crate::cdf::Cdf;
 use crate::cpu::{CpuCategory, CpuLocation};
 use crate::intern::MetricId;
 use crate::ring::ObsMode;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 use std::collections::BTreeMap;
 
 /// Default bound on retained span records: 262,144 records of 80 bytes,
@@ -549,55 +549,275 @@ pub fn cpu_cells(account: &crate::cpu::CpuAccount) -> Vec<CpuCell> {
 // Chrome trace_event export (Perfetto / chrome://tracing).
 // ---------------------------------------------------------------------------
 
-/// `args` payload of a [`TraceEvent`]; fields unused by an event kind
-/// serialize as `null` (tolerated by Perfetto, which treats `args` as
-/// free-form) so one shape serves both metadata and span events.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TraceArgs {
-    /// Process/thread name for `M` metadata events.
-    pub name: Option<String>,
-    /// Per-frame trace id for `X` span events.
-    pub trace: Option<u64>,
-    /// Parent span (`"src:seq"`) for `X` span events.
-    pub parent: Option<String>,
-    /// CPU ns charged during the span.
-    pub cpu_ns: Option<u64>,
-    /// Counter value for `C` counter-track events.
-    pub value: Option<f64>,
+/// One event of a [`ChromeTrace`], kept compact: a span is its
+/// [`SpanRecord`] numbers and an index into the trace's name table (64
+/// bytes), and only metadata events own their text.
+#[derive(Debug, Clone)]
+enum ChromeEvent {
+    /// `M`: names process `pid` (`tid` 0) or, for `thread`, its thread
+    /// `tid`.
+    Meta {
+        thread: bool,
+        pid: u64,
+        tid: u64,
+        name: String,
+    },
+    /// `X`: one span on device `dev`'s thread, times in sim ns. The
+    /// parent is split from its [`SpanId`] so the padding of that struct
+    /// does not grow the event.
+    Span {
+        stage: u32,
+        pid: u64,
+        dev: u32,
+        enter: u64,
+        dur: u64,
+        trace: u64,
+        parent_src: u32,
+        parent_seq: u64,
+        cpu_ns: u64,
+    },
+    /// `C`: one point of a counter track.
+    Counter {
+        track: u32,
+        pid: u64,
+        at_ns: u64,
+        value: f64,
+    },
 }
 
-/// One event in Chrome `trace_event` JSON (the subset Perfetto needs:
-/// `X` complete events and `M` metadata events).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// Phase: `"X"` (complete) or `"M"` (metadata).
-    pub ph: String,
-    /// Event name (stage name, or `process_name`/`thread_name`).
-    pub name: String,
-    /// Category tag.
-    pub cat: String,
-    /// Timestamp in microseconds.
-    pub ts: f64,
-    /// Duration in microseconds (`X` events; 0 for metadata).
-    pub dur: f64,
-    /// Process id (CPU location: host = 1, vm `i` = 1000 + i).
-    pub pid: u64,
-    /// Thread id (device index).
-    pub tid: u64,
-    /// Event arguments.
-    pub args: TraceArgs,
+/// Every key of one Chrome event in the order it is written: `ph`,
+/// `name`, `cat`, `ts` and `dur` in µs, `pid`, `tid`, then `args` with
+/// five keys, each `null` unless the event's phase has that value
+/// (Perfetto treats `args` as free-form). Serializing, parsing and
+/// comparing all go through this one shape.
+#[derive(Debug, Default, PartialEq)]
+struct ChromeFields<'a> {
+    ph: &'a str,
+    name: &'a str,
+    cat: &'a str,
+    ts_ns: u64,
+    dur_ns: u64,
+    pid: u64,
+    tid: u64,
+    /// Process or thread name of an `M` event.
+    arg_name: Option<&'a str>,
+    /// Per-frame trace id of an `X` event.
+    trace: Option<u64>,
+    /// Parent span of an `X` event, written `"src:seq"`.
+    parent: Option<SpanId>,
+    /// CPU ns charged during an `X` event.
+    cpu_ns: Option<u64>,
+    /// Value of a `C` event.
+    value: Option<f64>,
 }
 
-/// A Perfetto-loadable trace: `{"traceEvents": [...]}`.
+impl ChromeEvent {
+    fn fields<'a>(&'a self, names: &'a [String]) -> ChromeFields<'a> {
+        match *self {
+            ChromeEvent::Meta {
+                thread,
+                pid,
+                tid,
+                ref name,
+            } => ChromeFields {
+                ph: "M",
+                name: if thread {
+                    "thread_name"
+                } else {
+                    "process_name"
+                },
+                cat: "__metadata",
+                pid,
+                tid,
+                arg_name: Some(name),
+                ..ChromeFields::default()
+            },
+            ChromeEvent::Span {
+                stage,
+                pid,
+                dev,
+                enter,
+                dur,
+                trace,
+                parent_src,
+                parent_seq,
+                cpu_ns,
+            } => ChromeFields {
+                ph: "X",
+                name: &names[stage as usize],
+                cat: "packet",
+                ts_ns: enter,
+                dur_ns: dur,
+                pid,
+                tid: u64::from(dev),
+                trace: Some(trace),
+                parent: (parent_seq != 0).then_some(SpanId {
+                    src: parent_src,
+                    seq: parent_seq,
+                }),
+                cpu_ns: Some(cpu_ns),
+                ..ChromeFields::default()
+            },
+            ChromeEvent::Counter {
+                track,
+                pid,
+                at_ns,
+                value,
+            } => ChromeFields {
+                ph: "C",
+                name: &names[track as usize],
+                cat: "telemetry",
+                ts_ns: at_ns,
+                pid,
+                value: Some(value),
+                ..ChromeFields::default()
+            },
+        }
+    }
+}
+
+/// Writes the decimal digits of `v` into `buf`, ending before `end`;
+/// returns where they start.
+fn put_digits(buf: &mut [u8], end: usize, mut v: u64) -> usize {
+    let mut i = end;
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return i;
+        }
+    }
+}
+
+/// `"src:seq"` of a span, written into `buf` (10 + 1 + 20 bytes at most)
+/// without allocating.
+fn span_label(id: SpanId, buf: &mut [u8; 31]) -> &str {
+    let colon = put_digits(buf, 31, id.seq) - 1;
+    buf[colon] = b':';
+    let start = put_digits(buf, colon, u64::from(id.src));
+    std::str::from_utf8(&buf[start..]).expect("ASCII digits")
+}
+
+/// The µs of a sim-ns time, as the export writes it.
+fn micros(ns: u64) -> f64 {
+    ns as f64 / 1_000.0
+}
+
+fn entry<S: Serializer, V: Serialize + ?Sized>(
+    s: &mut S,
+    key: &str,
+    value: &V,
+) -> Result<(), S::Error> {
+    s.key()?;
+    s.str(key)?;
+    value.serialize(s)
+}
+
+impl Serialize for ChromeFields<'_> {
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        s.begin_map()?;
+        entry(s, "ph", self.ph)?;
+        entry(s, "name", self.name)?;
+        entry(s, "cat", self.cat)?;
+        entry(s, "ts", &micros(self.ts_ns))?;
+        entry(s, "dur", &micros(self.dur_ns))?;
+        entry(s, "pid", &self.pid)?;
+        entry(s, "tid", &self.tid)?;
+        s.key()?;
+        s.str("args")?;
+        s.begin_map()?;
+        entry(s, "name", &self.arg_name)?;
+        entry(s, "trace", &self.trace)?;
+        s.key()?;
+        s.str("parent")?;
+        match self.parent {
+            Some(id) => s.str(span_label(id, &mut [0; 31]))?,
+            None => s.null()?,
+        }
+        entry(s, "cpu_ns", &self.cpu_ns)?;
+        entry(s, "value", &self.value)?;
+        s.end_map()?;
+        s.end_map()
+    }
+}
+
+/// `v[key]`, `null` when absent (as the derived impls read a field).
+fn field<'v>(v: &'v Value, key: &str) -> &'v Value {
+    v.get(key).unwrap_or(&Value::Null)
+}
+
+fn text<'v>(v: &'v Value, key: &str) -> Result<&'v str, DeError> {
+    field(v, key)
+        .as_str()
+        .ok_or_else(|| DeError::expected("string", key))
+}
+
+fn opt_text<'v>(v: &'v Value, key: &str) -> Result<Option<&'v str>, DeError> {
+    match field(v, key) {
+        Value::Null => Ok(None),
+        _ => text(v, key).map(Some),
+    }
+}
+
+/// The sim ns of a µs time the export wrote.
+fn nanos(v: &Value, key: &str) -> Result<u64, DeError> {
+    let us = f64::from_value(field(v, key))?;
+    let ns = (us * 1_000.0).round() as u64;
+    if micros(ns) == us {
+        Ok(ns)
+    } else {
+        Err(DeError::expected("whole sim ns", key))
+    }
+}
+
+impl<'v> ChromeFields<'v> {
+    fn read(ev: &'v Value) -> Result<ChromeFields<'v>, DeError> {
+        let args = field(ev, "args");
+        let parent = match opt_text(args, "parent")? {
+            None => None,
+            Some(label) => {
+                let bad = || DeError::expected("\"src:seq\"", "parent");
+                let (src, seq) = label.split_once(':').ok_or_else(bad)?;
+                Some(SpanId {
+                    src: src.parse().map_err(|_| bad())?,
+                    seq: seq.parse().map_err(|_| bad())?,
+                })
+            }
+        };
+        Ok(ChromeFields {
+            ph: text(ev, "ph")?,
+            name: text(ev, "name")?,
+            cat: text(ev, "cat")?,
+            ts_ns: nanos(ev, "ts")?,
+            dur_ns: nanos(ev, "dur")?,
+            pid: u64::from_value(field(ev, "pid"))?,
+            tid: u64::from_value(field(ev, "tid"))?,
+            arg_name: opt_text(args, "name")?,
+            trace: Option::from_value(field(args, "trace"))?,
+            parent,
+            cpu_ns: Option::from_value(field(args, "cpu_ns"))?,
+            value: Option::from_value(field(args, "value"))?,
+        })
+    }
+}
+
+/// A Perfetto-loadable trace, `{"traceEvents": [...]}`: `M` metadata
+/// events naming processes and threads, `X` span events and `C` counter
+/// points, in the order they were added.
 ///
-/// The field is literally named `traceEvents` because that is the key the
-/// Chrome trace format requires (the vendored serde derive serializes
-/// field names verbatim).
-#[allow(non_snake_case)]
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Events are compact and the JSON is written straight from them, so a
+/// trace costs 64 bytes per span, not an object with its own strings.
+/// Span stage and counter-track names live once in the trace's own name
+/// table. Two traces are equal when they would write the same events,
+/// whatever order their tables hold the names in.
+#[derive(Debug, Clone, Default)]
 pub struct ChromeTrace {
-    /// The event list.
-    pub traceEvents: Vec<TraceEvent>,
+    /// Every span stage and counter-track name, once each.
+    names: Vec<String>,
+    /// The `names` index of each span stage, by its [`MetricId`] index.
+    stages: Vec<Option<u32>>,
+    events: Vec<ChromeEvent>,
 }
 
 impl ChromeTrace {
@@ -608,38 +828,48 @@ impl ChromeTrace {
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.traceEvents.len()
+        self.events.len()
     }
 
     /// True when no events have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.traceEvents.is_empty()
+        self.events.is_empty()
+    }
+
+    /// Makes room for `additional` more events, exactly.
+    pub fn reserve(&mut self, additional: usize) {
+        self.events.reserve_exact(additional);
+    }
+
+    /// The name table's index of `name`, added on first use.
+    fn intern(&mut self, name: &str) -> u32 {
+        let i = match self.names.iter().position(|n| n == name) {
+            Some(i) => i,
+            None => {
+                self.names.push(name.to_string());
+                self.names.len() - 1
+            }
+        };
+        u32::try_from(i).expect("fewer than 2^32 trace names")
     }
 
     /// Names a process (one per CPU location).
     pub fn add_process(&mut self, pid: u64, name: impl Into<String>) {
-        self.add_metadata("process_name", pid, 0, name.into());
+        self.events.push(ChromeEvent::Meta {
+            thread: false,
+            pid,
+            tid: 0,
+            name: name.into(),
+        });
     }
 
     /// Names a thread (one per device).
     pub fn add_thread(&mut self, pid: u64, tid: u64, name: impl Into<String>) {
-        self.add_metadata("thread_name", pid, tid, name.into());
-    }
-
-    /// Adds an `M` metadata event naming a process or thread.
-    fn add_metadata(&mut self, what: &str, pid: u64, tid: u64, name: String) {
-        self.traceEvents.push(TraceEvent {
-            ph: "M".into(),
-            name: what.into(),
-            cat: "__metadata".into(),
-            ts: 0.0,
-            dur: 0.0,
+        self.events.push(ChromeEvent::Meta {
+            thread: true,
             pid,
             tid,
-            args: TraceArgs {
-                name: Some(name),
-                ..TraceArgs::default()
-            },
+            name: name.into(),
         });
     }
 
@@ -647,45 +877,127 @@ impl ChromeTrace {
     /// control-plane levels (ring occupancy, degraded pods, fast-path
     /// rate) render as graphs above the span trees on the same Perfetto
     /// timeline. `at_ns` is sim time in nanoseconds.
-    pub fn add_counter(&mut self, track: impl Into<String>, pid: u64, at_ns: u64, value: f64) {
-        self.traceEvents.push(TraceEvent {
-            ph: "C".into(),
-            name: track.into(),
-            cat: "telemetry".into(),
-            ts: at_ns as f64 / 1_000.0,
-            dur: 0.0,
+    pub fn add_counter(&mut self, track: &str, pid: u64, at_ns: u64, value: f64) {
+        let track = self.intern(track);
+        self.events.push(ChromeEvent::Counter {
+            track,
             pid,
-            tid: 0,
-            args: TraceArgs {
-                value: Some(value),
-                ..TraceArgs::default()
-            },
+            at_ns,
+            value,
         });
     }
 
-    /// Adds one span as an `X` complete event. `stage` is the resolved
-    /// stage name; `pid`/`tid` locate it on the Perfetto timeline.
-    pub fn add_span(&mut self, rec: &SpanRecord, stage: impl Into<String>, pid: u64, tid: u64) {
-        self.traceEvents.push(TraceEvent {
-            ph: "X".into(),
-            name: stage.into(),
-            cat: "packet".into(),
-            ts: rec.enter as f64 / 1_000.0,
-            dur: rec.latency_ns() as f64 / 1_000.0,
+    /// Adds one span as an `X` complete event on its device's thread of
+    /// process `pid`. `stage` names `rec.stage`: the trace enters it in
+    /// its name table at that stage's first span and keeps that name for
+    /// the stage's later spans.
+    pub fn add_span(&mut self, rec: &SpanRecord, stage: &str, pid: u64) {
+        let i = rec.stage.index();
+        if i >= self.stages.len() {
+            self.stages.resize(i + 1, None);
+        }
+        let stage = match self.stages[i] {
+            Some(stage) => stage,
+            None => {
+                let stage = self.intern(stage);
+                self.stages[i] = Some(stage);
+                stage
+            }
+        };
+        self.events.push(ChromeEvent::Span {
+            stage,
             pid,
-            tid,
-            args: TraceArgs {
-                name: None,
-                trace: Some(rec.trace),
-                parent: if rec.parent.is_none() {
-                    None
-                } else {
-                    Some(format!("{}:{}", rec.parent.src, rec.parent.seq))
-                },
-                cpu_ns: Some(rec.cpu_ns),
-                value: None,
-            },
+            dev: rec.dev,
+            enter: rec.enter,
+            dur: rec.latency_ns(),
+            trace: rec.trace,
+            parent_src: rec.parent.src,
+            parent_seq: rec.parent.seq,
+            cpu_ns: rec.cpu_ns,
         });
+    }
+
+    /// The event `f` describes, its name entered in this trace's table.
+    /// Fields the phase does not write are dropped here; the caller
+    /// checks that the event writes `f` back.
+    fn event_of(&mut self, f: &ChromeFields<'_>) -> Result<ChromeEvent, DeError> {
+        Ok(match f.ph {
+            "M" => ChromeEvent::Meta {
+                thread: f.name == "thread_name",
+                pid: f.pid,
+                tid: f.tid,
+                name: f.arg_name.unwrap_or_default().to_string(),
+            },
+            "X" => {
+                let parent = f.parent.unwrap_or(SpanId::NONE);
+                ChromeEvent::Span {
+                    stage: self.intern(f.name),
+                    pid: f.pid,
+                    dev: f.tid as u32,
+                    enter: f.ts_ns,
+                    dur: f.dur_ns,
+                    trace: f.trace.unwrap_or_default(),
+                    parent_src: parent.src,
+                    parent_seq: parent.seq,
+                    cpu_ns: f.cpu_ns.unwrap_or_default(),
+                }
+            }
+            "C" => ChromeEvent::Counter {
+                track: self.intern(f.name),
+                pid: f.pid,
+                at_ns: f.ts_ns,
+                value: f.value.unwrap_or_default(),
+            },
+            _ => return Err(DeError::expected("phase M, X or C", "ChromeTrace")),
+        })
+    }
+}
+
+impl PartialEq for ChromeTrace {
+    fn eq(&self, other: &ChromeTrace) -> bool {
+        self.events.len() == other.events.len()
+            && self
+                .events
+                .iter()
+                .zip(&other.events)
+                .all(|(a, b)| a.fields(&self.names) == b.fields(&other.names))
+    }
+}
+
+impl Serialize for ChromeTrace {
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        s.begin_map()?;
+        s.key()?;
+        s.str("traceEvents")?;
+        s.begin_seq()?;
+        for e in &self.events {
+            s.elem()?;
+            e.fields(&self.names).serialize(s)?;
+        }
+        s.end_seq()?;
+        s.end_map()
+    }
+}
+
+/// Reads back what [`ChromeTrace`]'s `Serialize` writes, and rejects an
+/// event that would not write back the same way.
+impl Deserialize for ChromeTrace {
+    fn from_value(v: &Value) -> Result<ChromeTrace, DeError> {
+        let events = field(v, "traceEvents")
+            .as_seq()
+            .ok_or_else(|| DeError::expected("sequence", "traceEvents"))?;
+        let mut trace = ChromeTrace::new();
+        for ev in events {
+            let fields = ChromeFields::read(ev)?;
+            let event = trace.event_of(&fields)?;
+            if event.fields(&trace.names) != fields {
+                return Err(DeError::msg(format!(
+                    "trace event outside the Chrome export's shape: {fields:?}"
+                )));
+            }
+            trace.events.push(event);
+        }
+        Ok(trace)
     }
 }
 
@@ -814,6 +1126,46 @@ mod tests {
         assert_eq!(cells[0].location, "host");
         assert_eq!(cells[0].category, "sys");
         assert_eq!(cells[1].location, "vm2");
+    }
+
+    #[test]
+    fn chrome_trace_reads_back_only_its_own_shape() {
+        assert!(std::mem::size_of::<ChromeEvent>() <= 64);
+        let mut trace = ChromeTrace::new();
+        trace.add_process(1, "host");
+        trace.add_thread(1, 3, "br0");
+        trace.add_span(&rec(1, 1_000, 1_500), "stage.bridge", 1);
+        trace.add_counter("ring", 1, 2_000, 0.25);
+        let text = serde_json::to_string(&trace).unwrap();
+        assert_eq!(serde_json::from_str::<ChromeTrace>(&text).unwrap(), trace);
+
+        // A stage keeps the name its first span gave it.
+        let mut later = trace.clone();
+        later.add_span(&rec(2, 2_000, 2_500), "stage.other", 1);
+        assert_eq!(later.names, ["stage.bridge", "ring"]);
+
+        // Equality reads names, not table order.
+        let mut reordered = ChromeTrace::new();
+        reordered.intern("ring");
+        reordered.add_process(1, "host");
+        reordered.add_thread(1, 3, "br0");
+        reordered.add_span(&rec(1, 1_000, 1_500), "stage.bridge", 1);
+        reordered.add_counter("ring", 1, 2_000, 0.25);
+        assert_eq!(reordered, trace);
+        reordered.add_counter("ring", 1, 2_000, 0.25);
+        assert_ne!(reordered, trace);
+
+        for (from, to) in [
+            (r#""ts":1.0"#, r#""ts":1.0005"#),
+            (r#""ph":"C""#, r#""ph":"B""#),
+            (r#""cat":"packet""#, r#""cat":"net""#),
+            (r#""trace":1"#, r#""trace":null"#),
+            (r#""name":"thread_name""#, r#""name":"thread""#),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "{from}");
+            assert!(serde_json::from_str::<ChromeTrace>(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -108,6 +108,10 @@ pub fn snapshot_report(report: &RunReport, label: &str) -> RunSnapshot {
 
 /// Chrome `trace_event` export of a finished run: metadata rows for every
 /// (location, device) seen in the spans, then one `X` event per span.
+/// The events are sized up front and each stage's name is stored once,
+/// so the export allocates per process, thread and stage, never per
+/// span. (Grown by doubling, a full span ring's 262,144 events plus the
+/// metadata would take 32 MiB, not 16.)
 pub fn chrome_trace_report(report: &RunReport) -> ChromeTrace {
     let mut out = ChromeTrace::new();
     let mut procs: BTreeSet<u64> = BTreeSet::new();
@@ -123,9 +127,9 @@ pub fn chrome_trace_report(report: &RunReport) -> ChromeTrace {
             out.add_thread(pid, u64::from(r.dev), name);
         }
     }
+    out.reserve(report.spans.len());
     for r in &report.spans {
-        let stage = report.store.name_of(r.stage);
-        out.add_span(r, stage, pid_of(r.loc), u64::from(r.dev));
+        out.add_span(r, report.store.name_of(r.stage), pid_of(r.loc));
     }
     out
 }
@@ -207,17 +211,17 @@ pub fn telemetry_report(report: &RunReport, label: &str) -> TelemetrySnapshot {
 /// standalone.
 pub fn chrome_counter_tracks(snap: &TelemetrySnapshot) -> ChromeTrace {
     let mut out = ChromeTrace::new();
-    out.add_process(1, "telemetry".to_string());
+    out.add_process(1, "telemetry");
     for s in &snap.series {
         for &(at_ns, v) in &s.points {
-            out.add_counter(s.name.clone(), 1, at_ns, v);
+            out.add_counter(&s.name, 1, at_ns, v);
         }
     }
     let mut running = [0u64; metrics::JOURNAL_KINDS];
     for r in &snap.journal {
         running[r.kind as usize] += 1;
         out.add_counter(
-            format!("journal.{}", r.kind.label()),
+            &format!("journal.{}", r.kind.label()),
             1,
             r.tag.at_ns,
             running[r.kind as usize] as f64,
@@ -248,5 +252,282 @@ mod tests {
         assert_eq!(snap.spans.emitted, 0);
         let trace = chrome_trace_report(&report);
         assert!(trace.is_empty());
+    }
+
+    /// Three spans whose timestamps and durations cover 0, 0.001, 1,
+    /// 12345.678 and 4294967.295 µs: the first has no parent, the third
+    /// runs in a VM, so the trace holds both metadata kinds for two
+    /// processes.
+    fn pinned_report() -> RunReport {
+        let mut report = crate::Network::new(1).take_report();
+        let veth = report.store.metric_id("stage.veth");
+        let nat = report.store.metric_id("stage.nat");
+        report.device_names = vec!["veth0".into(), "nat \"guest\"".into()];
+        let span = |seq, parent, stage, dev, loc, enter: u64, dur: u64| SpanRecord {
+            trace: 7,
+            span: metrics::SpanId { src: dev, seq },
+            parent,
+            stage,
+            dev,
+            loc,
+            enter,
+            exit: enter + dur,
+            cpu_ns: seq * 250,
+        };
+        let first = metrics::SpanId { src: 0, seq: 1 };
+        let second = metrics::SpanId { src: 0, seq: 2 };
+        report.spans = vec![
+            span(1, metrics::SpanId::NONE, veth, 0, CpuLocation::Host, 0, 1),
+            span(2, first, veth, 0, CpuLocation::Host, 1_000, 12_345_678),
+            span(3, second, nat, 1, CpuLocation::Vm(2), 4_294_967_295, 0),
+        ];
+        report
+    }
+
+    /// A series with two points plus one journal record, at the pinned
+    /// timestamps.
+    fn pinned_telemetry() -> TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot::new("pinned", "full");
+        snap.series.push(metrics::SeriesExport {
+            name: "ring.spans".into(),
+            stride: 1,
+            points: vec![(12_345_678, 0.5), (4_294_967_295, 3.0)],
+        });
+        snap.journal.push(JournalRecord {
+            tag: metrics::JournalTag {
+                at_ns: 1,
+                src: 0,
+                seq: 1,
+            },
+            kind: JournalKind::FaultOpen,
+            a: 0,
+            b: 0,
+            c: 0,
+        });
+        snap
+    }
+
+    /// Fixes the exact bytes of every Chrome event shape, compact and
+    /// pretty: `X` spans with and without a parent, `M` process and
+    /// thread names, and `C` counter points.
+    #[test]
+    fn chrome_event_bytes_pinned() {
+        let trace = chrome_trace_report(&pinned_report());
+        let tracks = chrome_counter_tracks(&pinned_telemetry());
+        assert_eq!(
+            serde_json::to_string(&trace).unwrap(),
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"ph":"M","name":"process_name","cat":"__metadata","ts":0.0,"dur":0.0,"pid":1,"tid":0,"args":{"name":"host","trace":null,"parent":null,"cpu_ns":null,"value":null}},"#,
+                r#"{"ph":"M","name":"thread_name","cat":"__metadata","ts":0.0,"dur":0.0,"pid":1,"tid":0,"args":{"name":"veth0","trace":null,"parent":null,"cpu_ns":null,"value":null}},"#,
+                r#"{"ph":"M","name":"process_name","cat":"__metadata","ts":0.0,"dur":0.0,"pid":1002,"tid":0,"args":{"name":"vm2","trace":null,"parent":null,"cpu_ns":null,"value":null}},"#,
+                r#"{"ph":"M","name":"thread_name","cat":"__metadata","ts":0.0,"dur":0.0,"pid":1002,"tid":1,"args":{"name":"nat \"guest\"","trace":null,"parent":null,"cpu_ns":null,"value":null}},"#,
+                r#"{"ph":"X","name":"stage.veth","cat":"packet","ts":0.0,"dur":0.001,"pid":1,"tid":0,"args":{"name":null,"trace":7,"parent":null,"cpu_ns":250,"value":null}},"#,
+                r#"{"ph":"X","name":"stage.veth","cat":"packet","ts":1.0,"dur":12345.678,"pid":1,"tid":0,"args":{"name":null,"trace":7,"parent":"0:1","cpu_ns":500,"value":null}},"#,
+                r#"{"ph":"X","name":"stage.nat","cat":"packet","ts":4294967.295,"dur":0.0,"pid":1002,"tid":1,"args":{"name":null,"trace":7,"parent":"0:2","cpu_ns":750,"value":null}}"#,
+                r#"]}"#
+            )
+        );
+        assert_eq!(
+            serde_json::to_string(&tracks).unwrap(),
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"ph":"M","name":"process_name","cat":"__metadata","ts":0.0,"dur":0.0,"pid":1,"tid":0,"args":{"name":"telemetry","trace":null,"parent":null,"cpu_ns":null,"value":null}},"#,
+                r#"{"ph":"C","name":"ring.spans","cat":"telemetry","ts":12345.678,"dur":0.0,"pid":1,"tid":0,"args":{"name":null,"trace":null,"parent":null,"cpu_ns":null,"value":0.5}},"#,
+                r#"{"ph":"C","name":"ring.spans","cat":"telemetry","ts":4294967.295,"dur":0.0,"pid":1,"tid":0,"args":{"name":null,"trace":null,"parent":null,"cpu_ns":null,"value":3.0}},"#,
+                r#"{"ph":"C","name":"journal.fault.open","cat":"telemetry","ts":0.001,"dur":0.0,"pid":1,"tid":0,"args":{"name":null,"trace":null,"parent":null,"cpu_ns":null,"value":1.0}}"#,
+                r#"]}"#
+            )
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&trace).unwrap(),
+            r#"{
+  "traceEvents": [
+    {
+      "ph": "M",
+      "name": "process_name",
+      "cat": "__metadata",
+      "ts": 0.0,
+      "dur": 0.0,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "name": "host",
+        "trace": null,
+        "parent": null,
+        "cpu_ns": null,
+        "value": null
+      }
+    },
+    {
+      "ph": "M",
+      "name": "thread_name",
+      "cat": "__metadata",
+      "ts": 0.0,
+      "dur": 0.0,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "name": "veth0",
+        "trace": null,
+        "parent": null,
+        "cpu_ns": null,
+        "value": null
+      }
+    },
+    {
+      "ph": "M",
+      "name": "process_name",
+      "cat": "__metadata",
+      "ts": 0.0,
+      "dur": 0.0,
+      "pid": 1002,
+      "tid": 0,
+      "args": {
+        "name": "vm2",
+        "trace": null,
+        "parent": null,
+        "cpu_ns": null,
+        "value": null
+      }
+    },
+    {
+      "ph": "M",
+      "name": "thread_name",
+      "cat": "__metadata",
+      "ts": 0.0,
+      "dur": 0.0,
+      "pid": 1002,
+      "tid": 1,
+      "args": {
+        "name": "nat \"guest\"",
+        "trace": null,
+        "parent": null,
+        "cpu_ns": null,
+        "value": null
+      }
+    },
+    {
+      "ph": "X",
+      "name": "stage.veth",
+      "cat": "packet",
+      "ts": 0.0,
+      "dur": 0.001,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "name": null,
+        "trace": 7,
+        "parent": null,
+        "cpu_ns": 250,
+        "value": null
+      }
+    },
+    {
+      "ph": "X",
+      "name": "stage.veth",
+      "cat": "packet",
+      "ts": 1.0,
+      "dur": 12345.678,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "name": null,
+        "trace": 7,
+        "parent": "0:1",
+        "cpu_ns": 500,
+        "value": null
+      }
+    },
+    {
+      "ph": "X",
+      "name": "stage.nat",
+      "cat": "packet",
+      "ts": 4294967.295,
+      "dur": 0.0,
+      "pid": 1002,
+      "tid": 1,
+      "args": {
+        "name": null,
+        "trace": 7,
+        "parent": "0:2",
+        "cpu_ns": 750,
+        "value": null
+      }
+    }
+  ]
+}"#
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&tracks).unwrap(),
+            r#"{
+  "traceEvents": [
+    {
+      "ph": "M",
+      "name": "process_name",
+      "cat": "__metadata",
+      "ts": 0.0,
+      "dur": 0.0,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "name": "telemetry",
+        "trace": null,
+        "parent": null,
+        "cpu_ns": null,
+        "value": null
+      }
+    },
+    {
+      "ph": "C",
+      "name": "ring.spans",
+      "cat": "telemetry",
+      "ts": 12345.678,
+      "dur": 0.0,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "name": null,
+        "trace": null,
+        "parent": null,
+        "cpu_ns": null,
+        "value": 0.5
+      }
+    },
+    {
+      "ph": "C",
+      "name": "ring.spans",
+      "cat": "telemetry",
+      "ts": 4294967.295,
+      "dur": 0.0,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "name": null,
+        "trace": null,
+        "parent": null,
+        "cpu_ns": null,
+        "value": 3.0
+      }
+    },
+    {
+      "ph": "C",
+      "name": "journal.fault.open",
+      "cat": "telemetry",
+      "ts": 0.001,
+      "dur": 0.0,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "name": null,
+        "trace": null,
+        "parent": null,
+        "cpu_ns": null,
+        "value": 1.0
+      }
+    }
+  ]
+}"#
+        );
     }
 }

@@ -11,17 +11,18 @@
 //! The counter is thread-local so the tests (which cargo runs on
 //! separate threads) cannot interfere with each other.
 
+use metrics::flight::DEFAULT_SPAN_CAP;
 use metrics::{CpuCategory, CpuLocation, JournalKind, ObsMode, TelemetryConfig, TraceConfig};
 use nestless_simnet::addr::{Ip4, MacAddr, SockAddr};
 use nestless_simnet::bridge::Bridge;
 use nestless_simnet::costs::StageCost;
-use nestless_simnet::device::PortId;
+use nestless_simnet::device::{DeviceId, PortId};
 use nestless_simnet::engine::{LinkParams, Network};
 use nestless_simnet::frame::{Frame, Payload};
 use nestless_simnet::shared::SharedStation;
 use nestless_simnet::testutil::MacBouncer;
 use nestless_simnet::time::{SimDuration, SimTime};
-use nestless_simnet::{FaultPlan, StallWindow, StopCondition};
+use nestless_simnet::{chrome_trace_report, FaultPlan, StallWindow, StopCondition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -66,6 +67,59 @@ fn sock(d: u8, port: u16) -> SockAddr {
     SockAddr::new(Ip4::new(10, 0, 0, d), port)
 }
 
+/// A bridge flooding to three endpoints that count and drop what they
+/// get; returns the bridge.
+fn flood_bridge(net: &mut Network) -> DeviceId {
+    let bridge = net.add_device(
+        "br",
+        CpuLocation::Host,
+        Box::new(Bridge::new(
+            4,
+            StageCost::fixed(800, 0.1, CpuCategory::Sys).with_jitter(0.05),
+            SharedStation::new(),
+        )),
+    );
+    for p in 1..4u32 {
+        let sink = net.add_device(
+            format!("sink{p}"),
+            CpuLocation::Host,
+            Box::new(MacBouncer::new(
+                format!("sink{p}"),
+                MacAddr::local(100 + p),
+                64,
+                StageCost::fixed(500, 0.1, CpuCategory::Usr),
+                false,
+            )),
+        );
+        net.connect(
+            sink,
+            PortId::P0,
+            bridge,
+            PortId(p as usize),
+            LinkParams::default(),
+        );
+    }
+    bridge
+}
+
+/// One round: a broadcast frame (512 B payload) into the bridge, run
+/// until idle.
+fn flood_round(net: &mut Network, bridge: DeviceId) {
+    net.inject_frame(
+        SimDuration::ZERO,
+        bridge,
+        PortId(0),
+        Frame::udp(
+            MacAddr::local(1),
+            MacAddr::BROADCAST,
+            sock(1, 1000),
+            sock(255, 2000),
+            Payload::sized(512),
+        ),
+    );
+    net.run(StopCondition::Idle);
+}
+
 #[test]
 fn frame_clone_is_allocation_free() {
     let mut payload = Payload::sized(1024);
@@ -97,57 +151,13 @@ fn warm_bridge_flood_steady_state_is_allocation_free() {
     // learned, metric ids interned, event slab and heap at capacity —
     // whole injection+flood+delivery rounds must not allocate.
     let mut net = Network::new(3);
-    let bridge = net.add_device(
-        "br",
-        CpuLocation::Host,
-        Box::new(Bridge::new(
-            4,
-            StageCost::fixed(800, 0.1, CpuCategory::Sys).with_jitter(0.05),
-            SharedStation::new(),
-        )),
-    );
-    for p in 1..4u32 {
-        let sink = net.add_device(
-            format!("sink{p}"),
-            CpuLocation::Host,
-            Box::new(MacBouncer::new(
-                format!("sink{p}"),
-                MacAddr::local(100 + p),
-                64,
-                StageCost::fixed(500, 0.1, CpuCategory::Usr),
-                false,
-            )),
-        );
-        net.connect(
-            sink,
-            PortId::P0,
-            bridge,
-            PortId(p as usize),
-            LinkParams::default(),
-        );
-    }
-    let src = MacAddr::local(1);
-    let round = |net: &mut Network| {
-        net.inject_frame(
-            SimDuration::ZERO,
-            bridge,
-            PortId(0),
-            Frame::udp(
-                src,
-                MacAddr::BROADCAST,
-                sock(1, 1000),
-                sock(255, 2000),
-                Payload::sized(512),
-            ),
-        );
-        net.run(StopCondition::Idle);
-    };
+    let bridge = flood_bridge(&mut net);
     for _ in 0..64 {
-        round(&mut net);
+        flood_round(&mut net, bridge);
     }
     let n = allocations(|| {
         for _ in 0..512 {
-            round(&mut net);
+            flood_round(&mut net, bridge);
         }
     });
     assert_eq!(n, 0, "warmed flood steady state allocated");
@@ -167,57 +177,13 @@ fn warm_counters_mode_steady_state_is_allocation_free() {
     // stage table row exists.
     let mut net = Network::new(3);
     net.set_trace_config(TraceConfig::counters());
-    let bridge = net.add_device(
-        "br",
-        CpuLocation::Host,
-        Box::new(Bridge::new(
-            4,
-            StageCost::fixed(800, 0.1, CpuCategory::Sys).with_jitter(0.05),
-            SharedStation::new(),
-        )),
-    );
-    for p in 1..4u32 {
-        let sink = net.add_device(
-            format!("sink{p}"),
-            CpuLocation::Host,
-            Box::new(MacBouncer::new(
-                format!("sink{p}"),
-                MacAddr::local(100 + p),
-                64,
-                StageCost::fixed(500, 0.1, CpuCategory::Usr),
-                false,
-            )),
-        );
-        net.connect(
-            sink,
-            PortId::P0,
-            bridge,
-            PortId(p as usize),
-            LinkParams::default(),
-        );
-    }
-    let src = MacAddr::local(1);
-    let round = |net: &mut Network| {
-        net.inject_frame(
-            SimDuration::ZERO,
-            bridge,
-            PortId(0),
-            Frame::udp(
-                src,
-                MacAddr::BROADCAST,
-                sock(1, 1000),
-                sock(255, 2000),
-                Payload::sized(512),
-            ),
-        );
-        net.run(StopCondition::Idle);
-    };
+    let bridge = flood_bridge(&mut net);
     for _ in 0..64 {
-        round(&mut net);
+        flood_round(&mut net, bridge);
     }
     let n = allocations(|| {
         for _ in 0..512 {
-            round(&mut net);
+            flood_round(&mut net, bridge);
         }
     });
     assert_eq!(n, 0, "warmed counters-only steady state allocated");
@@ -237,35 +203,7 @@ fn warm_telemetry_counters_steady_state_is_allocation_free() {
     // allocate — and the ring stays empty.
     let mut net = Network::new(3);
     net.set_telemetry_config(TelemetryConfig::counters());
-    let bridge = net.add_device(
-        "br",
-        CpuLocation::Host,
-        Box::new(Bridge::new(
-            4,
-            StageCost::fixed(800, 0.1, CpuCategory::Sys).with_jitter(0.05),
-            SharedStation::new(),
-        )),
-    );
-    for p in 1..4u32 {
-        let sink = net.add_device(
-            format!("sink{p}"),
-            CpuLocation::Host,
-            Box::new(MacBouncer::new(
-                format!("sink{p}"),
-                MacAddr::local(100 + p),
-                64,
-                StageCost::fixed(500, 0.1, CpuCategory::Usr),
-                false,
-            )),
-        );
-        net.connect(
-            sink,
-            PortId::P0,
-            bridge,
-            PortId(p as usize),
-            LinkParams::default(),
-        );
-    }
+    let bridge = flood_bridge(&mut net);
     // Windows every 4 µs (2 µs wide) out past the last measured round,
     // so window transitions keep firing during the measured phase.
     let mut plan = FaultPlan::new();
@@ -278,29 +216,13 @@ fn warm_telemetry_counters_steady_state_is_allocation_free() {
         });
     }
     net.install_fault_plan(plan);
-    let src = MacAddr::local(1);
-    let round = |net: &mut Network| {
-        net.inject_frame(
-            SimDuration::ZERO,
-            bridge,
-            PortId(0),
-            Frame::udp(
-                src,
-                MacAddr::BROADCAST,
-                sock(1, 1000),
-                sock(255, 2000),
-                Payload::sized(512),
-            ),
-        );
-        net.run(StopCondition::Idle);
-    };
     for _ in 0..64 {
-        round(&mut net);
+        flood_round(&mut net, bridge);
     }
     let opens_before = net.journal().counts()[JournalKind::FaultOpen as usize];
     let n = allocations(|| {
         for _ in 0..512 {
-            round(&mut net);
+            flood_round(&mut net, bridge);
         }
     });
     assert_eq!(n, 0, "warmed telemetry counters steady state allocated");
@@ -313,4 +235,42 @@ fn warm_telemetry_counters_steady_state_is_allocation_free() {
     );
     assert!(j.records().is_empty(), "counters mode keeps the ring empty");
     assert_eq!(j.dropped(), 0, "an empty ring cannot drop");
+}
+
+/// A traced run of `rounds` floods; the bridge spans every frame.
+fn traced_flood(rounds: usize) -> nestless_simnet::RunReport {
+    let mut net = Network::new(3);
+    net.set_trace_config(TraceConfig::full());
+    let bridge = flood_bridge(&mut net);
+    for _ in 0..rounds {
+        flood_round(&mut net, bridge);
+    }
+    net.take_report()
+}
+
+#[test]
+fn chrome_export_allocates_per_buffer_not_per_span() {
+    // Building and writing the Chrome trace allocates per process,
+    // thread, stage and output-buffer doubling, never per span: a run
+    // with more than twice the spans costs a few doublings more at most.
+    let export = |rounds| {
+        let report = traced_flood(rounds);
+        let mut bytes = 0;
+        let n = allocations(|| {
+            let trace = chrome_trace_report(&report);
+            bytes = serde_json::to_string(&trace).unwrap().len();
+        });
+        assert!(bytes > 100 * report.spans.len(), "{bytes} B written");
+        (report.spans.len(), n)
+    };
+    let (small_spans, small) = export(1_000);
+    let (large_spans, large) = export(2_500);
+    assert!(
+        large_spans >= 2 * small_spans && large_spans < DEFAULT_SPAN_CAP,
+        "{small_spans} and {large_spans} spans"
+    );
+    assert!(
+        large.abs_diff(small) <= 3,
+        "{small} allocations for {small_spans} spans, {large} for {large_spans}"
+    );
 }
