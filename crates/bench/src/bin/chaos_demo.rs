@@ -19,9 +19,11 @@
 //!
 //! The run is captured by the flight recorder: the full [`RunSnapshot`]
 //! goes to `results/chaos_demo.snapshot.json` and the summary document to
-//! `results/chaos_demo.json`. Both are validated by a serde round-trip
-//! and the process exits nonzero if any recovery invariant fails, so CI
-//! can gate on it.
+//! `results/chaos_demo.json`, with its telemetry snapshot in
+//! `results/chaos_demo.telemetry.json`. The process exits nonzero if any
+//! recovery invariant fails, or unless each document's compact JSON
+//! equals its pretty text parsed and reprinted compactly, so CI can gate
+//! on it.
 
 use metrics::{RunSnapshot, TraceConfig};
 use nestless::topology::{build, Config, CLIENT_PORT, SERVER_PORT};
@@ -96,7 +98,7 @@ impl Application for Pulse {
     }
 }
 
-#[derive(serde::Serialize, serde::Deserialize, PartialEq, Clone)]
+#[derive(serde::Serialize)]
 struct PhaseGoodput {
     phase: String,
     sent: u64,
@@ -104,7 +106,7 @@ struct PhaseGoodput {
     goodput: f64,
 }
 
-#[derive(serde::Serialize, serde::Deserialize, PartialEq)]
+#[derive(serde::Serialize)]
 struct BrFusionReport {
     fallbacks: u64,
     fallback_reason: String,
@@ -120,13 +122,13 @@ struct BrFusionReport {
     spans_dropped: u64,
 }
 
-#[derive(serde::Serialize, serde::Deserialize, PartialEq)]
+#[derive(serde::Serialize)]
 struct HostloReport {
     phases: Vec<PhaseGoodput>,
     fault_link_down: f64,
 }
 
-#[derive(serde::Serialize, serde::Deserialize, PartialEq)]
+#[derive(serde::Serialize)]
 struct ChaosReport {
     demo: String,
     seed: u64,

@@ -1,9 +1,7 @@
 //! Standalone event-throughput harness for the simnet DES engine.
 //!
-//! Three scenarios, run as a plain binary:
+//! Two scenarios, run as a plain binary:
 //!
-//! * `bridge_forwarding` — the fast-path microbenchmark: one bridge
-//!   unicasting `frames` frames into a sink, repeated `reps` times.
 //! * `observability_overhead` — the 4-host [`build_multihost`] workload
 //!   run under each flight-recorder mode (off / counters / full); rates
 //!   and the relative cost land in `results/observability_overhead.json`.
@@ -17,58 +15,24 @@
 //! reads both artifacts and decides every claim.
 //!
 //! ```text
-//! cargo run --release -p nestless-bench --bin engine_throughput [reps] [frames] [scenario]
+//! cargo run --release -p nestless-bench --bin engine_throughput [reps] [scenario]
 //! ```
 //!
-//! `scenario` is `all` (default), `bridge`, `observability` or
-//! `multicore` — CI jobs use it to run exactly the slice they gate on.
+//! `scenario` is `all` (default), `observability` or `multicore` — CI
+//! jobs use it to run exactly the slice they gate on.
 
-use metrics::{CpuCategory, CpuLocation, TelemetryConfig, TraceConfig};
+use metrics::{TelemetryConfig, TraceConfig};
 use nestless_bench::harness::{host_cores, outcome_digest, summarize, write_artifact};
-use simnet::bridge::Bridge;
-use simnet::costs::StageCost;
-use simnet::device::{DeviceId, PortId};
-use simnet::engine::{LinkParams, Network};
-use simnet::shared::SharedStation;
-use simnet::testutil::{build_multihost, frame_between, CaptureSink, MultihostSpec};
+use simnet::device::DeviceId;
+use simnet::engine::Network;
+use simnet::testutil::{build_multihost, MultihostSpec};
 use simnet::StopCondition;
-use simnet::{FaultPlan, MacAddr, SimConfig, SimDuration, SimTime, StallWindow};
+use simnet::{FaultPlan, SimConfig, SimDuration, SimTime, StallWindow};
 use std::time::Instant;
 
 /// Simulated horizon of one multihost rep (2 ms keeps a debug-build rep
 /// subsecond while still processing ~100k events in release).
 const MULTIHOST_HORIZON: SimTime = SimTime(2_000_000);
-
-fn build_net(frames: u64) -> Network {
-    let mut net = Network::new(1);
-    let br = net.add_device(
-        "br",
-        CpuLocation::Host,
-        Box::new(Bridge::new(
-            2,
-            StageCost::fixed(1_000, 0.3, CpuCategory::Sys),
-            SharedStation::new(),
-        )),
-    );
-    let sink = net.add_device("s", CpuLocation::Host, Box::new(CaptureSink::new("s")));
-    net.connect(br, PortId(1), sink, PortId::P0, LinkParams::default());
-    // Teach the bridge where the destination lives, then flood it.
-    net.inject_frame(
-        SimDuration::ZERO,
-        br,
-        PortId(1),
-        frame_between(MacAddr::local(2), MacAddr::local(1), 1),
-    );
-    for i in 0..frames {
-        net.inject_frame(
-            SimDuration::nanos(i),
-            br,
-            PortId(0),
-            frame_between(MacAddr::local(1), MacAddr::local(2), 512),
-        );
-    }
-    net
-}
 
 fn build_multihost_net() -> Network {
     let mut net = Network::new(0xBEEF);
@@ -84,29 +48,6 @@ fn build_multihost_net() -> Network {
         },
     );
     net
-}
-
-fn bridge_forwarding(reps: usize, frames: u64) {
-    // Warm-up rep (page in code, size allocator pools).
-    build_net(frames).run(StopCondition::Idle);
-
-    let mut rates = Vec::with_capacity(reps);
-    let mut total_events = 0u64;
-    for _ in 0..reps {
-        let mut net = build_net(frames);
-        let start = Instant::now();
-        net.run(StopCondition::Idle);
-        let elapsed = start.elapsed();
-        total_events += net.events_processed();
-        rates.push(net.events_processed() as f64 / elapsed.as_secs_f64());
-    }
-    let (median, peak) = summarize(rates);
-
-    println!(
-        "{{\"scenario\":\"bridge_forwarding\",\"reps\":{reps},\"frames_per_rep\":{frames},\
-         \"events_total\":{total_events},\
-         \"events_per_sec_median\":{median:.0},\"events_per_sec_peak\":{peak:.0}}}"
-    );
 }
 
 /// Observability overhead: the 4-host multihost workload under each
@@ -346,7 +287,7 @@ fn arg_or(arg: Option<String>, name: &str, default: u64) -> u64 {
             Ok(n) if n >= 1 => n,
             _ => {
                 eprintln!("error: {name} must be a positive integer, got {s:?}");
-                eprintln!("usage: engine_throughput [reps] [frames] [scenario]");
+                eprintln!("usage: engine_throughput [reps] [scenario]");
                 std::process::exit(2);
             }
         },
@@ -356,24 +297,21 @@ fn arg_or(arg: Option<String>, name: &str, default: u64) -> u64 {
 fn main() {
     let mut args = std::env::args().skip(1);
     let reps = usize::try_from(arg_or(args.next(), "reps", 30)).unwrap();
-    let frames = arg_or(args.next(), "frames", 10_000);
     let scenario = args.next().unwrap_or_else(|| "all".to_string());
 
     match scenario.as_str() {
         "all" => {
-            bridge_forwarding(reps, frames);
             observability_overhead(reps.min(10));
             multicore(reps.min(5));
         }
-        "bridge" => bridge_forwarding(reps, frames),
         "observability" => observability_overhead(reps.min(10)),
         "multicore" => multicore(reps.min(5)),
         other => {
             eprintln!(
                 "error: unknown scenario {other:?} \
-                 (expected all|bridge|observability|multicore)"
+                 (expected all|observability|multicore)"
             );
-            eprintln!("usage: engine_throughput [reps] [frames] [scenario]");
+            eprintln!("usage: engine_throughput [reps] [scenario]");
             std::process::exit(2);
         }
     }

@@ -7,11 +7,10 @@
 //!
 //! Writes `results/flight_demo.snapshot.json` and
 //! `results/flight_demo.trace.json` (load the latter at
-//! <https://ui.perfetto.dev> or `chrome://tracing`). Both documents are
-//! validated by a serde round-trip — serialize, parse back, compare
-//! structurally, and compare the compact JSON with the pretty text
-//! reprinted compactly — and the process exits nonzero on any mismatch,
-//! so CI can gate on the export formats staying well-formed.
+//! <https://ui.perfetto.dev> or `chrome://tracing`). The process exits
+//! nonzero unless each document's compact JSON equals its pretty text
+//! parsed and reprinted compactly, so CI's diff of the committed pretty
+//! artifacts holds the compact bytes too.
 
 use metrics::{ChromeTrace, RunSnapshot, TraceConfig};
 use nestless::topology::{build, Config, Testbed, CLIENT_PORT, SERVER_PORT};

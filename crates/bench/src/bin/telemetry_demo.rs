@@ -9,10 +9,10 @@
 //! 2. **Derived metrics** — a counter, a gauge, a log2 histogram and a
 //!    decimating tick series are computed from the canonical run's
 //!    journal and added to its snapshot.
-//! 3. **Exporters** — the merged [`TelemetrySnapshot`] is round-trip
-//!    validated through serde (its compact JSON must also equal its
-//!    pretty text reprinted compactly) and written as versioned JSON,
-//!    Prometheus text, and a Perfetto counter-track trace.
+//! 3. **Exporters** — the merged [`TelemetrySnapshot`] is written as
+//!    versioned JSON, Prometheus text, and a Perfetto counter-track
+//!    trace. Each JSON document's compact bytes must equal its pretty
+//!    text parsed and reprinted compactly.
 //!
 //! Every invariant failure exits nonzero, so CI can run the bin as a
 //! self-checking smoke test:

@@ -5,10 +5,9 @@
 //! (24xlarge), "similarly to resources given in Google traces".
 
 use crate::resources::Res;
-use serde::Serialize;
 
 /// One VM model of the catalog.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmModel {
     /// Model name (e.g. "m5.2xlarge").
     pub name: &'static str,

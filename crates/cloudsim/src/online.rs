@@ -13,7 +13,6 @@ use crate::resources::Res;
 use crate::trace::TracePod;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// One lifecycle event.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +72,7 @@ pub fn synthetic_online_trace(n_pods: usize, horizon_h: f64, seed: u64) -> Onlin
 }
 
 /// Placement granularity of the online scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OnlineMode {
     /// Whole pods (the vanilla Kubernetes constraint).
     WholePod,
@@ -125,7 +124,7 @@ impl LiveVm {
 }
 
 /// Result of an online run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineReport {
     /// Scheduling granularity used.
     pub mode: OnlineMode,

@@ -4,7 +4,6 @@
 //! standalone offline computation (the paper runs it on Google cluster
 //! traces, §5.3.1).
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -13,9 +12,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// CPU in millicores, memory in MiB — absolute units anchored to the m5
 /// catalog (96 vCPU = 96 000 mc, 384 GiB = 393 216 MiB for the largest
 /// model).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Res {
     /// CPU request in millicores.
     pub cpu_m: u64,

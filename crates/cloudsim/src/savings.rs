@@ -10,10 +10,9 @@ use crate::sched::{hostlo_improve, kube_schedule};
 use crate::trace::Trace;
 use metrics::Histogram;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Cost comparison for one user.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserSavings {
     /// User id.
     pub user: u32,
@@ -40,7 +39,7 @@ impl UserSavings {
 }
 
 /// The aggregated fig. 9 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SavingsReport {
     /// Per-user results, in user order.
     pub per_user: Vec<UserSavings>,
@@ -127,7 +126,7 @@ pub fn simulate(trace: &Trace) -> SavingsReport {
 
 /// Headline fig. 9 statistics across several trace seeds, with dispersion
 /// (the error bars the paper's single-trace methodology cannot give).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SavingsBands {
     /// Mean and stddev of the fraction of users saving.
     pub frac_saving: (f64, f64),

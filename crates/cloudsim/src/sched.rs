@@ -16,7 +16,6 @@
 use crate::catalog::{cheapest_fitting, VmModel};
 use crate::resources::Res;
 use crate::trace::TraceUser;
-use serde::Serialize;
 
 /// A container owned by a VM in a placement: `(pod index, container index,
 /// request)`.
@@ -29,7 +28,7 @@ pub type PlacedContainer = (usize, usize, Res);
 /// [`hostlo_improve`] stop re-summing every container on every check.
 /// Mutation goes through [`SimVm::push`] / [`SimVm::retain`] / etc. to
 /// keep the cache in lockstep; `used()` debug-asserts cache == rescan.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimVm {
     /// Model name (resolved against the catalog).
     pub model: VmModel,
@@ -107,7 +106,7 @@ impl SimVm {
 }
 
 /// A user's full placement: the set of bought VMs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Placement {
     /// Bought VMs.
     pub vms: Vec<SimVm>,

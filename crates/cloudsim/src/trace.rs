@@ -12,20 +12,19 @@ use crate::catalog::res_from_relative;
 use crate::resources::Res;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The user population of the paper's simulation (§5.3.1).
 pub const PAPER_USER_COUNT: usize = 492;
 
 /// One container request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContainer {
     /// Requested resources.
     pub res: Res,
 }
 
 /// One pod: a set of containers deployed together.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TracePod {
     /// Member containers.
     pub containers: Vec<TraceContainer>,
@@ -39,7 +38,7 @@ impl TracePod {
 }
 
 /// One cloud user and their pods.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceUser {
     /// User identifier.
     pub id: u32,
@@ -48,7 +47,7 @@ pub struct TraceUser {
 }
 
 /// A full trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// All users.
     pub users: Vec<TraceUser>,

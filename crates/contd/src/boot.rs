@@ -19,10 +19,9 @@
 use metrics::Cdf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One phase of the boot pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BootPhase {
     /// Phase name.
     pub name: String,
@@ -63,7 +62,7 @@ impl BootPhase {
 }
 
 /// A sampled boot: per-phase durations and the total.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BootSample {
     /// `(phase name, duration ms)` in pipeline order.
     pub phases: Vec<(String, f64)>,
@@ -72,7 +71,7 @@ pub struct BootSample {
 }
 
 /// The start-up pipeline for one networking mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BootPipeline {
     phases: Vec<BootPhase>,
 }

@@ -1,15 +1,14 @@
 //! Containers: identity, resource requests, port mappings, lifecycle.
 
-use serde::{Deserialize, Serialize};
 use simnet::nat::Proto;
 
 /// Container identifier, engine-local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContainerId(pub u32);
 
 /// Resources a container requests. Units follow the Google-trace convention
 /// used by the cost simulation: CPU in millicores, memory in MiB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceRequest {
     /// CPU request in millicores (1000 = one core).
     pub cpu_millis: u64,
@@ -41,7 +40,7 @@ impl ResourceRequest {
 }
 
 /// A published port (Docker `-p host:container`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortMapping {
     /// Protocol.
     pub proto: Proto,
@@ -52,7 +51,7 @@ pub struct PortMapping {
 }
 
 /// Container lifecycle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerState {
     /// Created, network not yet configured.
     Created,
@@ -60,24 +59,10 @@ pub enum ContainerState {
     Running,
     /// Exited.
     Exited,
-    /// Crashed (exited non-zero); eligible for restart per policy.
-    Failed,
-}
-
-/// What the engine does when a container fails (Docker `--restart`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RestartPolicy {
-    /// Never restart.
-    #[default]
-    No,
-    /// Always restart on failure.
-    Always,
-    /// Restart at most `n` times.
-    OnFailure(u32),
 }
 
 /// What the user asks the engine to run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContainerSpec {
     /// Container name.
     pub name: String,
@@ -87,8 +72,6 @@ pub struct ContainerSpec {
     pub resources: ResourceRequest,
     /// Published ports.
     pub ports: Vec<PortMapping>,
-    /// Restart policy on failure.
-    pub restart: RestartPolicy,
 }
 
 impl ContainerSpec {
@@ -99,14 +82,7 @@ impl ContainerSpec {
             image: image.into(),
             resources: ResourceRequest::default(),
             ports: Vec::new(),
-            restart: RestartPolicy::No,
         }
-    }
-
-    /// Sets the restart policy.
-    pub fn with_restart(mut self, policy: RestartPolicy) -> ContainerSpec {
-        self.restart = policy;
-        self
     }
 
     /// Sets resources.
@@ -138,8 +114,6 @@ pub struct Container {
     /// Container IP inside the node's container subnet (bridge/overlay
     /// drivers; `None` for host networking).
     pub ip: Option<simnet::Ip4>,
-    /// How many times the engine restarted this container.
-    pub restart_count: u32,
 }
 
 #[cfg(test)]

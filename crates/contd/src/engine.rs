@@ -1,10 +1,8 @@
 //! The per-VM container engine (the `dockerd` of one node).
 
-use crate::boot::{BootPipeline, BootSample};
 use crate::container::{Container, ContainerId, ContainerSpec, ContainerState};
 use crate::dataplane::{ContainerNet, NodeDataplane};
 use crate::image::{Image, ImageStore};
-use rand::rngs::StdRng;
 use simnet::{Ip4, Ip4Net};
 use vmm::{NicInfo, VmId, Vmm};
 
@@ -37,10 +35,6 @@ pub enum EngineEventKind {
     Started,
     /// Stopped by request.
     Stopped,
-    /// Crashed.
-    Failed,
-    /// Restarted by policy.
-    Restarted,
 }
 
 /// The container engine of one VM.
@@ -179,7 +173,6 @@ impl ContainerEngine {
             spec,
             state: ContainerState::Running,
             ip: net.as_ref().map(|n| n.ip),
-            restart_count: 0,
         });
         self.log(id, EngineEventKind::Started);
         (id, net)
@@ -200,53 +193,11 @@ impl ContainerEngine {
         self.containers[id.0 as usize].state = ContainerState::Exited;
         self.log(id, EngineEventKind::Stopped);
     }
-
-    /// Marks a container as crashed (failure injection).
-    pub fn mark_failed(&mut self, id: ContainerId) {
-        self.containers[id.0 as usize].state = ContainerState::Failed;
-        self.log(id, EngineEventKind::Failed);
-    }
-
-    /// Applies restart policies to failed containers; returns how many
-    /// were restarted (their network attachments persist — a restart
-    /// re-enters the existing namespace).
-    pub fn reconcile_restarts(&mut self) -> u32 {
-        let mut restarted = 0;
-        let mut restarted_ids = Vec::new();
-        for c in &mut self.containers {
-            if c.state != ContainerState::Failed {
-                continue;
-            }
-            let allowed = match c.spec.restart {
-                crate::container::RestartPolicy::No => false,
-                crate::container::RestartPolicy::Always => true,
-                crate::container::RestartPolicy::OnFailure(n) => c.restart_count < n,
-            };
-            if allowed {
-                c.restart_count += 1;
-                c.state = ContainerState::Running;
-                restarted += 1;
-                restarted_ids.push(c.id);
-            }
-        }
-        for id in restarted_ids {
-            self.log(id, EngineEventKind::Restarted);
-        }
-        restarted
-    }
-
-    /// Samples the start-up time a container creation of the given pipeline
-    /// would take (fig. 8's measurement, detached from the packet-level
-    /// simulation).
-    pub fn sample_boot(&self, pipeline: &BootPipeline, rng: &mut StdRng) -> BootSample {
-        pipeline.sample(rng)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
     use simnet::nat::Proto;
     use vmm::VmSpec;
 
@@ -326,77 +277,22 @@ mod tests {
     }
 
     #[test]
-    fn restart_policies_apply() {
-        use crate::container::RestartPolicy;
-        let mut vmm = Vmm::new(0);
-        let vm = vmm.create_vm(VmSpec::paper_eval("vm0"));
-        let mut eng = ContainerEngine::new(vm);
-        eng.pull(&Image::new("app", "1", &[10]));
-        let (no, _) = eng.create_container(
-            &mut vmm,
-            ContainerSpec::new("no", "app:1"),
-            NetworkMode::External,
-        );
-        let (always, _) = eng.create_container(
-            &mut vmm,
-            ContainerSpec::new("always", "app:1").with_restart(RestartPolicy::Always),
-            NetworkMode::External,
-        );
-        let (bounded, _) = eng.create_container(
-            &mut vmm,
-            ContainerSpec::new("bounded", "app:1").with_restart(RestartPolicy::OnFailure(1)),
-            NetworkMode::External,
-        );
-        for round in 0..3 {
-            eng.mark_failed(no);
-            eng.mark_failed(always);
-            eng.mark_failed(bounded);
-            let restarted = eng.reconcile_restarts();
-            match round {
-                0 => assert_eq!(restarted, 2, "always + first bounded retry"),
-                _ => assert_eq!(restarted, 1, "only always keeps coming back"),
-            }
-        }
-        assert_eq!(eng.container(no).state, ContainerState::Failed);
-        assert_eq!(eng.container(always).state, ContainerState::Running);
-        assert_eq!(eng.container(always).restart_count, 3);
-        assert_eq!(eng.container(bounded).state, ContainerState::Failed);
-        assert_eq!(eng.container(bounded).restart_count, 1);
-    }
-
-    #[test]
     fn audit_log_records_lifecycle() {
-        use crate::container::RestartPolicy;
         let mut vmm = Vmm::new(0);
         let vm = vmm.create_vm(VmSpec::paper_eval("vm0"));
         let mut eng = ContainerEngine::new(vm);
         eng.pull(&Image::new("app", "1", &[10]));
         let (id, _) = eng.create_container(
             &mut vmm,
-            ContainerSpec::new("a", "app:1").with_restart(RestartPolicy::Always),
+            ContainerSpec::new("a", "app:1"),
             NetworkMode::External,
         );
-        eng.mark_failed(id);
-        eng.reconcile_restarts();
         eng.stop(id);
         let kinds: Vec<EngineEventKind> = eng.events().iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
-            vec![
-                EngineEventKind::Started,
-                EngineEventKind::Failed,
-                EngineEventKind::Restarted,
-                EngineEventKind::Stopped,
-            ]
+            vec![EngineEventKind::Started, EngineEventKind::Stopped]
         );
         assert!(eng.events().windows(2).all(|w| w[0].seq < w[1].seq));
-    }
-
-    #[test]
-    fn boot_sampling_uses_engine_rng() {
-        let (_vmm, eng) = engine_with_bridge();
-        let mut rng = StdRng::seed_from_u64(3);
-        let s = eng.sample_boot(&BootPipeline::nat(), &mut rng);
-        assert!(s.total_ms > 0.0);
     }
 }

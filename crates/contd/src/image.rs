@@ -4,11 +4,10 @@
 //! and extraction work in the boot pipeline, and for tests to exercise
 //! cache-hit vs cache-miss start-up behaviour.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One image layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// Content digest (opaque).
     pub digest: String,
@@ -17,7 +16,7 @@ pub struct Layer {
 }
 
 /// A container image: name, tag and layer stack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Image {
     /// Repository name (e.g. "memcached").
     pub name: String,

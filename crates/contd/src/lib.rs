@@ -19,7 +19,6 @@ pub mod overlay;
 pub use boot::{fig8_experiment, BootPipeline, BootSample};
 pub use container::{
     Container, ContainerId, ContainerSpec, ContainerState, PortMapping, ResourceRequest,
-    RestartPolicy,
 };
 pub use dataplane::{ContainerNet, NodeDataplane, DOCKER_SUBNET};
 pub use engine::{ContainerEngine, EngineEvent, EngineEventKind, NetworkMode};

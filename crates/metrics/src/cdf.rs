@@ -4,10 +4,8 @@
 //! Docker NAT vs BrFusion over 100 runs; [`Cdf`] is the exact-sample ECDF
 //! used to regenerate it.
 
-use serde::{Deserialize, Serialize};
-
 /// Exact empirical CDF built from stored samples.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

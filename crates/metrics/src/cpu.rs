@@ -14,11 +14,10 @@
 //! stack; harnesses then normalize by wall-clock time to report "cores used",
 //! the unit of the paper's bar charts.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where CPU time is spent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CpuLocation {
     /// The physical host kernel/userspace.
     Host,
@@ -36,7 +35,7 @@ impl fmt::Display for CpuLocation {
 }
 
 /// The paper's CPU usage categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CpuCategory {
     /// Application (user-space) work.
     Usr,
@@ -218,7 +217,7 @@ impl fmt::Debug for CpuAccount {
 }
 
 /// One bar of the paper's CPU figures: cores used per category at a location.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuBreakdown {
     /// Which machine the bar describes.
     pub location: CpuLocation,

@@ -25,7 +25,7 @@ use crate::cdf::Cdf;
 use crate::cpu::{CpuCategory, CpuLocation};
 use crate::intern::MetricId;
 use crate::ring::ObsMode;
-use serde::{DeError, Deserialize, Serialize, Serializer, Value};
+use serde::{Serialize, Serializer};
 use std::collections::BTreeMap;
 
 /// Default bound on retained span records: 262,144 records of 80 bytes,
@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 pub const DEFAULT_SPAN_CAP: usize = 262_144;
 
 /// Flight-recorder configuration, set on a network before a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Hot-path mode: `Counters` keeps per-stage aggregates, `Full` adds
     /// span records.
@@ -87,9 +87,7 @@ impl TraceConfig {
 /// Like the engine's event tags, this identity is a pure function of the
 /// simulation (not of sharding or thread scheduling), which is what makes
 /// span streams mergeable bit-identically across shard counts.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId {
     /// Emitting device id.
     pub src: u32,
@@ -133,7 +131,7 @@ impl Eq for FlightStamp {}
 
 /// One per-stage span: a frame spent `[enter, exit]` sim-time at a stage
 /// and was charged `cpu_ns` of CPU there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Per-frame trace id the span belongs to.
     pub trace: u64,
@@ -166,7 +164,7 @@ impl SpanRecord {
 /// Power-of-two latency histogram: bucket `i` counts values with
 /// `highest_set_bit == i` (bucket 0 counts zero). Integer-only, so merges
 /// are exact and order-independent.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Hist {
     counts: [u64; 64],
 }
@@ -235,7 +233,7 @@ impl Log2Hist {
 
 /// Additive per-stage aggregate: integer sums and a [`Log2Hist`], so
 /// shard-local tables merge exactly in any order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageAgg {
     /// Frames that traversed the stage.
     pub frames: u64,
@@ -362,7 +360,7 @@ impl StageTable {
 pub const SNAPSHOT_SCHEMA: &str = "nestless.run_snapshot.v1";
 
 /// Summary of one recorded sample series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SampleSummary {
     /// Number of samples.
     pub count: u64,
@@ -398,7 +396,7 @@ impl SampleSummary {
 }
 
 /// One cell of the CPU attribution matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CpuCell {
     /// Location, via its `Display` form (`host`, `vm0`, ...).
     pub location: String,
@@ -409,7 +407,7 @@ pub struct CpuCell {
 }
 
 /// Latency distribution of one stage as exported in a snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LatencyCdf {
     /// Frames observed.
     pub count: u64,
@@ -466,7 +464,7 @@ impl LatencyCdf {
 }
 
 /// Per-stage entry of a snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageSnapshot {
     /// Frames that traversed the stage.
     pub frames: u64,
@@ -477,7 +475,7 @@ pub struct StageSnapshot {
 }
 
 /// Span bookkeeping of a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct SpanAccounting {
     /// Spans emitted by stages (kept + dropped).
     pub emitted: u64,
@@ -488,7 +486,7 @@ pub struct SpanAccounting {
 }
 
 /// Event-trace bookkeeping of a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TraceAccounting {
     /// Entries retained.
     pub kept: u64,
@@ -498,7 +496,7 @@ pub struct TraceAccounting {
 
 /// Everything a finished run exports: counters, sample summaries, CPU
 /// attribution, per-stage latency CDFs, and recorder bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunSnapshot {
     /// Schema tag ([`SNAPSHOT_SCHEMA`]).
     pub schema: String,
@@ -588,9 +586,8 @@ enum ChromeEvent {
 /// Every key of one Chrome event in the order it is written: `ph`,
 /// `name`, `cat`, `ts` and `dur` in µs, `pid`, `tid`, then `args` with
 /// five keys, each `null` unless the event's phase has that value
-/// (Perfetto treats `args` as free-form). Serializing, parsing and
-/// comparing all go through this one shape.
-#[derive(Debug, Default, PartialEq)]
+/// (Perfetto treats `args` as free-form).
+#[derive(Default)]
 struct ChromeFields<'a> {
     ph: &'a str,
     name: &'a str,
@@ -742,66 +739,6 @@ impl Serialize for ChromeFields<'_> {
     }
 }
 
-/// `v[key]`, `null` when absent (as the derived impls read a field).
-fn field<'v>(v: &'v Value, key: &str) -> &'v Value {
-    v.get(key).unwrap_or(&Value::Null)
-}
-
-fn text<'v>(v: &'v Value, key: &str) -> Result<&'v str, DeError> {
-    field(v, key)
-        .as_str()
-        .ok_or_else(|| DeError::expected("string", key))
-}
-
-fn opt_text<'v>(v: &'v Value, key: &str) -> Result<Option<&'v str>, DeError> {
-    match field(v, key) {
-        Value::Null => Ok(None),
-        _ => text(v, key).map(Some),
-    }
-}
-
-/// The sim ns of a µs time the export wrote.
-fn nanos(v: &Value, key: &str) -> Result<u64, DeError> {
-    let us = f64::from_value(field(v, key))?;
-    let ns = (us * 1_000.0).round() as u64;
-    if micros(ns) == us {
-        Ok(ns)
-    } else {
-        Err(DeError::expected("whole sim ns", key))
-    }
-}
-
-impl<'v> ChromeFields<'v> {
-    fn read(ev: &'v Value) -> Result<ChromeFields<'v>, DeError> {
-        let args = field(ev, "args");
-        let parent = match opt_text(args, "parent")? {
-            None => None,
-            Some(label) => {
-                let bad = || DeError::expected("\"src:seq\"", "parent");
-                let (src, seq) = label.split_once(':').ok_or_else(bad)?;
-                Some(SpanId {
-                    src: src.parse().map_err(|_| bad())?,
-                    seq: seq.parse().map_err(|_| bad())?,
-                })
-            }
-        };
-        Ok(ChromeFields {
-            ph: text(ev, "ph")?,
-            name: text(ev, "name")?,
-            cat: text(ev, "cat")?,
-            ts_ns: nanos(ev, "ts")?,
-            dur_ns: nanos(ev, "dur")?,
-            pid: u64::from_value(field(ev, "pid"))?,
-            tid: u64::from_value(field(ev, "tid"))?,
-            arg_name: opt_text(args, "name")?,
-            trace: Option::from_value(field(args, "trace"))?,
-            parent,
-            cpu_ns: Option::from_value(field(args, "cpu_ns"))?,
-            value: Option::from_value(field(args, "value"))?,
-        })
-    }
-}
-
 /// A Perfetto-loadable trace, `{"traceEvents": [...]}`: `M` metadata
 /// events naming processes and threads, `X` span events and `C` counter
 /// points, in the order they were added.
@@ -809,8 +746,7 @@ impl<'v> ChromeFields<'v> {
 /// Events are compact and the JSON is written straight from them, so a
 /// trace costs 64 bytes per span, not an object with its own strings.
 /// Span stage and counter-track names live once in the trace's own name
-/// table. Two traces are equal when they would write the same events,
-/// whatever order their tables hold the names in.
+/// table. The trace is write-only: nothing parses it back.
 #[derive(Debug, Clone, Default)]
 pub struct ChromeTrace {
     /// Every span stage and counter-track name, once each.
@@ -916,52 +852,6 @@ impl ChromeTrace {
             cpu_ns: rec.cpu_ns,
         });
     }
-
-    /// The event `f` describes, its name entered in this trace's table.
-    /// Fields the phase does not write are dropped here; the caller
-    /// checks that the event writes `f` back.
-    fn event_of(&mut self, f: &ChromeFields<'_>) -> Result<ChromeEvent, DeError> {
-        Ok(match f.ph {
-            "M" => ChromeEvent::Meta {
-                thread: f.name == "thread_name",
-                pid: f.pid,
-                tid: f.tid,
-                name: f.arg_name.unwrap_or_default().to_string(),
-            },
-            "X" => {
-                let parent = f.parent.unwrap_or(SpanId::NONE);
-                ChromeEvent::Span {
-                    stage: self.intern(f.name),
-                    pid: f.pid,
-                    dev: f.tid as u32,
-                    enter: f.ts_ns,
-                    dur: f.dur_ns,
-                    trace: f.trace.unwrap_or_default(),
-                    parent_src: parent.src,
-                    parent_seq: parent.seq,
-                    cpu_ns: f.cpu_ns.unwrap_or_default(),
-                }
-            }
-            "C" => ChromeEvent::Counter {
-                track: self.intern(f.name),
-                pid: f.pid,
-                at_ns: f.ts_ns,
-                value: f.value.unwrap_or_default(),
-            },
-            _ => return Err(DeError::expected("phase M, X or C", "ChromeTrace")),
-        })
-    }
-}
-
-impl PartialEq for ChromeTrace {
-    fn eq(&self, other: &ChromeTrace) -> bool {
-        self.events.len() == other.events.len()
-            && self
-                .events
-                .iter()
-                .zip(&other.events)
-                .all(|(a, b)| a.fields(&self.names) == b.fields(&other.names))
-    }
 }
 
 impl Serialize for ChromeTrace {
@@ -976,28 +866,6 @@ impl Serialize for ChromeTrace {
         }
         s.end_seq()?;
         s.end_map()
-    }
-}
-
-/// Reads back what [`ChromeTrace`]'s `Serialize` writes, and rejects an
-/// event that would not write back the same way.
-impl Deserialize for ChromeTrace {
-    fn from_value(v: &Value) -> Result<ChromeTrace, DeError> {
-        let events = field(v, "traceEvents")
-            .as_seq()
-            .ok_or_else(|| DeError::expected("sequence", "traceEvents"))?;
-        let mut trace = ChromeTrace::new();
-        for ev in events {
-            let fields = ChromeFields::read(ev)?;
-            let event = trace.event_of(&fields)?;
-            if event.fields(&trace.names) != fields {
-                return Err(DeError::msg(format!(
-                    "trace event outside the Chrome export's shape: {fields:?}"
-                )));
-            }
-            trace.events.push(event);
-        }
-        Ok(trace)
     }
 }
 
@@ -1129,43 +997,72 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_reads_back_only_its_own_shape() {
+    fn chrome_events_stay_compact_and_stages_keep_their_first_name() {
         assert!(std::mem::size_of::<ChromeEvent>() <= 64);
         let mut trace = ChromeTrace::new();
         trace.add_process(1, "host");
         trace.add_thread(1, 3, "br0");
         trace.add_span(&rec(1, 1_000, 1_500), "stage.bridge", 1);
         trace.add_counter("ring", 1, 2_000, 0.25);
+        trace.add_span(&rec(2, 2_000, 2_500), "stage.other", 1);
+        assert_eq!(trace.names, ["stage.bridge", "ring"]);
         let text = serde_json::to_string(&trace).unwrap();
-        assert_eq!(serde_json::from_str::<ChromeTrace>(&text).unwrap(), trace);
+        assert_eq!(text.matches(r#""name":"stage.bridge""#).count(), 2);
+        assert!(!text.contains("stage.other"));
+    }
 
-        // A stage keeps the name its first span gave it.
-        let mut later = trace.clone();
-        later.add_span(&rec(2, 2_000, 2_500), "stage.other", 1);
-        assert_eq!(later.names, ["stage.bridge", "ring"]);
-
-        // Equality reads names, not table order.
-        let mut reordered = ChromeTrace::new();
-        reordered.intern("ring");
-        reordered.add_process(1, "host");
-        reordered.add_thread(1, 3, "br0");
-        reordered.add_span(&rec(1, 1_000, 1_500), "stage.bridge", 1);
-        reordered.add_counter("ring", 1, 2_000, 0.25);
-        assert_eq!(reordered, trace);
-        reordered.add_counter("ring", 1, 2_000, 0.25);
-        assert_ne!(reordered, trace);
-
-        for (from, to) in [
-            (r#""ts":1.0"#, r#""ts":1.0005"#),
-            (r#""ph":"C""#, r#""ph":"B""#),
-            (r#""cat":"packet""#, r#""cat":"net""#),
-            (r#""trace":1"#, r#""trace":null"#),
-            (r#""name":"thread_name""#, r#""name":"thread""#),
-        ] {
-            let bad = text.replacen(from, to, 1);
-            assert_ne!(bad, text, "{from}");
-            assert!(serde_json::from_str::<ChromeTrace>(&bad).is_err(), "{bad}");
+    /// Pins the compact JSON of a small snapshot, key order included.
+    #[test]
+    fn run_snapshot_bytes_pinned() {
+        let mut agg = StageAgg::default();
+        for l in [10u64, 20, 30, 40] {
+            agg.record(l, 5);
         }
+        let mut acc = CpuAccount::new();
+        acc.charge(CpuLocation::Vm(0), CpuCategory::Soft, 20);
+        let snap = RunSnapshot {
+            schema: SNAPSHOT_SCHEMA.to_string(),
+            label: "pin".to_string(),
+            sim_now_ns: 1_000,
+            events_processed: 12,
+            dropped_no_link: 1,
+            trace_mode: "full".to_string(),
+            counters: BTreeMap::from([("br0.switched".to_string(), 4.0)]),
+            samples: BTreeMap::from([("rtt_us".to_string(), SampleSummary::of(&[1.5, 2.5]))]),
+            cpu: cpu_cells(&acc),
+            stages: BTreeMap::from([(
+                "stage.bridge".to_string(),
+                StageSnapshot {
+                    frames: agg.frames,
+                    cpu_ns: agg.cpu_ns,
+                    latency_ns: LatencyCdf::from_agg_and_latencies(&agg, &[10.0, 20.0, 30.0, 40.0]),
+                },
+            )]),
+            spans: SpanAccounting {
+                emitted: 6,
+                kept: 4,
+                dropped: 2,
+            },
+            trace_entries: TraceAccounting {
+                kept: 3,
+                dropped: 0,
+            },
+        };
+        assert_eq!(
+            serde_json::to_string(&snap).unwrap(),
+            concat!(
+                r#"{"schema":"nestless.run_snapshot.v1","label":"pin","sim_now_ns":1000,"#,
+                r#""events_processed":12,"dropped_no_link":1,"trace_mode":"full","#,
+                r#""counters":{"br0.switched":4.0},"#,
+                r#""samples":{"rtt_us":{"count":2,"mean":2.0,"min":1.5,"max":2.5}},"#,
+                r#""cpu":[{"location":"vm0","category":"soft","ns":20}],"#,
+                r#""stages":{"stage.bridge":{"frames":4,"cpu_ns":20,"#,
+                r#""latency_ns":{"count":4,"mean":25.0,"min":10,"max":40,"#,
+                r#""p50":20.0,"p90":40.0,"p99":40.0,"exact":true}}},"#,
+                r#""spans":{"emitted":6,"kept":4,"dropped":2},"#,
+                r#""trace_entries":{"kept":3,"dropped":0}}"#
+            )
+        );
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! across users; [`Histogram`] reproduces that shape and also backs the
 //! latency-distribution plots.
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 /// A histogram over `[lo, hi)` with `bins` equal-width buckets plus
 /// underflow/overflow counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

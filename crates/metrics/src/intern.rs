@@ -7,7 +7,6 @@
 //! index. Ids are assigned in first-intern order by a single-threaded
 //! owner, so a deterministic simulation assigns deterministic ids.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A dense handle for an interned metric name.
@@ -15,7 +14,7 @@ use std::collections::HashMap;
 /// Ids are small consecutive integers (`0, 1, 2, ...` in first-intern
 /// order) and are only meaningful relative to the [`Interner`] that issued
 /// them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MetricId(u32);
 
 impl MetricId {

@@ -19,7 +19,7 @@
 //!    are exported, never silent.
 
 use crate::ring::{ObsMode, Ring};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Intrinsic identity of a journal record: the tag of the simulation
 /// event whose processing emitted it.
@@ -27,9 +27,7 @@ use serde::{Deserialize, Serialize};
 /// Records emitted outside event processing (harness calls between runs)
 /// use `src == u32::MAX` (the engine's external source) with a dedicated
 /// monotonic sequence.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct JournalTag {
     /// Simulation time in nanoseconds.
     pub at_ns: u64,
@@ -47,7 +45,7 @@ pub struct JournalTag {
 /// belonged in a journal that is identical at every shard count. Their
 /// codes and labels stay so every later kind keeps its code. Round and
 /// ring statistics live in `SyncStats` and the telemetry health fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum JournalKind {
     /// Reserved, never emitted (a coordinator round).
     CoordRound,
@@ -104,7 +102,7 @@ pub enum JournalKind {
 pub const JOURNAL_KINDS: usize = 19;
 
 /// Reason codes carried in `b` of a [`JournalKind::FlowEscalate`] record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowEscalateReason {
     /// The learned path stopped confirming (route change, NAT rebinding).
     PathChanged,
@@ -185,7 +183,7 @@ pub fn journal_name_hash(name: &str) -> u64 {
 /// One journal record: an intrinsic tag, a kind, and three opaque
 /// operands whose meaning is documented per [`JournalKind`]. Flat and
 /// `Copy` so the ring is a plain slab.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct JournalRecord {
     /// Intrinsic identity (the emitting event's tag).
     pub tag: JournalTag,
@@ -204,7 +202,7 @@ pub struct JournalRecord {
 pub const DEFAULT_JOURNAL_CAP: usize = 65_536;
 
 /// Telemetry-plane configuration, set on a network before a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Hot-path mode: `Counters` keeps per-kind counts, `Full` adds the
     /// records.

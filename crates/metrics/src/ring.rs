@@ -6,12 +6,10 @@
 //! them the same way (see `nestless-simnet`'s `obs` module). Drops are
 //! counted and exported, never silent.
 
-use serde::{Deserialize, Serialize};
-
 /// How much a recorder stream does on the hot path. Shared by the flight
 /// recorder ([`TraceConfig`](crate::TraceConfig)) and the control-plane
 /// journal ([`TelemetryConfig`](crate::TelemetryConfig)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ObsMode {
     /// No per-site work at all: one branch per record site. The default.
     #[default]

@@ -6,10 +6,10 @@
 //! serialize these to JSON and print the paper-style tables.
 
 use crate::stats::Summary;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One point of a swept series: parameter value plus summarized samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SeriesPoint {
     /// Swept parameter (e.g. message size in bytes).
     pub x: f64,
@@ -18,7 +18,7 @@ pub struct SeriesPoint {
 }
 
 /// A named, ordered series of measurements over a swept parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Series {
     /// Label shown in the figure legend (e.g. "BrFusion").
     pub name: String,

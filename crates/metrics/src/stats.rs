@@ -5,7 +5,7 @@
 //! [`Summary`] is the finished, serializable result (what a figure harness
 //! prints as one table row).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Streaming mean/variance accumulator (Welford's algorithm).
 ///
@@ -121,7 +121,7 @@ impl FromIterator<f64> for OnlineStats {
 }
 
 /// Finished summary of a sample set: what one figure row reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Summary {
     /// Number of samples.
     pub count: u64,

@@ -19,7 +19,7 @@
 
 use crate::flight::Log2Hist;
 use crate::journal::{JournalKind, JournalRecord, JOURNAL_KINDS};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Schema tag stamped into every [`TelemetrySnapshot`].
@@ -108,7 +108,7 @@ impl TickSeries {
 }
 
 /// Quantile summary of a [`Log2Hist`] (bucket upper bounds, so coarse).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HistSummary {
     /// Total observations.
     pub count: u64,
@@ -133,7 +133,7 @@ impl HistSummary {
 }
 
 /// One decimated series in a snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SeriesExport {
     /// Metric name.
     pub name: String,
@@ -145,7 +145,7 @@ pub struct SeriesExport {
 
 /// Drop accounting for every bounded buffer that fed a snapshot — a ring
 /// hitting capacity must surface here, never truncate silently.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DropAccounting {
     /// Journal records emitted but not kept.
     pub journal: u64,
@@ -157,7 +157,7 @@ pub struct DropAccounting {
 
 /// Derived health indicators for the run, computed from journal counts
 /// and coordinator statistics at export time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct HealthSummary {
     /// Coordinator rounds executed (0 for sequential runs).
     pub rounds: u64,
@@ -180,7 +180,7 @@ pub struct HealthSummary {
 
 /// The unified telemetry export: versioned, self-describing, and honest
 /// about loss (see [`DropAccounting`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TelemetrySnapshot {
     /// Always [`TELEMETRY_SCHEMA`].
     pub schema: String,
@@ -360,8 +360,9 @@ mod tests {
         assert!(!text.contains("flow.fastpath"), "dots sanitized");
     }
 
+    /// Pins the compact JSON of a small snapshot, key order included.
     #[test]
-    fn snapshot_json_round_trips() {
+    fn snapshot_json_bytes_pinned() {
         let mut snap = TelemetrySnapshot::new("rt", "counters");
         snap.journal.push(JournalRecord {
             tag: JournalTag {
@@ -377,11 +378,20 @@ mod tests {
         let mut counts = [0u64; JOURNAL_KINDS];
         counts[JournalKind::FlowPromote as usize] = 7;
         snap.set_journal(snap.journal.clone(), &counts, 2);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.schema, TELEMETRY_SCHEMA);
-        assert_eq!(back.journal_count(JournalKind::FlowPromote), 7);
-        assert_eq!(back.drops.journal, 2);
+        assert_eq!(snap.schema, TELEMETRY_SCHEMA);
+        assert_eq!(snap.journal_count(JournalKind::FlowPromote), 7);
+        assert_eq!(snap.drops.journal, 2);
+        assert_eq!(
+            serde_json::to_string(&snap).unwrap(),
+            concat!(
+                r#"{"schema":"nestless.telemetry.v1","label":"rt","mode":"counters","#,
+                r#""counters":{},"gauges":{},"histograms":{},"series":[],"#,
+                r#""journal":[{"tag":{"at_ns":5,"src":1,"seq":2},"kind":"FlowPromote","#,
+                r#""a":1,"b":2,"c":3}],"journal_counts":{"flow.promote":7},"#,
+                r#""drops":{"journal":2,"spans":0,"trace":0},"#,
+                r#""health":{"rounds":0,"rollback_rate":0.0,"ring_stalls":0,"#,
+                r#""ring_high_water":0,"flow_hit_rate":0.0,"degrade_dwell_ns":0.0}}"#
+            )
+        );
     }
 }

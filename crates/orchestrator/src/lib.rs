@@ -16,7 +16,6 @@ pub mod cni;
 pub mod node;
 pub mod pod;
 pub mod policy;
-pub mod replicaset;
 pub mod scheduler;
 pub mod service;
 
@@ -29,6 +28,5 @@ pub use cni::{
 pub use node::{Node, NodeId};
 pub use pod::{PodId, PodSpec};
 pub use policy::{IngressRule, NetworkPolicy};
-pub use replicaset::{ReconcileReport, ReplicaSet, ReplicaSetController, ReplicaSetId};
 pub use scheduler::{MostRequestedScheduler, Placement, SchedError, Scheduler};
 pub use service::Service;

@@ -1,15 +1,14 @@
 //! Nodes: the VMs the orchestrator schedules onto.
 
 use contd::ResourceRequest;
-use serde::{Deserialize, Serialize};
 use vmm::{VmId, VmSpec};
 
 /// Node index in the control plane's registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// A schedulable node (a VM registered with the control plane).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The backing VM.
     pub vm: VmId,

@@ -5,14 +5,13 @@
 //! a localhost interface, volumes, and (pre-Hostlo) a single VM.
 
 use contd::{ContainerSpec, ResourceRequest};
-use serde::{Deserialize, Serialize};
 
 /// Pod identifier within a control plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PodId(pub u32);
 
 /// A pod specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PodSpec {
     /// Pod name.
     pub name: String,

@@ -9,12 +9,11 @@
 
 use crate::node::{Node, NodeId};
 use crate::pod::PodSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Placement decision: one node per container (whole-pod schedulers repeat
 /// the same node).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// `assignments[i]` is the node for `pod.containers[i]`.
     pub assignments: Vec<NodeId>,
@@ -39,7 +38,7 @@ impl Placement {
 }
 
 /// Scheduling failure.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedError {
     /// Human-readable cause.
     pub reason: String,

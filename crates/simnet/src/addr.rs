@@ -5,12 +5,11 @@
 //! IP addresses) is what forces the bridge+NAT design at every virtualization
 //! layer; these are the identities being mutualized.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A 48-bit Ethernet MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
@@ -65,7 +64,7 @@ impl fmt::Display for MacAddr {
 }
 
 /// An IPv4 address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ip4(pub u32);
 
 impl Ip4 {
@@ -117,7 +116,7 @@ impl FromStr for Ip4 {
 }
 
 /// An IPv4 subnet in CIDR form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ip4Net {
     /// Network base address.
     pub addr: Ip4,
@@ -179,7 +178,7 @@ impl fmt::Display for Ip4Net {
 }
 
 /// A transport endpoint: IPv4 address plus port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SockAddr {
     /// IPv4 address.
     pub ip: Ip4,

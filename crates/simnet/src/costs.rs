@@ -14,10 +14,9 @@
 use crate::time::SimDuration;
 use metrics::CpuCategory;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Service cost of one datapath stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageCost {
     /// Fixed per-frame service time, ns.
     pub fixed_ns: u64,
@@ -122,7 +121,7 @@ impl StageCost {
 
 /// The calibrated constants for every stage type used by the topology
 /// builders. Grouping them here keeps calibration reviewable in one place.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Learning-bridge switching (host side, `sys`).
     pub host_bridge: StageCost,

@@ -6,14 +6,13 @@ use crate::costs::StageCost;
 use crate::engine::DevCtx;
 use crate::frame::Frame;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Index of a device inside a [`crate::engine::Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(pub usize);
 
 /// A port (attachment point) on a device. Port numbering is device-local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(pub usize);
 
 impl PortId {
@@ -24,7 +23,7 @@ impl PortId {
 }
 
 /// Coarse classification of devices, used for tracing and cost defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Learning Ethernet switch.
     Bridge,

@@ -44,13 +44,12 @@ use crate::hash::FxHashMap;
 use crate::nat::Proto;
 use crate::time::{SimDuration, SimTime};
 use metrics::{JournalKind, MetricId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// What happens to a matched frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Let the frame through.
     Accept,
@@ -72,7 +71,7 @@ impl Verdict {
 }
 
 /// Conntrack state of the frame being filtered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
     /// First packet of a flow the tracker has not seen.
     New,
@@ -84,7 +83,7 @@ pub enum ConnState {
 }
 
 /// Set of [`ConnState`]s a rule matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateMask(u8);
 
 impl StateMask {

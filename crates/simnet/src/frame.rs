@@ -8,7 +8,6 @@ use crate::addr::{Ip4, MacAddr, SockAddr};
 use crate::flow::FlowTag;
 use crate::time::SimTime;
 use metrics::FlightStamp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ethernet header bytes on the wire (dst + src + ethertype + FCS).
@@ -51,7 +50,7 @@ impl Payload {
 }
 
 /// Kind of TCP segment, reduced to what the stream model needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpKind {
     /// Data-bearing segment.
     Data,

@@ -17,10 +17,9 @@ use crate::hash::{FxHashMap, FxHashSet};
 use crate::shared::SharedStation;
 use crate::time::{SimDuration, SimTime};
 use metrics::MetricId;
-use serde::{Deserialize, Serialize};
 
 /// Transport protocol selector for NAT rules and conntrack keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Proto {
     /// UDP.
     Udp,

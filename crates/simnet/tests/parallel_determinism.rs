@@ -4,8 +4,8 @@
 //! topology with jitter and frame loss enabled.
 
 use metrics::{
-    ChromeTrace, CpuAccount, CpuCategory, CpuLocation, RunSnapshot, SpanId, SpanRecord, StageAgg,
-    StageTable, TelemetryConfig, TelemetrySnapshot, TraceConfig,
+    CpuAccount, CpuCategory, CpuLocation, SpanId, SpanRecord, StageAgg, StageTable,
+    TelemetryConfig, TraceConfig,
 };
 use nestless_simnet::addr::MacAddr;
 use nestless_simnet::bridge::Bridge;
@@ -335,17 +335,18 @@ fn span_cap_overflow_merges_bit_identically() {
     }
 }
 
-/// The three documents every exporter writes for a run; the coordinator's
-/// round count is zeroed, as it describes the shard coordinator rather
-/// than the simulation.
-fn exports(report: &RunReport) -> (RunSnapshot, ChromeTrace, TelemetrySnapshot) {
+/// The three documents every exporter writes for a run, as compact
+/// JSON; the coordinator's round count is zeroed, as it describes the
+/// shard coordinator rather than the simulation.
+fn exports(report: &RunReport) -> [String; 3] {
     let mut telemetry = telemetry_report(report, "exports");
     telemetry.health.rounds = 0;
-    (
-        snapshot_report(report, "exports"),
-        chrome_trace_report(report),
-        telemetry,
-    )
+    [
+        serde_json::to_string(&snapshot_report(report, "exports")),
+        serde_json::to_string(&chrome_trace_report(report)),
+        serde_json::to_string(&telemetry),
+    ]
+    .map(|doc| doc.expect("every export serializes"))
 }
 
 #[test]
@@ -364,13 +365,15 @@ fn every_export_is_identical_at_any_shard_count() {
         net.set_trace_config(trace);
         net.set_telemetry_config(telemetry);
         net.run(StopCondition::Until(SimTime(2_000_000)));
-        let seq = exports(&net.take_report());
-        assert!(seq.0.spans.kept > 0 && !seq.1.is_empty(), "{label}: spans");
-        assert!(seq.2.journal_count(metrics::JournalKind::FaultOpen) > 0);
+        let report = net.take_report();
+        let journal = telemetry_report(&report, "exports");
+        assert!(!report.spans.is_empty(), "{label}: spans");
+        assert!(journal.journal_count(metrics::JournalKind::FaultOpen) > 0);
         if trace.span_cap == 64 {
-            assert!(seq.0.spans.dropped > 0, "{label}: spans must overflow");
-            assert!(seq.2.drops.journal > 0, "{label}: journal must overflow");
+            assert!(report.spans_dropped > 0, "{label}: spans must overflow");
+            assert!(journal.drops.journal > 0, "{label}: journal must overflow");
         }
+        let seq = exports(&report);
         // Caps go through SimConfig: `build` overwrites the network's.
         for shards in [1, 2, 8] {
             let mut sn = SimConfig::new()
@@ -380,9 +383,12 @@ fn every_export_is_identical_at_any_shard_count() {
                 .build(build_faulted());
             sn.run(StopCondition::Until(SimTime(2_000_000)));
             let got = exports(&sn.into_report());
-            assert!(got.0 == seq.0, "{label}, {shards} shards: run snapshot");
-            assert!(got.1 == seq.1, "{label}, {shards} shards: chrome trace");
-            assert!(got.2 == seq.2, "{label}, {shards} shards: telemetry");
+            for (doc, (got, want)) in ["run snapshot", "chrome trace", "telemetry"]
+                .into_iter()
+                .zip(got.iter().zip(&seq))
+            {
+                assert!(got == want, "{label}, {shards} shards: {doc}");
+            }
         }
     }
 }

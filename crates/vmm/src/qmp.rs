@@ -3,16 +3,16 @@
 //! "When QEMU creates a VM, it also provides a side-channel management
 //! interface. [...] One of the many management actions the VMM can execute
 //! is to add or remove NICs to and from the VM." (§3.2). The orchestrator's
-//! CNI plugins speak this protocol; commands and responses are serde types
-//! so they round-trip through a wire encoding exactly like the real QMP
-//! JSON socket.
+//! CNI plugins speak this protocol; [`Vmm::qmp_json`] parses a command from
+//! JSON and writes the response as JSON, exactly like the real QMP JSON
+//! socket.
 
 use crate::vm::{NicId, VmId};
 use crate::vmm::Vmm;
 use serde::{Deserialize, Serialize};
 
 /// A management command, as the orchestrator would send it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub enum QmpCommand {
     /// Hot-plug a new NIC into `vm`, attached to the named host-level
     /// networking domain (bridge). `coalesce` selects interrupt coalescing

@@ -1,21 +1,20 @@
 //! Virtual machine model: identity, resources, lifecycle and NIC inventory.
 
-use serde::{Deserialize, Serialize};
 use simnet::device::{DeviceId, PortId};
 use simnet::shared::SharedStation;
 use simnet::MacAddr;
 
 /// Identifier of a VM within a [`crate::Vmm`]. Also used as the
 /// `CpuLocation::Vm` id for accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u32);
 
 /// Identifier of a NIC (unique across the whole VMM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NicId(pub u32);
 
 /// VM lifecycle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmState {
     /// Defined but not started.
     Created,
@@ -28,7 +27,7 @@ pub enum VmState {
 }
 
 /// Resources requested for a VM (the evaluation uses 5 vCPUs / 4 GB, §5.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmSpec {
     /// Human-readable name.
     pub name: String,
